@@ -25,17 +25,7 @@ from .lie import (
     UEnvElement,
     sl2_pair_desc,
 )
-from .linalg import (
-    column_space_projection,
-    frac,
-    left_nullspace,
-    mat_mul,
-    mat_eq,
-    rank,
-    solve_right_inverse,
-    transpose,
-    zeros,
-)
+from .linalg import frac, left_nullspace, quotient, rank, transpose
 from .weyl import WeylOp, commutator, preserves_ideal
 
 
@@ -50,6 +40,7 @@ class InfinitesimalAction:
         self.desc = desc
         self.ring = ring
         self.fields = tuple(fields)
+        self._moment_cache: dict[tuple, WeylOp] = {}
         if len(self.fields) != desc.dim:
             raise ValueError("one vector field per basis element required")
         for theta in self.fields:
@@ -101,19 +92,11 @@ def lr_action_horocycle() -> InfinitesimalAction:
     return _ACTIONS.setdefault("horocycle", _make_action(horocycle_ring()))
 
 
-def builtin_lr_action_sl2() -> InfinitesimalAction:
-    """The two-sided action on the determinant-one locus."""
-    return lr_action_sl2()
-
-
 def _make_action(ring: QuotientRing) -> InfinitesimalAction:
     return InfinitesimalAction(sl2_pair_desc(), ring, _mu_fields(ring.variables))
 
 
 _ACTIONS: dict[str, InfinitesimalAction] = {}
-
-
-_moment_cache: dict[tuple, WeylOp] = {}
 
 
 def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
@@ -127,8 +110,7 @@ def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
 
 
 def _moment_monomial(e, act: InfinitesimalAction) -> WeylOp:
-    key = (act.desc.key, act.ring.name, e)
-    hit = _moment_cache.get(key)
+    hit = act._moment_cache.get(e)
     if hit is not None:
         return hit
     total = sum(e)
@@ -139,7 +121,7 @@ def _moment_monomial(e, act: InfinitesimalAction) -> WeylOp:
         prev = list(e)
         prev[i] -= 1
         out = _moment_monomial(tuple(prev), act) * act.fields[i]
-    _moment_cache[key] = out
+    act._moment_cache[e] = out
     return out
 
 
@@ -268,30 +250,10 @@ def coinvariants(
         raise ValueError("subalgebra does not live in the module's acting algebra")
     if commuting is not None and not commuting.normalizes(sub):
         raise ValueError("designated subalgebra does not normalize the quotient data")
-    n = rep.dim
-    span_rows = []
-    for v in sub.vectors:
-        m = rep.act_vector(list(v))
-        cols = transpose(m)
-        span_rows.extend(cols)
-    if not span_rows:
-        span_rows = [[Fraction(0)] * n]
-    projection = column_space_projection(span_rows)
-    if not projection:
-        projection = []
-    dim = len(projection)
-    induced = []
-    if commuting is not None and dim:
-        r = solve_right_inverse(projection)
-        for v in commuting.vectors:
-            m = rep.act_vector(list(v))
-            t = mat_mul(mat_mul(projection, m), r)
-            if not mat_eq(mat_mul(t, projection), mat_mul(projection, m)):
-                raise ValueError("induced action is not well defined on the quotient")
-            induced.append(t)
-    elif commuting is not None:
-        induced = [zeros(0, 0) for _ in commuting.vectors]
-    return CoinvariantsResult(dim, projection, induced)
+    span_rows = [col for v in sub.vectors for col in transpose(rep.act_vector(list(v)))]
+    acting = [rep.act_vector(list(v)) for v in commuting.vectors] if commuting is not None else []
+    projection, induced = quotient(span_rows, rep.dim, acting)
+    return CoinvariantsResult(len(projection), projection, induced)
 
 
 def localization_fiber(

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import FinDimRep, dual_rep, external_tensor, sym_power_rep
-from .linalg import (
-    char_poly,
-    column_space_projection,
-    mat_mul,
-    mat_eq,
-    rank,
-    solve_right_inverse,
-    transpose,
-)
+from .linalg import char_poly, mat_mul, quotient, rank, transpose
 from .reports import CheckReport
 
 
@@ -147,28 +139,14 @@ def _jordan_blocks(matrix, lam: Fraction, multiplicity: int) -> list:
     return sorted(blocks, reverse=True)
 
 
-def nilpotent_coinvariants(rep: FinDimRep, rf: RealFormData):
-    """Quotient by the raising operator's image, with the induced Cartan matrix."""
-    desc = rep.desc
-    rf.validate(desc)
-    e_mat = rep.matrix_of(rf.nilpotent)
-    h_mat = rep.matrix_of(rf.cartan)
-    projection = column_space_projection(transpose(e_mat))
-    dim = len(projection)
-    if dim == 0:
-        return 0, [], []
-    r = solve_right_inverse(projection)
-    induced = mat_mul(mat_mul(projection, h_mat), r)
-    if not mat_eq(mat_mul(induced, projection), mat_mul(projection, h_mat)):
-        raise ValueError("Cartan action does not descend to the coinvariants")
-    return dim, projection, induced
-
-
 def exponents_from_coinvariants(rep: FinDimRep, rf: RealFormData | None = None) -> ExponentSet:
-    """Generalized eigenvalues with Jordan data of the Cartan on coinvariants."""
+    """Generalized eigenvalues with Jordan data of the Cartan on coinvariants
+    by the raising operator's image."""
     rf = rf or iwasawa_sl2()
-    dim, _, induced = nilpotent_coinvariants(rep, rf)
-    if dim == 0:
+    rf.validate(rep.desc)
+    e_mat = rep.matrix_of(rf.nilpotent)
+    _, (induced,) = quotient(transpose(e_mat), rep.dim, [rep.matrix_of(rf.cartan)])
+    if not induced:
         return ExponentSet(())
     eigen = _rational_eigenvalues(induced)
     mult: dict[Fraction, int] = {}
@@ -206,16 +184,9 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     e_left = rep.matrices[pair.index("E1")]
     f_right = rep.matrices[pair.index("F2")]
     span = transpose(e_left) + transpose(f_right)
-    projection = column_space_projection(span)
-    if not projection:
-        return set(), set()
-    r = solve_right_inverse(projection)
-    out = []
-    for name in ("H1", "H2"):
-        h = rep.matrices[pair.index(name)]
-        induced = mat_mul(mat_mul(projection, h), r)
-        out.append(set(_rational_eigenvalues(induced)))
-    return out[0], out[1]
+    cartans = [rep.matrices[pair.index(name)] for name in ("H1", "H2")]
+    _, (left, right) = quotient(span, rep.dim, cartans)
+    return set(_rational_eigenvalues(left)), set(_rational_eigenvalues(right))
 
 
 def leading_exponent_check(m: int, rf: RealFormData | None = None) -> CheckReport:

@@ -1,7 +1,9 @@
 """Command-line driver for the verification suites and the point computations.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on usage
-errors (unknown suite, malformed points, points on no supported variety).
+errors (unknown suite, malformed points, points on no supported variety, a
+bound from --bound or HOROCYCLE_BOUND that is not an integer, is negative or
+is below the suite's minimum).
 JSON output is deterministic: identical invocations write identical bytes.
 """
 
@@ -65,16 +67,25 @@ _SUITES = {
 }
 
 
+# least bound a suite accepts, where it is above zero: the dy relation has PBW degree 2
+_MIN_BOUND = {"dy": 2}
+
+
 def _effective_bound(suite: str, bound: int | None) -> int | None:
     default = _SUITES[suite][1]
     if default is None:
         return None
-    if bound is not None:
-        return bound
-    env = os.environ.get(BOUND_ENV)
-    if env is not None:
-        return int(env)
-    return default
+    if bound is None:
+        env = os.environ.get(BOUND_ENV)
+        try:
+            bound = default if env is None else int(env)
+        except ValueError:
+            raise click.UsageError(f"{BOUND_ENV} must be an integer, got {env!r}")
+    if bound < 0:
+        raise click.UsageError("bound must be non-negative")
+    if bound < _MIN_BOUND.get(suite, 0):
+        raise click.UsageError(f"suite {suite} needs a bound of at least {_MIN_BOUND[suite]}")
+    return bound
 
 
 def _emit(reports: list[CheckReport], command: str, parameters: dict, json_path, quiet: bool):
@@ -117,11 +128,9 @@ def verify(suite, bound, json_path, quiet):
     if bound is not None and bound < 0:
         raise click.UsageError("bound must be non-negative")
     names = sorted(_SUITES) if suite == "all" else [suite]
+    bounds = {name: _effective_bound(name, bound) for name in names}
     t0 = time.monotonic()
-    reports = []
-    for name in names:
-        runner, _ = _SUITES[name]
-        reports.append(runner(_effective_bound(name, bound)))
+    reports = [_SUITES[name][0](bounds[name]) for name in names]
     duration = time.monotonic() - t0
     overall = _emit(reports, f"verify {suite}", {"suite": suite, "bound": bound}, json_path, quiet)
     click.echo(f"elapsed: {duration:.2f}s", err=True)

@@ -441,14 +441,8 @@ def _validate_min_degree(ring: QuotientRing, bound: int = 6) -> bool:
     return ok
 
 
-def pw_level(f: ExactPoly, ring: QuotientRing, parity_step: int = 2):
-    """Least filtration level of a class; BOTTOM for the zero class.
-
-    parity_step is the lattice generator used by callers when comparing levels
-    in the dominance order; returned values are plain minimal degrees.
-    """
-    if parity_step <= 0:
-        raise ValueError("parity_step must be positive")
+def pw_level(f: ExactPoly, ring: QuotientRing):
+    """Least filtration level of a class (its minimal degree); BOTTOM for the zero class."""
     nf = ring.normal_form(f)
     if nf.is_zero():
         return BOTTOM
@@ -458,10 +452,6 @@ def pw_level(f: ExactPoly, ring: QuotientRing, parity_step: int = 2):
     if _validate_min_degree(ring):
         return nf.degree()
     return pw_level_oracle(nf, ring)
-
-
-def normal_form(f: ExactPoly, ring: QuotientRing) -> ExactPoly:
-    return ring.normal_form(f)
 
 
 # --- serialization ----------------------------------------------------------

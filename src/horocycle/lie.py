@@ -352,8 +352,9 @@ class FinDimRep:
     matrices: tuple
 
     def __post_init__(self):
+        # antisymmetry of the structure constants covers i >= j
         for i in range(self.desc.dim):
-            for j in range(self.desc.dim):
+            for j in range(i + 1, self.desc.dim):
                 lhs = mat_sub(
                     mat_mul(self.matrices[i], self.matrices[j]),
                     mat_mul(self.matrices[j], self.matrices[i]),

@@ -55,11 +55,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, s):
-    s = frac(s)
-    return [[x * s for x in row] for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
@@ -125,18 +120,6 @@ def left_nullspace(mat) -> list[list[Fraction]]:
     return nullspace(transpose(mat))
 
 
-def column_space_projection(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Quotient map onto coker of the span of `vectors` (given as rows).
-
-    Returns a full-row-rank matrix Y whose kernel is exactly the span, so
-    v ↦ Y v gives coordinates on the quotient space.
-    """
-    if not vectors:
-        raise ValueError("need the ambient dimension; pass at least a zero vector")
-    span_as_columns = transpose(vectors)
-    return left_nullspace(span_as_columns)
-
-
 def solve_right_inverse(y: list[list[Fraction]]) -> list[list[Fraction]]:
     """For full-row-rank Y, an R with Y R = identity."""
     rows = len(y)
@@ -153,6 +136,29 @@ def solve_right_inverse(y: list[list[Fraction]]) -> list[list[Fraction]]:
         for j in range(rows):
             full[c][j] = inv[k][j]
     return full
+
+
+def quotient(span, n: int, acting=()):
+    """Quotient of an n-dimensional space by the row span of `span`, with the
+    induced actions of the matrices in `acting`.
+
+    Returns (Y, [T for each A in acting]): Y is a full-row-rank matrix whose
+    kernel is exactly the span, so v -> Y v gives coordinates on the quotient,
+    and each T satisfies T Y = Y A.  Raises ValueError when some A does not
+    preserve the span.
+    """
+    y = nullspace(span or zeros(1, n))
+    if not y:
+        return [], [zeros(0, 0) for _ in acting]
+    r = solve_right_inverse(y) if acting else None
+    induced = []
+    for a in acting:
+        ya = mat_mul(y, a)
+        t = mat_mul(ya, r)
+        if not mat_eq(mat_mul(t, y), ya):
+            raise ValueError("action does not descend to the quotient")
+        induced.append(t)
+    return y, induced
 
 
 def char_poly(mat) -> list[Fraction]:

@@ -67,10 +67,6 @@ class LatticeOrder:
         return all(x.denominator == 1 and x >= 0 for x in sol)
 
 
-def dominance_leq(lattice: LatticeOrder, mu, lam) -> bool:
-    return lattice.leq(mu, lam)
-
-
 ROOT_LATTICE_SL2 = LatticeOrder(1, ((2,),))
 
 

@@ -212,11 +212,6 @@ def _accumulate_term_product(out, xe1, de1, xe2, de2, coef):
             stack.append((i + 1, ks + (k,), mult * w))
 
 
-def weyl_mul(p: WeylOp, q: WeylOp) -> WeylOp:
-    """Normal-ordered product; associative and bilinear."""
-    return p * q
-
-
 def commutator(p: WeylOp, q: WeylOp) -> WeylOp:
     return p * q - q * p
 

@@ -4,18 +4,19 @@ from fractions import Fraction
 import pytest
 
 from horocycle.action import (
+    InfinitesimalAction,
     PointNotOnVariety,
     RationalPoint,
     LieSubalgebra,
-    builtin_lr_action_sl2,
     coinvariants,
     localization_fiber,
     lr_action_horocycle,
     lr_action_mat2,
+    lr_action_sl2,
     moment_map,
     stabilizer_subalgebra,
 )
-from horocycle.exactalg import ExactPoly, MAT2_VARS, det_poly
+from horocycle.exactalg import ExactPoly, MAT2_VARS, det_poly, mat2_ring
 from horocycle.lie import (
     UEnvElement,
     casimir_sl2,
@@ -27,7 +28,7 @@ from horocycle.lie import (
     tensor,
 )
 from horocycle.linalg import is_zero_matrix, mat_mul
-from horocycle.weyl import WeylOp, euler_op, weyl_mul
+from horocycle.weyl import WeylOp, euler_op
 
 V = MAT2_VARS
 
@@ -56,7 +57,7 @@ def test_builtin_table_is_the_expected_one():
 
 
 def test_action_constructions_validate():
-    builtin_lr_action_sl2()
+    lr_action_sl2()
     lr_action_mat2()
     lr_action_horocycle()
 
@@ -77,7 +78,17 @@ def test_moment_map_multiplicative():
 
     for _ in range(50):
         u, v = rand_u(), rand_u()
-        assert moment_map(u * v, act) == weyl_mul(moment_map(u, act), moment_map(v, act))
+        assert moment_map(u * v, act) == moment_map(u, act) * moment_map(v, act)
+
+
+def test_moment_map_cache_is_per_action():
+    pair = sl2_pair_desc()
+    e1 = UEnvElement.generator(pair, pair.index("E1"))
+    act = lr_action_mat2()
+    assert moment_map(e1, act) == act.field_of("E1")
+    ring = mat2_ring()
+    zero = InfinitesimalAction(pair, ring, [WeylOp.zero(ring.variables)] * pair.dim)
+    assert moment_map(e1, zero) == WeylOp.zero(ring.variables)
 
 
 def test_moment_map_casimir_identity():
@@ -95,7 +106,7 @@ def test_moment_map_casimir_identity():
 
 
 def test_stabilizer_at_identity_is_diagonal():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     s = stabilizer_subalgebra(act, RationalPoint((1, 0, 0, 1)))
     assert s.dim == 3
     d2 = sl2_desc()
@@ -107,14 +118,14 @@ def test_stabilizer_at_identity_is_diagonal():
 
 
 def test_stabilizer_dimension_three_across_group_points():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     for coords in [(1, 0, 0, 1), (2, 0, 0, Fraction(1, 2)), (1, 1, 0, 1), (3, 1, 2, 1)]:
         s = stabilizer_subalgebra(act, RationalPoint(coords))
         assert s.dim == 3, coords
 
 
 def test_stabilizer_at_twisted_diagonal_point():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     s = stabilizer_subalgebra(act, RationalPoint((2, 0, 0, Fraction(1, 2))))
     # contains the matched Cartan (H, H); raising pairs twist by the square of the torus value
     vec = [0] * 6
@@ -139,7 +150,7 @@ def test_stabilizer_on_rank_one_chart():
 
 
 def test_point_validation():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     with pytest.raises(PointNotOnVariety):
         stabilizer_subalgebra(act, RationalPoint((1, 2, 3, 4)))
     acty = lr_action_horocycle()
@@ -148,7 +159,7 @@ def test_point_validation():
 
 
 def test_coinvariants_dimension_table():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     p = RationalPoint((1, 0, 0, 1))
     for m in range(4):
         for k in range(4):
@@ -157,7 +168,7 @@ def test_coinvariants_dimension_table():
 
 
 def test_coinvariants_projection_annihilates_action():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     s = stabilizer_subalgebra(act, RationalPoint((1, 1, 0, 1)))
     mod = module(2, 2)
     res = coinvariants(mod, s)
@@ -166,7 +177,7 @@ def test_coinvariants_projection_annihilates_action():
 
 
 def test_fiber_dimension_constant_on_orbits():
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     points = [RationalPoint((1, 0, 0, 1)), RationalPoint((2, 0, 0, Fraction(1, 2))), RationalPoint((1, 1, 0, 1))]
     for m, k in [(1, 1), (2, 1), (3, 3)]:
         dims = {localization_fiber(module(m, k), act, p).dimension for p in points}
@@ -175,7 +186,7 @@ def test_fiber_dimension_constant_on_orbits():
 
 def test_trivial_module_always_one():
     acty = lr_action_horocycle()
-    act = builtin_lr_action_sl2()
+    act = lr_action_sl2()
     mod = external_tensor(sym_power_rep(0), sym_power_rep(0))
     assert localization_fiber(mod, act, RationalPoint((1, 0, 0, 1))).dimension == 1
     assert localization_fiber(mod, acty, RationalPoint((0, 1, 0, 0))).dimension == 1

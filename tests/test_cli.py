@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 from click.testing import CliRunner
 
 from horocycle.cli import main
@@ -102,3 +103,20 @@ def test_bound_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HOROCYCLE_BOUND", "4")
     result = invoke(["verify", "vfilt", "--quiet"])
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "env,args,message",
+    [
+        ("x", ["verify", "rees"], "HOROCYCLE_BOUND must be an integer"),
+        ("-3", ["verify", "rees"], "bound must be non-negative"),
+        (None, ["verify", "dy", "--bound", "1"], "suite dy needs a bound of at least 2"),
+        (None, ["verify", "all", "--bound", "1"], "suite dy needs a bound of at least 2"),
+    ],
+    ids=["env-not-integer", "env-negative", "dy-bound-1", "all-bound-1"],
+)
+def test_bad_bound_is_usage_error(env, args, message):
+    result = CliRunner().invoke(main, args, env={"HOROCYCLE_BOUND": env})
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "overall" not in result.output  # rejected before any suite runs

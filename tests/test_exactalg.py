@@ -13,7 +13,6 @@ from horocycle.exactalg import (
     det_poly,
     horocycle_ring,
     mat2_ring,
-    normal_form,
     poly_from_json,
     poly_from_text,
     poly_to_json,
@@ -58,8 +57,8 @@ def test_normal_form_idempotent_and_ring_map():
         assert R.normal_form(f * g) == R.normal_form(R.normal_form(f) * R.normal_form(g))
 
 
-def test_normal_form_is_module_level_function():
-    assert normal_form(a * d, sl2_ring()) == b * c + 1
+def test_normal_form_rewrites_ad_on_sl2():
+    assert sl2_ring().normal_form(a * d) == b * c + 1
 
 
 def test_pw_level_examples():

@@ -1,0 +1,32 @@
+"""Behaviour anchor: the JSON reports of the coinvariant computations, byte for byte.
+
+The files under golden/ pin the quotient maps Y and the induced matrices T as
+well as the item lists, so any change to how quotients are formed shows here.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from horocycle.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    (["verify", "asymp-diagram"], "verify_asymp-diagram.json"),
+    (["verify", "parabolic"], "verify_parabolic.json"),
+    (["exponents", "--m", "5"], "exponents_m5.json"),
+    (["localize", "--rep", "2,2", "--point", "1,1,0,1"], "localize_2_2_at_1_1_0_1.json"),
+    (["localize", "--rep", "3,3", "--point", "0,1,0,0"], "localize_3_3_at_0_1_0_0.json"),
+]
+
+
+@pytest.mark.parametrize("args,name", CASES, ids=[name for _, name in CASES])
+def test_report_bytes_match_golden(tmp_path, args, name):
+    out = tmp_path / name
+    result = CliRunner().invoke(
+        main, args + ["--quiet", "--json", str(out)], env={"HOROCYCLE_BOUND": None}
+    )
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

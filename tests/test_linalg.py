@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from horocycle.linalg import (
     IncrementalRank,
     char_poly,
-    column_space_projection,
     identity,
     left_nullspace,
     mat_mul,
     mat_vec,
     nullspace,
+    quotient,
     rank,
     rref,
     solve_right_inverse,
@@ -110,13 +112,27 @@ def test_solve_right_inverse():
         assert mat_mul(m, r) == identity(rows)
 
 
-def test_column_space_projection():
+def test_quotient():
     rng = random.Random(11)
     for _ in range(30):
         n = rng.randint(2, 6)
         vectors = [list(row) for row in rand_matrix(rng, rng.randint(1, 4), n)]
-        y = column_space_projection(vectors)
+        y, induced = quotient(vectors, n)
+        assert induced == []
         assert len(y) == n - rank(transpose(vectors))
         for v in vectors:
             if y:
                 assert all(x == 0 for x in mat_vec(y, v))
+
+
+def test_quotient_induced_actions():
+    span = [[1, 0, 0]]
+    keeps = [[1, 2, 3], [0, 4, 5], [0, 6, 7]]  # first column lies in the span
+    y, (t,) = quotient(span, 3, [keeps])
+    assert len(y) == 2
+    assert mat_mul(t, y) == mat_mul(y, keeps)
+    moves = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]  # e1 -> e2 leaves the span
+    with pytest.raises(ValueError):
+        quotient(span, 3, [moves])
+    assert quotient([], 2) == (identity(2), [])
+    assert quotient(identity(2), 2, [identity(2), identity(2)]) == ([], [[], []])

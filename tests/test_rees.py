@@ -11,7 +11,6 @@ from horocycle.rees import (
     ROOT_LATTICE_SL2,
     certify_derivation_level,
     derivation_level,
-    dominance_leq,
     gr_derivations_check,
     homogenize_free,
     homogenize_presentation,
@@ -36,17 +35,17 @@ zero = ExactPoly.zero(V)
 
 def test_dominance_rank_one():
     L = ROOT_LATTICE_SL2
-    assert dominance_leq(L, 0, 2)
-    assert not dominance_leq(L, 1, 2)
-    assert dominance_leq(L, 5, 5)
-    assert not dominance_leq(L, 2, 0)
+    assert L.leq(0, 2)
+    assert not L.leq(1, 2)
+    assert L.leq(5, 5)
+    assert not L.leq(2, 0)
 
 
 def test_dominance_rank_two():
     L = LatticeOrder(2, ((2, -1), (-1, 2)))
-    assert dominance_leq(L, (0, 0), (1, 1))
-    assert not dominance_leq(L, (0, 0), (1, 0))
-    assert dominance_leq(L, (0, 0), (2, -1))
+    assert L.leq((0, 0), (1, 1))
+    assert not L.leq((0, 0), (1, 0))
+    assert L.leq((0, 0), (2, -1))
 
 
 def test_dominance_is_partial_order():
@@ -54,13 +53,13 @@ def test_dominance_is_partial_order():
     L = LatticeOrder(2, ((2, -1), (-1, 2)))
     pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(12)]
     for x in pts:
-        assert dominance_leq(L, x, x)
+        assert L.leq(x, x)
         for y in pts:
-            if dominance_leq(L, x, y) and dominance_leq(L, y, x):
+            if L.leq(x, y) and L.leq(y, x):
                 assert x == y
             for z in pts:
-                if dominance_leq(L, x, y) and dominance_leq(L, y, z):
-                    assert dominance_leq(L, x, z)
+                if L.leq(x, y) and L.leq(y, z):
+                    assert L.leq(x, z)
 
 
 def test_lattice_validation():

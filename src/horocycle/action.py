@@ -81,22 +81,30 @@ def _mu_fields(variables) -> tuple[WeylOp, ...]:
 
 
 def lr_action_mat2() -> InfinitesimalAction:
-    return _ACTIONS.setdefault("mat2", _make_action(mat2_ring()))
+    return _builtin_action(mat2_ring())
 
 
 def lr_action_sl2() -> InfinitesimalAction:
-    return _ACTIONS.setdefault("sl2", _make_action(sl2_ring()))
+    return _builtin_action(sl2_ring())
 
 
 def lr_action_horocycle() -> InfinitesimalAction:
-    return _ACTIONS.setdefault("horocycle", _make_action(horocycle_ring()))
+    return _builtin_action(horocycle_ring())
+
+
+def _builtin_action(ring: QuotientRing) -> InfinitesimalAction:
+    """The left-right action on a built-in ring, built and validated once."""
+    act = _ACTIONS.get(ring.key)
+    if act is None:
+        act = _ACTIONS[ring.key] = _make_action(ring)
+    return act
 
 
 def _make_action(ring: QuotientRing) -> InfinitesimalAction:
     return InfinitesimalAction(sl2_pair_desc(), ring, _mu_fields(ring.variables))
 
 
-_ACTIONS: dict[str, InfinitesimalAction] = {}
+_ACTIONS: dict[tuple, InfinitesimalAction] = {}
 
 
 def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:

@@ -67,8 +67,9 @@ _SUITES = {
 }
 
 
-# least bound a suite accepts, where it is above zero: the dy relation has PBW degree 2
-_MIN_BOUND = {"dy": 2}
+# least bound a suite accepts, where it is above zero: the dy relation has PBW
+# degree 2, and at bound 0 pwfilt sees only constants, which every sample kills
+_MIN_BOUND = {"dy": 2, "pwfilt": 1}
 
 
 def _effective_bound(suite: str, bound: int | None) -> int | None:

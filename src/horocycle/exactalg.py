@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import rank
+from .linalg import frac, rank
 
 Exp = tuple[int, ...]
 
@@ -42,10 +42,6 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-def _coerce(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 class ExactPoly:
     """Sparse polynomial: map from exponent vectors to nonzero rational coefficients."""
 
@@ -59,7 +55,7 @@ class ExactPoly:
             e = tuple(e)
             if len(e) != n:
                 raise ArityMismatch(f"exponent {e} has wrong arity for {self.variables}")
-            c = _coerce(c)
+            c = frac(c)
             if c:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
@@ -70,11 +66,11 @@ class ExactPoly:
 
     @classmethod
     def constant(cls, variables, c):
-        return cls(variables, {(0,) * len(tuple(variables)): _coerce(c)})
+        return cls(variables, {(0,) * len(tuple(variables)): frac(c)})
 
     @classmethod
     def monomial(cls, variables, exponents, coef=1):
-        return cls(variables, {tuple(exponents): _coerce(coef)})
+        return cls(variables, {tuple(exponents): frac(coef)})
 
     @classmethod
     def variable(cls, variables, name):
@@ -112,7 +108,7 @@ class ExactPoly:
 
     def __mul__(self, other):
         if not isinstance(other, ExactPoly):
-            return ExactPoly(self.variables, {e: c * _coerce(other) for e, c in self.terms.items()})
+            return ExactPoly(self.variables, {e: c * frac(other) for e, c in self.terms.items()})
         self._check(other)
         t: dict[Exp, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -161,7 +157,7 @@ class ExactPoly:
         return len(degs) <= 1
 
     def evaluate(self, values) -> Fraction:
-        vals = [_coerce(v) for v in values]
+        vals = [frac(v) for v in values]
         if len(vals) != len(self.variables):
             raise ArityMismatch("wrong number of values")
         total = Fraction(0)
@@ -301,18 +297,19 @@ class QuotientRing:
         out = []
         degrees = [degree] if exact else range(degree + 1)
         for d in degrees:
-            for e in _compositions(d, len(self.variables)):
+            for e in compositions(d, len(self.variables)):
                 if lead is None or not _divides(lead, e):
                     out.append(e)
         return out
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
+    """Exponent vectors of `parts` entries summing to `total`, lexicographically increasing."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -374,11 +371,11 @@ def _has_representative_of_degree(nf: ExactPoly, ring: QuotientRing, t: int) -> 
     """Does nf + relation*g have degree <= t for some g?"""
     rel = ring.relation
     gdeg = max(nf.degree() - rel.degree(), 0)
-    gmonos = [e for d in range(gdeg + 1) for e in _compositions(d, len(ring.variables))]
+    gmonos = [e for d in range(gdeg + 1) for e in compositions(d, len(ring.variables))]
     high = [
         e
         for d in range(t + 1, nf.degree() + 1)
-        for e in _compositions(d, len(ring.variables))
+        for e in compositions(d, len(ring.variables))
     ]
     if not high:
         return True
@@ -416,7 +413,7 @@ def _validate_min_degree(ring: QuotientRing, bound: int = 6) -> bool:
     for k in range(1, bound + 1):
         elim = IncrementalRank()
         for gd in range(k - 1):
-            for ge in _compositions(gd, nvars):
+            for ge in compositions(gd, nvars):
                 vec = {}
                 for re, rc in rel.terms.items():
                     e = tuple(x + y for x, y in zip(re, ge))
@@ -457,7 +454,7 @@ def pw_level(f: ExactPoly, ring: QuotientRing):
 # --- serialization ----------------------------------------------------------
 
 
-def _fmt_coef(c: Fraction) -> str:
+def fmt_coef(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
@@ -470,7 +467,7 @@ def poly_to_text(f: ExactPoly) -> str:
         mono = " ".join(
             f"{v}^{k}" if k != 1 else v for v, k in zip(f.variables, e) if k
         )
-        parts.append(f"{_fmt_coef(c)} * {mono}" if mono else _fmt_coef(c))
+        parts.append(f"{fmt_coef(c)} * {mono}" if mono else fmt_coef(c))
     return " + ".join(parts)
 
 
@@ -498,7 +495,7 @@ def poly_from_text(text: str, variables) -> ExactPoly:
 
 def poly_to_json(f: ExactPoly) -> list:
     return [
-        {"coef": _fmt_coef(f.terms[e]), "exponents": list(e)}
+        {"coef": fmt_coef(f.terms[e]), "exponents": list(e)}
         for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
     ]
 

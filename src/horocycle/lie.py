@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import identity, mat_eq, mat_mul, mat_sub, zeros
+from .linalg import frac, identity, mat_eq, mat_mul, mat_sub, zeros
 
 Exp = tuple[int, ...]
-
-
-def _coerce(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 class LieAlgebraDesc:
@@ -33,7 +29,7 @@ class LieAlgebraDesc:
         n = len(self.basis)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), vec in brackets.items():
-            vec = {k: _coerce(v) for k, v in vec.items() if v}
+            vec = {k: frac(v) for k, v in vec.items() if v}
             if vec:
                 table[(i, j)] = vec
         self.brackets = table
@@ -160,7 +156,7 @@ class UEnvElement:
             e = tuple(e)
             if len(e) != n:
                 raise ValueError("PBW exponent arity mismatch")
-            c = _coerce(c)
+            c = frac(c)
             if c:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
@@ -203,7 +199,7 @@ class UEnvElement:
 
     def __mul__(self, other):
         if not isinstance(other, UEnvElement):
-            s = _coerce(other)
+            s = frac(other)
             return UEnvElement(self.desc, {e: c * s for e, c in self.terms.items()})
         self._check(other)
         out: dict[Exp, Fraction] = {}
@@ -215,7 +211,7 @@ class UEnvElement:
         return UEnvElement(self.desc, out)
 
     def __rmul__(self, other):
-        s = _coerce(other)
+        s = frac(other)
         return UEnvElement(self.desc, {e: c * s for e, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -298,7 +294,7 @@ def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...], rng=None) -> 
 def pbw_normal_form(desc: LieAlgebraDesc, word, coef=1, rng=None) -> UEnvElement:
     """Normal form of coef * x_{word[0]} ... x_{word[-1]}."""
     nf = _word_normal_form(desc, tuple(word), rng)
-    return UEnvElement(desc, {e: _coerce(coef) * c for e, c in nf.items()})
+    return UEnvElement(desc, {e: frac(coef) * c for e, c in nf.items()})
 
 
 def casimir_sl2() -> UEnvElement:
@@ -377,7 +373,7 @@ class FinDimRep:
         for i, c in enumerate(coeffs):
             if c:
                 out = [
-                    [x + _coerce(c) * y for x, y in zip(r1, r2)]
+                    [x + frac(c) * y for x, y in zip(r1, r2)]
                     for r1, r2 in zip(out, self.matrices[i])
                 ]
         return out

@@ -17,19 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exactalg import (
     BOTTOM,
     ExactPoly,
     QuotientRing,
+    compositions,
     det_poly,
     MAT2_VARS,
     pw_level,
     sl2_ring,
 )
-from .linalg import IncrementalRank, frac, nullspace, rank, rref
+from .linalg import IncrementalRank, frac, rank, rref
 from .reports import CheckReport, ReportItem
-from .weyl import WeylOp, apply_op, preserves_ideal
+from .weyl import WeylOp, apply_op, preserves_ideal, relative_fields
 
 
 @dataclass(frozen=True)
@@ -200,51 +202,8 @@ def sl2_derivation_space(cap: int, parity: int) -> list:
     if hit is not None:
         return hit
     ring = sl2_ring()
-    basis = _derivation_space(ring, cap, parity)
-    _derivation_space_cache[key] = basis
-    return basis
-
-
-def _derivation_space(ring: QuotientRing, cap: int, parity: int) -> list:
-    if cap < 0:
-        return []
-    monos = [
-        e
-        for d in range(parity % 2, cap + 1, 2)
-        for e in ring.nf_monomials(d)
-    ]
-    if not monos:
-        return []
-    unknowns = [(slot, e) for slot in range(4) for e in monos]
-    # theta(a)d + a theta(d) - theta(b)c - b theta(c) must vanish in the ring
-    partner = {0: ("d", 1), 3: ("a", 1), 1: ("c", -1), 2: ("b", -1)}
-    columns = []
-    row_index: dict = {}
-    for slot, e in unknowns:
-        name, sign = partner[slot]
-        poly = ring.normal_form(
-            ExactPoly.monomial(ring.variables, e, sign) * ring.var(name)
-        )
-        col = {}
-        for te, tc in poly.terms.items():
-            idx = row_index.setdefault(te, len(row_index))
-            col[idx] = tc
-        columns.append(col)
-    mat = [[Fraction(0)] * len(unknowns) for _ in range(len(row_index))]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            mat[i][j] = v
-    kernel = nullspace(mat) if mat else [
-        [Fraction(1) if i == j else Fraction(0) for i in range(len(unknowns))]
-        for j in range(len(unknowns))
-    ]
-    basis = []
-    for vec in kernel:
-        coeffs = [ExactPoly.zero(ring.variables) for _ in range(4)]
-        for (slot, e), v in zip(unknowns, vec):
-            if v:
-                coeffs[slot] = coeffs[slot] + ExactPoly.monomial(ring.variables, e, v)
-        basis.append(tuple(coeffs))
+    monos = [e for d in range(key[1], cap + 1, 2) for e in ring.nf_monomials(d)]
+    basis = _derivation_space_cache[key] = relative_fields(ring, det_poly(), monos)
     return basis
 
 
@@ -262,25 +221,15 @@ class ReesPresentation:
     lattice_variables: tuple
     lattice: LatticeOrder
 
-    def weight(self, e) -> int:
-        return sum(k * w for k, w in zip(e, (1, 1, 1, 1, 2)))
-
     def graded_monomials(self, weight: int) -> list:
         out = []
         for zk in range(weight // 2 + 1):
             rest = weight - 2 * zk
-            for e in _compositions4(rest):
+            for e in compositions(rest, 4):
                 if e[0] and e[3]:
                     continue  # reduced away by the rewrite
                 out.append(e + (zk,))
         return out
-
-
-def _compositions4(total: int):
-    for i in range(total + 1):
-        for j in range(total - i + 1):
-            for k in range(total - i - j + 1):
-                yield (i, j, k, total - i - j - k)
 
 
 def rees_build(algebra: FilteredAlgebra) -> ReesPresentation:
@@ -322,17 +271,17 @@ def homogenize_presentation(g: ExactPoly, level: int) -> ExactPoly:
 
 
 FREE_VARS = ("A", "B", "C", "D")
+_DET_FREE = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
 
 
 def homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
     """Same lift with the lattice variable eliminated against A*D - B*C."""
     out = ExactPoly.zero(FREE_VARS)
-    det_free = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     for e, c in g.terms.items():
         k = sum(e)
         if (level - k) % 2 or k > level:
             raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
-        out = out + ExactPoly.monomial(FREE_VARS, e, c) * det_free ** ((level - k) // 2)
+        out = out + ExactPoly.monomial(FREE_VARS, e, c) * _DET_FREE ** ((level - k) // 2)
     return out
 
 
@@ -358,24 +307,14 @@ def tau_map(algebra: FilteredAlgebra, theta: WeylOp, pres: ReesPresentation) -> 
 
 
 def _free_relative_kernel_dim(coef_degree: int) -> int:
-    """Relative fields on the free four-variable ring, per homogeneous degree.
+    """Relative fields on the free four-variable ring, per homogeneous degree k.
 
-    Solutions of P*D + S*A - Q*C - R*B = 0 with homogeneous coefficients.
+    theta -> theta(AD - BC) = P*D - Q*C - R*B + S*A maps the four slots of
+    degree-k coefficients onto the degree-(k+1) polynomials (every monomial
+    of positive degree is a multiple of some variable), so the kernel has
+    dimension 4*C(k+3, 3) - C(k+4, 3).
     """
-    monos = list(_compositions4(coef_degree))
-    unknowns = [(slot, e) for slot in range(4) for e in monos]
-    partner = {0: ((0, 0, 0, 1), 1), 3: ((1, 0, 0, 0), 1), 1: ((0, 0, 1, 0), -1), 2: ((0, 1, 0, 0), -1)}
-    row_index: dict = {}
-    cols = []
-    for slot, e in unknowns:
-        pe, sign = partner[slot]
-        te = tuple(x + y for x, y in zip(e, pe))
-        idx = row_index.setdefault(te, len(row_index))
-        cols.append({idx: Fraction(sign)})
-    elim = IncrementalRank()
-    for col in cols:
-        elim.add(col)
-    return len(unknowns) - elim.rank
+    return 4 * comb(coef_degree + 3, 3) - comb(coef_degree + 4, 3)
 
 
 def _free_coords(polys):
@@ -396,7 +335,6 @@ def tau_check(algebra: FilteredAlgebra, pres: ReesPresentation, level_bound: int
     free ring.
     """
     items = []
-    det_free = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     for level in range(level_bound + 1):
         basis = sl2_derivation_space(1 + level, (1 + level) % 2)
         dim_lhs = len(basis)
@@ -405,14 +343,7 @@ def tau_check(algebra: FilteredAlgebra, pres: ReesPresentation, level_bound: int
         independent = 0
         for coeffs in basis:
             frees = [homogenize_free(g, 1 + level) for g in coeffs]
-            ha, hb, hc, hd = frees
-            strict = (
-                ha * ExactPoly.variable(FREE_VARS, "D")
-                + hd * ExactPoly.variable(FREE_VARS, "A")
-                - hb * ExactPoly.variable(FREE_VARS, "C")
-                - hc * ExactPoly.variable(FREE_VARS, "B")
-            )
-            if not strict.is_zero():
+            if not apply_op(WeylOp.vector_field(frees), _DET_FREE).is_zero():
                 all_relative = False
             if elim.add(_free_coords(frees)):
                 independent += 1

@@ -24,8 +24,10 @@ from .exactalg import (
     BOTTOM,
     ExactPoly,
     MAT2_VARS,
+    compositions,
     det_poly,
     horocycle_ring,
+    mat2_ring,
     poly_to_text,
     pw_level,
     sl2_ring,
@@ -41,9 +43,9 @@ from .lie import (
     sym_power_rep,
     tensor,
 )
-from .linalg import IncrementalRank, char_poly, mat_add, quotient, rank, transpose
+from .linalg import IncrementalRank, char_poly, mat_add, quotient, transpose
 from .reports import CheckReport
-from .weyl import WeylOp, commutator, apply_op, euler_op, is_relative, op_to_text
+from .weyl import WeylOp, commutator, apply_op, euler_op, is_relative, op_to_text, relative_fields
 
 V = MAT2_VARS
 
@@ -154,71 +156,17 @@ def verify_sl2_identities() -> CheckReport:
 
 
 def _linear_relative_field_span(act: InfinitesimalAction):
-    """Kernel of p d + s a - q c - r b = 0 over linear coefficients."""
-    monos = [e for e in _unit_exps()]
-    unknowns = [(slot, e) for slot in range(4) for e in monos]
-    partner = {0: (3, 1), 3: (0, 1), 1: (2, -1), 2: (1, -1)}
-    rows: dict = {}
-    cols = []
-    for slot, e in unknowns:
-        pslot, sign = partner[slot]
-        pe = monos[pslot]
-        te = tuple(x + y for x, y in zip(e, pe))
-        idx = rows.setdefault(te, len(rows))
-        cols.append({idx: Fraction(sign)})
-    elim = IncrementalRank()
-    for colv in cols:
-        elim.add(colv)
-    dim = len(unknowns) - elim.rank
-
+    """Dimension of the relative fields with linear coefficients, whether the
+    action's fields are such fields, and the rank of their span."""
+    dim = len(relative_fields(mat2_ring(), det_poly(), compositions(1, 4)))
     span = IncrementalRank()
     contains_all = True
-    kernel_rows = _strict_relative_linear_kernel()
     for theta in act.fields:
-        vec = {}
-        for (xe, de), cf in theta.terms.items():
-            slot = next(i for i, k in enumerate(de) if k)
-            vec[(slot, xe)] = cf
-        if not _vec_in_rowspace(kernel_rows, vec, unknowns):
+        linear = theta.is_vector_field() and all(sum(xe) == 1 for xe, _ in theta.terms)
+        if not (linear and is_relative(theta, det_poly())):
             contains_all = False
-        span.add(vec)
+        span.add({(de, xe): cf for (xe, de), cf in theta.terms.items()})
     return dim, contains_all, span.rank
-
-
-def _unit_exps():
-    out = []
-    for i in range(4):
-        e = [0] * 4
-        e[i] = 1
-        out.append(tuple(e))
-    return out
-
-
-def _strict_relative_linear_kernel():
-    monos = _unit_exps()
-    unknowns = [(slot, e) for slot in range(4) for e in monos]
-    partner = {0: (3, 1), 3: (0, 1), 1: (2, -1), 2: (1, -1)}
-    mat = []
-    rows: dict = {}
-    cols = []
-    for slot, e in unknowns:
-        pslot, sign = partner[slot]
-        pe = monos[pslot]
-        te = tuple(x + y for x, y in zip(e, pe))
-        idx = rows.setdefault(te, len(rows))
-        cols.append((idx, Fraction(sign)))
-    mat = [[Fraction(0)] * len(unknowns) for _ in range(len(rows))]
-    for j, (i, v) in enumerate(cols):
-        mat[i][j] = v
-    from .linalg import nullspace
-
-    return [dict(zip(unknowns, v)) for v in nullspace(mat)]
-
-
-def _vec_in_rowspace(rows, vec, unknowns) -> bool:
-    base = [[r.get(u, Fraction(0)) for u in unknowns] for r in rows]
-    target = [vec.get(u, Fraction(0)) for u in unknowns]
-    return rank(base) == rank(base + [target])
 
 
 def verify_dsl2_presentation() -> CheckReport:
@@ -273,21 +221,6 @@ def verify_dsl2_presentation() -> CheckReport:
 
 _GEN_WEIGHTS = ((-2, 0), (0, 0), (2, 0), (0, -2), (0, 0), (0, 2))  # F1 H1 E1 F2 H2 E2
 _VAR_WEIGHTS = ((-1, 1), (-1, -1), (1, 1), (1, -1))  # a b c d
-
-
-def _pbw_exps(bound: int):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for k in range(remaining + 1):
-                out.append(prefix + (k,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), bound, 6)
-    return [e for e in out if sum(e) <= bound]
 
 
 def _u_weight(e):
@@ -449,7 +382,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
     )
 
     build_bound = pbw_bound + margin
-    u_exps = _pbw_exps(pbw_bound)
+    u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
     f_exps = [e for q in range(poly_bound + 1) for e in ry.nf_monomials(q)]
 
     # --- kernel side: columns of the realization, eliminated per block with a
@@ -517,7 +450,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
 
     for fe in f_exps:
         base = delta_times_f(fe)
-        for ue in _pbw_exps(build_bound - 2):
+        for ue in [c[:6] for c in compositions(build_bound - 2, 7)]:
             elem = ctx.u_right(base, ue)
             if not elem:
                 continue
@@ -672,11 +605,9 @@ def vfiltration_check(bound: int = 12) -> CheckReport:
     ring = sl2_ring()
     detp = det_poly()
     report = CheckReport(check="vfilt", parameters={"bound": bound})
-    from .exactalg import _compositions  # even homogeneous monomials
-
-    for deg in range(0, bound + 1, 2):
+    for deg in range(0, bound + 1, 2):  # even homogeneous monomials
         k = deg // 2
-        for e in _compositions(deg, 4):
+        for e in compositions(deg, 4):
             mono = ExactPoly.monomial(V, e)
             pole = k - vanishing_order(mono, detp)
             lev = pw_level(mono, ring)

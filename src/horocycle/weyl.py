@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import ArityMismatch, ExactPoly, QuotientRing
+from .exactalg import ArityMismatch, ExactPoly, QuotientRing, fmt_coef
+from .linalg import frac, nullspace, zeros
 
 Exp = tuple[int, ...]
 Key = tuple[Exp, Exp]
-
-
-def _coerce(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 class WeylOp:
@@ -35,7 +32,7 @@ class WeylOp:
             xe, de = tuple(xe), tuple(de)
             if len(xe) != n or len(de) != n:
                 raise ArityMismatch("exponent arity mismatch")
-            c = _coerce(c)
+            c = frac(c)
             if c:
                 k = (xe, de)
                 clean[k] = clean.get(k, Fraction(0)) + c
@@ -109,15 +106,6 @@ class WeylOp:
             out.setdefault(de, {})[xe] = c
         return {de: ExactPoly(self.variables, t) for de, t in out.items()}
 
-    def map_coefficients(self, fn) -> "WeylOp":
-        """Apply fn: ExactPoly -> ExactPoly to each derivative-slot coefficient."""
-        terms: dict[Key, Fraction] = {}
-        for de, poly in self.coefficient_polys().items():
-            for e, c in fn(poly).terms.items():
-                k = (e, de)
-                terms[k] = terms.get(k, Fraction(0)) + c
-        return WeylOp(self.variables, terms)
-
     # --- arithmetic ---
 
     def __add__(self, other):
@@ -146,7 +134,7 @@ class WeylOp:
         if isinstance(other, ExactPoly):
             other = WeylOp.from_poly(other)
         if not isinstance(other, WeylOp):
-            s = _coerce(other)
+            s = frac(other)
             return WeylOp(self.variables, {k: c * s for k, c in self.terms.items()})
         self._check(other)
         out: dict[Key, Fraction] = {}
@@ -158,7 +146,7 @@ class WeylOp:
     def __rmul__(self, other):
         if isinstance(other, ExactPoly):
             return WeylOp.from_poly(other) * self
-        s = _coerce(other)
+        s = frac(other)
         return WeylOp(self.variables, {k: c * s for k, c in self.terms.items()})
 
     def __pow__(self, k: int):
@@ -242,6 +230,40 @@ def is_relative(theta: WeylOp, f: ExactPoly) -> bool:
     return apply_op(theta, f).is_zero()
 
 
+def relative_fields(ring: QuotientRing, f: ExactPoly, monomials) -> list[tuple]:
+    """Basis of the vector fields sum_i g_i D_i that kill f in `ring`, with
+    every g_i in the span of the given monomial exponents.
+
+    theta(f) = sum_i g_i D_i(f), so the coefficient of x^e in slot i is the
+    unknown whose column is the normal form of x^e D_i(f); the fields are the
+    kernel.  Each basis field is a tuple of coefficient polynomials, one per
+    variable.
+    """
+    variables = ring.variables
+    gradient = [apply_op(WeylOp.partial(variables, v), f) for v in variables]
+    monomials = list(monomials)
+    unknowns = [(i, e) for i in range(len(variables)) for e in monomials]
+    rows: dict = {}
+    columns = []
+    for i, e in unknowns:
+        col = ring.normal_form(ExactPoly.monomial(variables, e) * gradient[i]).terms
+        for te in col:
+            rows.setdefault(te, len(rows))
+        columns.append(col)
+    mat = zeros(max(len(rows), 1), len(unknowns))
+    for j, col in enumerate(columns):
+        for te, c in col.items():
+            mat[rows[te]][j] = c
+    basis = []
+    for vec in nullspace(mat):
+        coeffs = [{} for _ in variables]
+        for (i, e), v in zip(unknowns, vec):
+            if v:
+                coeffs[i][e] = v
+        basis.append(tuple(ExactPoly(variables, t) for t in coeffs))
+    return basis
+
+
 def preserves_ideal(p: WeylOp, ring: QuotientRing, bound: int = 6) -> bool:
     """Does p map the relation ideal into itself (so p descends to the quotient)?
 
@@ -276,10 +298,6 @@ def euler_op(variables) -> WeylOp:
 # --- serialization ----------------------------------------------------------
 
 
-def _fmt_coef(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-
-
 def op_to_text(p: WeylOp) -> str:
     if not p.terms:
         return "0"
@@ -290,7 +308,7 @@ def op_to_text(p: WeylOp) -> str:
         dmono = " ".join(
             f"D{v}^{k}" if k != 1 else f"D{v}" for v, k in zip(p.variables, de) if k
         )
-        piece = _fmt_coef(c)
+        piece = fmt_coef(c)
         if xmono:
             piece += f" * {xmono}"
         if dmono:
@@ -327,7 +345,7 @@ def op_from_text(text: str, variables) -> WeylOp:
 def op_to_json(p: WeylOp) -> list:
     return [
         {
-            "coef": _fmt_coef(p.terms[(xe, de)]),
+            "coef": fmt_coef(p.terms[(xe, de)]),
             "coordinates": list(xe),
             "derivatives": list(de),
         }

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from horocycle import action
 from horocycle.action import (
     InfinitesimalAction,
     PointNotOnVariety,
@@ -89,6 +90,17 @@ def test_moment_map_cache_is_per_action():
     ring = mat2_ring()
     zero = InfinitesimalAction(pair, ring, [WeylOp.zero(ring.variables)] * pair.dim)
     assert moment_map(e1, zero) == WeylOp.zero(ring.variables)
+
+
+def test_builtin_actions_are_built_once(monkeypatch):
+    built = []
+    make = action._make_action
+    monkeypatch.setattr(action, "_ACTIONS", {})
+    monkeypatch.setattr(action, "_make_action", lambda ring: built.append(ring.name) or make(ring))
+    for builder in (lr_action_mat2, lr_action_sl2, lr_action_horocycle):
+        first = builder()
+        assert builder() is first and builder() is first
+    assert built == ["O(Mat2)", "O(SL2)", "O(Y)"]
 
 
 def test_moment_map_casimir_identity():

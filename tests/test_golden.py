@@ -1,7 +1,9 @@
-"""Behaviour anchor: the JSON reports of the coinvariant computations, byte for byte.
+"""Behaviour anchor: the JSON reports of the coinvariant computations and of the
+relative-field suites, byte for byte.
 
 The files under golden/ pin the quotient maps Y and the induced matrices T as
-well as the item lists, so any change to how quotients are formed shows here.
+well as the item lists, so any change to how quotients are formed shows here;
+the identities, tau and grderv reports pin the relative-field kernels.
 """
 
 from pathlib import Path
@@ -16,6 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     (["verify", "asymp-diagram"], "verify_asymp-diagram.json"),
     (["verify", "parabolic"], "verify_parabolic.json"),
+    (["verify", "identities"], "verify_identities.json"),
+    (["verify", "tau"], "verify_tau.json"),
+    (["verify", "grderv"], "verify_grderv.json"),
     (["exponents", "--m", "5"], "exponents_m5.json"),
     (["localize", "--rep", "2,2", "--point", "1,1,0,1"], "localize_2_2_at_1_1_0_1.json"),
     (["localize", "--rep", "3,3", "--point", "0,1,0,0"], "localize_3_3_at_0_1_0_0.json"),

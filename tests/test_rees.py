@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from horocycle.exactalg import BOTTOM, ExactPoly, MAT2_VARS, horocycle_ring, sl2_ring
+from math import comb
+
+from horocycle.exactalg import (
+    BOTTOM,
+    ExactPoly,
+    MAT2_VARS,
+    compositions,
+    det_poly,
+    horocycle_ring,
+    mat2_ring,
+    sl2_ring,
+)
 from horocycle.rees import (
     FREE_VARS,
     LatticeOrder,
@@ -21,9 +32,10 @@ from horocycle.rees import (
     sl2_derivation_space,
     tau_check,
     tau_map,
+    _free_relative_kernel_dim,
     _minimal_dominating,
 )
-from horocycle.weyl import WeylOp, apply_op, preserves_ideal
+from horocycle.weyl import WeylOp, apply_op, preserves_ideal, relative_fields
 
 V = MAT2_VARS
 a = ExactPoly.variable(V, "a")
@@ -106,6 +118,13 @@ def test_derivation_spaces_dimensions():
     assert len(sl2_derivation_space(1, 1)) == 6
     assert len(sl2_derivation_space(0, 0)) == 0
     assert len(sl2_derivation_space(2, 0)) == 20
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_free_relative_kernel_closed_form(k):
+    closed = 4 * comb(k + 3, 3) - comb(k + 4, 3)
+    assert _free_relative_kernel_dim(k) == closed
+    assert len(relative_fields(mat2_ring(), det_poly(), compositions(k, 4))) == closed
 
 
 def test_rees_build_and_fibers():

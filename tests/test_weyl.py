@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from horocycle.exactalg import ExactPoly, MAT2_VARS, det_poly, horocycle_ring, sl2_ring
+from horocycle.exactalg import (
+    ExactPoly,
+    MAT2_VARS,
+    compositions,
+    det_poly,
+    horocycle_ring,
+    mat2_ring,
+    sl2_ring,
+)
+from horocycle.linalg import IncrementalRank
+from horocycle.rees import six_standard_fields
 from horocycle.weyl import (
     WeylOp,
     apply_op,
@@ -15,6 +25,7 @@ from horocycle.weyl import (
     op_to_json,
     op_to_text,
     preserves_ideal,
+    relative_fields,
 )
 
 V = MAT2_VARS
@@ -123,6 +134,38 @@ def test_is_relative_examples():
     assert is_relative(WeylOp.vector_field([a, zero, zero, -d]), dp)
     with pytest.raises(ValueError):
         is_relative(WeylOp.one(V) * 2, dp)
+
+
+def _field_coords(coeffs):
+    return {(slot, e): cf for slot, g in enumerate(coeffs) for e, cf in g.terms.items()}
+
+
+@pytest.mark.parametrize("ring", [sl2_ring(), mat2_ring()], ids=lambda r: r.name)
+def test_relative_fields_kill_det(ring):
+    monos = [e for k in range(3) for e in ring.nf_monomials(k)]
+    basis = relative_fields(ring, det_poly(), monos)
+    assert basis
+    elim = IncrementalRank()
+    for coeffs in basis:
+        assert all(set(g.terms) <= set(monos) for g in coeffs)
+        assert ring.normal_form(apply_op(WeylOp.vector_field(list(coeffs)), det_poly())).is_zero()
+        assert elim.add(_field_coords(coeffs))
+
+
+def test_relative_fields_linear_kernel_is_the_six_fields():
+    basis = relative_fields(mat2_ring(), det_poly(), compositions(1, 4))
+    assert len(basis) == 6
+    kernel = IncrementalRank()
+    for coeffs in basis:
+        kernel.add(_field_coords(coeffs))
+    for coeffs in six_standard_fields():
+        assert not kernel.add(_field_coords(coeffs))
+
+
+def test_relative_fields_degenerate_inputs():
+    one = ExactPoly.constant(V, 1)
+    assert len(relative_fields(mat2_ring(), one, compositions(1, 4))) == 16
+    assert relative_fields(sl2_ring(), det_poly(), []) == []
 
 
 def test_preserves_ideal():

@@ -59,9 +59,6 @@ class InfinitesimalAction:
                         f"assignment is not a Lie algebra map at ({desc.basis[i]},{desc.basis[j]})"
                     )
 
-    def field_of(self, name: str) -> WeylOp:
-        return self.fields[self.desc.index(name)]
-
 
 def _mu_fields(variables) -> tuple[WeylOp, ...]:
     a = ExactPoly.variable(variables, "a")
@@ -189,9 +186,6 @@ class LieSubalgebra:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def contains(self, vec) -> bool:
-        return _in_span(self.vectors, [frac(x) for x in vec])
-
     def normalizes(self, other: "LieSubalgebra") -> bool:
         for v in self.vectors:
             for w in other.vectors:
@@ -262,13 +256,3 @@ def coinvariants(
     acting = [rep.act_vector(list(v)) for v in commuting.vectors] if commuting is not None else []
     projection, induced = quotient(span_rows, rep.dim, acting)
     return CoinvariantsResult(len(projection), projection, induced)
-
-
-def localization_fiber(
-    module: FinDimBimodule,
-    act: InfinitesimalAction,
-    p: RationalPoint,
-    commuting: LieSubalgebra | None = None,
-) -> CoinvariantsResult:
-    """Fiber of the localization at a point: stabilizer coinvariants of the module."""
-    return coinvariants(module, stabilizer_subalgebra(act, p), commuting)

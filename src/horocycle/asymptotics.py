@@ -12,30 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .lie import FinDimRep, dual_rep, external_tensor, sym_power_rep
 from .linalg import char_poly, mat_mul, quotient, rank, transpose
 from .reports import CheckReport
-
-
-@dataclass(frozen=True)
-class RealFormData:
-    """Iwasawa designations: raising line, Cartan line, chamber direction."""
-
-    nilpotent: str = "E"
-    cartan: str = "H"
-    chamber_sign: int = -1  # t -> -infinity along diag(e^t, e^-t)
-
-    def validate(self, desc) -> None:
-        n = desc.index(self.nilpotent)
-        a = desc.index(self.cartan)
-        br = desc.bracket_vector(a, n)
-        if set(br) - {n}:
-            raise ValueError("nilpotent line is not stable under the Cartan")
-
-
-def iwasawa_sl2() -> RealFormData:
-    return RealFormData()
 
 
 @dataclass(frozen=True)
@@ -77,7 +58,7 @@ def _find_rational_root(poly) -> Fraction | None:
     # poly is monic with rational coefficients, highest degree first
     den = 1
     for c in poly:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = lcm(den, c.denominator)
     ints = [int(c * den) for c in poly]
     lead, const = ints[0], ints[-1]
     if const == 0:
@@ -88,12 +69,6 @@ def _find_rational_root(poly) -> Fraction | None:
                 if _eval_poly(poly, cand) == 0:
                     return cand
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):
@@ -139,13 +114,10 @@ def _jordan_blocks(matrix, lam: Fraction, multiplicity: int) -> list:
     return sorted(blocks, reverse=True)
 
 
-def exponents_from_coinvariants(rep: FinDimRep, rf: RealFormData | None = None) -> ExponentSet:
-    """Generalized eigenvalues with Jordan data of the Cartan on coinvariants
-    by the raising operator's image."""
-    rf = rf or iwasawa_sl2()
-    rf.validate(rep.desc)
-    e_mat = rep.matrix_of(rf.nilpotent)
-    _, (induced,) = quotient(transpose(e_mat), rep.dim, [rep.matrix_of(rf.cartan)])
+def exponents_from_coinvariants(rep: FinDimRep) -> ExponentSet:
+    """Generalized eigenvalues with Jordan data of the Cartan H on coinvariants
+    by the image of the raising operator E."""
+    _, (induced,) = quotient(transpose(rep.matrix_of("E")), rep.dim, [rep.matrix_of("H")])
     if not induced:
         return ExponentSet(())
     eigen = _rational_eigenvalues(induced)
@@ -189,13 +161,12 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     return set(_rational_eigenvalues(left)), set(_rational_eigenvalues(right))
 
 
-def leading_exponent_check(m: int, rf: RealFormData | None = None) -> CheckReport:
+def leading_exponent_check(m: int) -> CheckReport:
     """Coinvariant exponents against the symbolic oracle for Sym^m."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    rf = rf or iwasawa_sl2()
     report = CheckReport(check="exponents", parameters={"m": m})
-    exps = exponents_from_coinvariants(sym_power_rep(m), rf)
+    exps = exponents_from_coinvariants(sym_power_rep(m))
     oracle = matrix_coefficient_exponents(m)
     leading = min(oracle)
     coin = exps.eigenvalues

@@ -68,8 +68,9 @@ _SUITES = {
 
 
 # least bound a suite accepts, where it is above zero: the dy relation has PBW
-# degree 2, and at bound 0 pwfilt sees only constants, which every sample kills
-_MIN_BOUND = {"dy": 2, "pwfilt": 1}
+# degree 2; at bound 0 pwfilt sees only constants, which every sample kills,
+# and grderv compares only empty spaces
+_MIN_BOUND = {"dy": 2, "grderv": 1, "pwfilt": 1}
 
 
 def _effective_bound(suite: str, bound: int | None) -> int | None:
@@ -89,6 +90,14 @@ def _effective_bound(suite: str, bound: int | None) -> int | None:
     return bound
 
 
+def _write_report(path, command: str, fields: dict) -> None:
+    """Write a command's JSON report: the tool, version and command header plus `fields`."""
+    payload = {"tool": "horocycle", "version": __version__, "command": command, **fields}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _emit(reports: list[CheckReport], command: str, parameters: dict, json_path, quiet: bool):
     overall = all(r.passed for r in reports)
     for r in reports:
@@ -99,17 +108,8 @@ def _emit(reports: list[CheckReport], command: str, parameters: dict, json_path,
         click.echo(r.summary())
     click.echo(f"overall: {'PASS' if overall else 'FAIL'}")
     if json_path:
-        payload = {
-            "tool": "horocycle",
-            "version": __version__,
-            "command": command,
-            "parameters": {k: parameters[k] for k in sorted(parameters)},
-            "checks": [r.to_json() for r in reports],
-            "pass": overall,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        checks = [r.to_json() for r in reports]
+        _write_report(json_path, command, {"parameters": parameters, "checks": checks, "pass": overall})
     return overall
 
 
@@ -159,20 +159,14 @@ def exponents(m, json_path, quiet):
     click.echo(report.summary())
     click.echo(f"overall: {'PASS' if report.passed else 'FAIL'}")
     if json_path:
-        payload = {
-            "tool": "horocycle",
-            "version": __version__,
-            "command": "exponents",
+        _write_report(json_path, "exponents", {
             "m": m,
             "coinvariant_exponents": exps.to_json(),
             "oracle_exponents": oracle,
             "leading": min(oracle),
             "checks": [report.to_json()],
             "pass": report.passed,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     raise SystemExit(0 if report.passed else 1)
 
 
@@ -224,19 +218,13 @@ def localize(rep_spec, point_spec, json_path, quiet):
             click.echo("induced Cartan action: not applicable (Cartan does not normalize stabilizer)")
     click.echo(f"dimension: {result.dimension}")
     if json_path:
-        payload = {
-            "tool": "horocycle",
-            "version": __version__,
-            "command": "localize",
+        _write_report(json_path, "localize", {
             "rep": [m, k],
             "point": point.to_json(),
             "chart": chart,
             "stabilizer": [[str(x) for x in v] for v in stab.vectors],
             "result": result.to_json(),
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     raise SystemExit(0)
 
 

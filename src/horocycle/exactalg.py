@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import frac, rank
+from .linalg import IncrementalRank, frac, rank
 
 Exp = tuple[int, ...]
 
 
 class ArityMismatch(ValueError):
-    """Operands defined over different variable lists."""
+    """Operands defined over different spaces: variable lists or Lie algebras."""
 
 
 class _Bottom:
@@ -42,10 +42,67 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-class ExactPoly:
+class SparseElement:
+    """A finite sum of basis keys with nonzero rational coefficients (`terms`).
+
+    Subclasses supply `_space` (what two operands must share), `_new(terms)`
+    (an element of the same space) and `_one()` (its unit).  Operands of
+    another type enter sums as multiples of the unit.  Each subclass keeps its
+    own product.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def _check(self, other):
+        if self._space != other._space:
+            raise ArityMismatch(f"{self._space} vs {other._space}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._one() * other
+        self._check(other)
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            t[k] = t.get(k, Fraction(0)) + c
+        return self._new(t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out = self._one()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self)) and self._space == other._space and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class ExactPoly(SparseElement):
     """Sparse polynomial: map from exponent vectors to nonzero rational coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables",)
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
@@ -59,6 +116,16 @@ class ExactPoly:
             if c:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
+
+    @property
+    def _space(self):
+        return self.variables
+
+    def _new(self, terms):
+        return ExactPoly(self.variables, terms)
+
+    def _one(self):
+        return ExactPoly.constant(self.variables, 1)
 
     @classmethod
     def zero(cls, variables):
@@ -80,32 +147,6 @@ class ExactPoly:
         e[i] = 1
         return cls(variables, {tuple(e): Fraction(1)})
 
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise ArityMismatch(f"{self.variables} vs {other.variables}")
-
-    def __add__(self, other):
-        if not isinstance(other, ExactPoly):
-            other = ExactPoly.constant(self.variables, other)
-        self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return ExactPoly(self.variables, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactPoly):
-            other = ExactPoly.constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, ExactPoly):
             return ExactPoly(self.variables, {e: c * frac(other) for e, c in self.terms.items()})
@@ -119,38 +160,11 @@ class ExactPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = ExactPoly.constant(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactPoly)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
@@ -251,9 +265,6 @@ class QuotientRing:
     def __repr__(self):
         return f"QuotientRing({self.name})"
 
-    def poly(self, terms) -> ExactPoly:
-        return ExactPoly(self.variables, terms)
-
     def var(self, name) -> ExactPoly:
         return ExactPoly.variable(self.variables, name)
 
@@ -279,28 +290,15 @@ class QuotientRing:
                 out[e] = out.get(e, Fraction(0)) + c
         return ExactPoly(self.variables, out)
 
-    def is_zero_class(self, f: ExactPoly) -> bool:
-        return self.normal_form(f).is_zero()
-
-    def classes_equal(self, f: ExactPoly, g: ExactPoly) -> bool:
-        return self.normal_form(f - g).is_zero()
-
     def in_ideal(self, f: ExactPoly) -> bool:
         """Membership in the principal relation ideal."""
-        if self.relation is None:
-            return f.is_zero()
-        return self.is_zero_class(f)
+        return self.normal_form(f).is_zero()
 
-    def nf_monomials(self, degree: int, exact: bool = True):
-        """Normal-form monomial exponents of the given (or up to the given) degree."""
+    def nf_monomials(self, degree: int):
+        """Normal-form monomial exponents of the given degree."""
         lead = self.lead_exp
-        out = []
-        degrees = [degree] if exact else range(degree + 1)
-        for d in degrees:
-            for e in compositions(d, len(self.variables)):
-                if lead is None or not _divides(lead, e):
-                    out.append(e)
-        return out
+        monos = compositions(degree, len(self.variables))
+        return [e for e in monos if lead is None or not _divides(lead, e)]
 
 
 def compositions(total: int, parts: int):
@@ -405,8 +403,6 @@ def _validate_min_degree(ring: QuotientRing, bound: int = 6) -> bool:
     key = ring.key
     if key in _min_degree_validated:
         return _min_degree_validated[key]
-    from .linalg import IncrementalRank, _reduce_once
-
     rel = ring.relation
     nvars = len(ring.variables)
     ok = True
@@ -422,14 +418,7 @@ def _validate_min_degree(ring: QuotientRing, bound: int = 6) -> bool:
                 if vec:
                     elim.add(vec)
         for e in ring.nf_monomials(k):
-            vec = {e: 1}
-            for pkey in list(vec):
-                if pkey in elim.pivots:
-                    vec = _reduce_once(vec, pkey, elim.pivots[pkey])
-            while any(kk in elim.pivots for kk in vec):
-                pkey = next(kk for kk in sorted(vec, key=repr) if kk in elim.pivots)
-                vec = _reduce_once(vec, pkey, elim.pivots[pkey])
-            if not vec:
+            if not elim.reduce({e: 1}):
                 ok = False  # a smaller-degree representative exists
                 break
         if not ok:
@@ -469,37 +458,3 @@ def poly_to_text(f: ExactPoly) -> str:
         )
         parts.append(f"{fmt_coef(c)} * {mono}" if mono else fmt_coef(c))
     return " + ".join(parts)
-
-
-def poly_from_text(text: str, variables) -> ExactPoly:
-    variables = tuple(variables)
-    terms: dict[Exp, Fraction] = {}
-    text = text.strip()
-    if text == "0":
-        return ExactPoly.zero(variables)
-    for part in text.split(" + "):
-        pieces = [p.strip() for p in part.split("*")]
-        coef = Fraction(pieces[0])
-        e = [0] * len(variables)
-        for piece in pieces[1:]:
-            for factor in piece.split():
-                if "^" in factor:
-                    v, k = factor.split("^")
-                    e[variables.index(v)] += int(k)
-                else:
-                    e[variables.index(factor)] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return ExactPoly(variables, terms)
-
-
-def poly_to_json(f: ExactPoly) -> list:
-    return [
-        {"coef": fmt_coef(f.terms[e]), "exponents": list(e)}
-        for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
-    ]
-
-
-def poly_from_json(data, variables) -> ExactPoly:
-    terms = {tuple(item["exponents"]): Fraction(item["coef"]) for item in data}
-    return ExactPoly(tuple(variables), terms)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import frac, identity, mat_eq, mat_mul, mat_sub, zeros
+from .exactalg import SparseElement
+from .linalg import frac, mat_eq, mat_mul, mat_sub, zeros
 
 Exp = tuple[int, ...]
 
@@ -85,23 +86,6 @@ class LieAlgebraDesc:
     def index(self, name: str) -> int:
         return self.basis.index(name)
 
-    def to_json(self) -> dict:
-        return {
-            "basis": list(self.basis),
-            "brackets": [
-                {"i": i, "j": j, "coeffs": {str(k): str(v) for k, v in vec.items()}}
-                for (i, j), vec in sorted(self.brackets.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "LieAlgebraDesc":
-        brackets = {
-            (item["i"], item["j"]): {int(k): Fraction(v) for k, v in item["coeffs"].items()}
-            for item in data["brackets"]
-        }
-        return cls(tuple(data["basis"]), brackets)
-
 
 def sl2_desc() -> LieAlgebraDesc:
     return _SL2_DESC
@@ -121,8 +105,8 @@ def _make_sl2() -> LieAlgebraDesc:
     return LieAlgebraDesc(("F", "H", "E"), brackets)
 
 
-def direct_sum(left: LieAlgebraDesc, right: LieAlgebraDesc, suffixes=("1", "2")) -> LieAlgebraDesc:
-    names = tuple(n + suffixes[0] for n in left.basis) + tuple(n + suffixes[1] for n in right.basis)
+def direct_sum(left: LieAlgebraDesc, right: LieAlgebraDesc) -> LieAlgebraDesc:
+    names = tuple(n + "1" for n in left.basis) + tuple(n + "2" for n in right.basis)
     off = left.dim
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), vec in left.brackets.items():
@@ -143,10 +127,10 @@ _SL2_PAIR = direct_sum(_SL2_DESC, _SL2_DESC)
 # --- enveloping algebra -----------------------------------------------------
 
 
-class UEnvElement:
+class UEnvElement(SparseElement):
     """Element of U(g) in PBW normal form over the ordered basis of g."""
 
-    __slots__ = ("desc", "terms")
+    __slots__ = ("desc",)
 
     def __init__(self, desc: LieAlgebraDesc, terms: dict[Exp, Fraction]):
         self.desc = desc
@@ -161,6 +145,16 @@ class UEnvElement:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
 
+    @property
+    def _space(self):
+        return self.desc.key
+
+    def _new(self, terms):
+        return UEnvElement(self.desc, terms)
+
+    def _one(self):
+        return UEnvElement.one(self.desc)
+
     @classmethod
     def one(cls, desc):
         return cls(desc, {(0,) * desc.dim: Fraction(1)})
@@ -170,32 +164,6 @@ class UEnvElement:
         e = [0] * desc.dim
         e[index] = 1
         return cls(desc, {tuple(e): Fraction(1)})
-
-    def _check(self, other):
-        if self.desc is not other.desc and self.desc.key != other.desc.key:
-            raise ValueError("elements of different enveloping algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, UEnvElement):
-            other = UEnvElement.one(self.desc) * other
-        self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return UEnvElement(self.desc, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UEnvElement(self.desc, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, UEnvElement):
-            other = UEnvElement.one(self.desc) * other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, UEnvElement):
@@ -213,23 +181,6 @@ class UEnvElement:
     def __rmul__(self, other):
         s = frac(other)
         return UEnvElement(self.desc, {e: c * s for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UEnvElement)
-            and self.desc.key == other.desc.key
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def pbw_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -280,7 +231,6 @@ def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...], rng=None) -> 
         out = dict(_word_normal_form(desc, swapped, rng))
         bracket = desc.bracket_vector(i, j)
         if bracket:
-            shorter = word[:k] + word[k + 2 :]
             for m, coef in bracket.items():
                 sub = word[:k] + (m,) + word[k + 2 :]
                 for e, c in _word_normal_form(desc, sub, rng).items():
@@ -306,34 +256,15 @@ def casimir_sl2() -> UEnvElement:
     return UEnvElement.one(d) + H * H + 2 * (E * F) + 2 * (F * E)
 
 
-def is_central(u: UEnvElement) -> bool:
-    for i in range(u.desc.dim):
-        x = UEnvElement.generator(u.desc, i)
-        if not (u * x - x * u).is_zero():
-            return False
-    return True
-
-
 # --- tensor squares ---------------------------------------------------------
 
 
-def embed_left(u: UEnvElement, pair: LieAlgebraDesc | None = None) -> UEnvElement:
-    pair = pair or sl2_pair_desc()
-    n = u.desc.dim
-    terms = {e + (0,) * (pair.dim - n): c for e, c in u.terms.items()}
-    return UEnvElement(pair, terms)
-
-
-def embed_right(u: UEnvElement, pair: LieAlgebraDesc | None = None) -> UEnvElement:
-    pair = pair or sl2_pair_desc()
-    n = u.desc.dim
-    terms = {(0,) * (pair.dim - n) + e: c for e, c in u.terms.items()}
-    return UEnvElement(pair, terms)
-
-
-def tensor(u: UEnvElement, v: UEnvElement, pair: LieAlgebraDesc | None = None) -> UEnvElement:
-    """u (x) v inside U(g (+) g); the two factors commute."""
-    return embed_left(u, pair) * embed_right(v, pair)
+def tensor(u: UEnvElement, v: UEnvElement) -> UEnvElement:
+    """u (x) v inside U(sl2 (+) sl2), left factor first; the two factors commute."""
+    pair = sl2_pair_desc()
+    left = UEnvElement(pair, {e + (0,) * (pair.dim - u.desc.dim): c for e, c in u.terms.items()})
+    right = UEnvElement(pair, {(0,) * (pair.dim - v.desc.dim) + e: c for e, c in v.terms.items()})
+    return left * right
 
 
 # --- finite dimensional representations --------------------------------------
@@ -355,12 +286,8 @@ class FinDimRep:
                     mat_mul(self.matrices[i], self.matrices[j]),
                     mat_mul(self.matrices[j], self.matrices[i]),
                 )
-                rhs = zeros(self.dim, self.dim)
-                for k, c in self.desc.bracket_vector(i, j).items():
-                    rhs = [
-                        [x + c * y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(rhs, self.matrices[k])
-                    ]
+                bracket = self.desc.bracket_vector(i, j)
+                rhs = self.act_vector([bracket.get(k, 0) for k in range(self.desc.dim)])
                 if not mat_eq(lhs, rhs):
                     raise ValueError(f"bracket relation fails at ({i},{j})")
 
@@ -372,36 +299,12 @@ class FinDimRep:
         out = zeros(self.dim, self.dim)
         for i, c in enumerate(coeffs):
             if c:
+                c = frac(c)
                 out = [
-                    [x + frac(c) * y for x, y in zip(r1, r2)]
+                    [x + c * y for x, y in zip(r1, r2)]
                     for r1, r2 in zip(out, self.matrices[i])
                 ]
         return out
-
-    def act_uenv(self, u: UEnvElement):
-        """Matrix of an enveloping algebra element (PBW-ordered products)."""
-        if u.desc.key != self.desc.key:
-            raise ValueError("element lives in a different enveloping algebra")
-        out = zeros(self.dim, self.dim)
-        for e, c in u.terms.items():
-            m = identity(self.dim)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    m = mat_mul(m, self.matrices[i])
-            out = [
-                [x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(out, m)
-            ]
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "basis": list(self.desc.basis),
-            "dim": self.dim,
-            "matrices": [
-                [[f"{x.numerator}/{x.denominator}" for x in row] for row in m]
-                for m in self.matrices
-            ],
-        }
 
 
 def sym_power_rep(m: int) -> FinDimRep:
@@ -436,9 +339,6 @@ class FinDimBimodule:
     """A module for g (+) g with commuting left and right actions."""
 
     rep: FinDimRep
-    left_dim: int
-    right_dim: int
-    label: str = ""
 
     def __post_init__(self):
         half = self.rep.desc.dim // 2
@@ -453,7 +353,7 @@ class FinDimBimodule:
         return self.rep.dim
 
 
-def external_tensor(v: FinDimRep, w: FinDimRep, label: str = "") -> FinDimBimodule:
+def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimBimodule:
     """V (x) W as a module over g (+) g: left factor acts on V, right on W."""
     if v.desc.key == _SL2_DESC.key and w.desc.key == _SL2_DESC.key:
         pair = _SL2_PAIR
@@ -482,5 +382,4 @@ def external_tensor(v: FinDimRep, w: FinDimRep, label: str = "") -> FinDimBimodu
     mats = tuple(kron_left(v.matrices[i]) for i in range(v.desc.dim)) + tuple(
         kron_right(w.matrices[i]) for i in range(w.desc.dim)
     )
-    rep = FinDimRep(pair, n, mats)
-    return FinDimBimodule(rep, v.dim, w.dim, label=label)
+    return FinDimBimodule(FinDimRep(pair, n, mats))

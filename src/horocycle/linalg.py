@@ -59,14 +59,6 @@ def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     m = [[frac(x) for x in row] for row in mat]
@@ -236,8 +228,8 @@ class IncrementalRank:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, vec: dict) -> bool:
-        """Reduce vec against current pivots; returns True if rank grew."""
+    def reduce(self, vec: dict) -> dict:
+        """vec fully reduced against the pivots, as integers; {} iff vec lies in their span."""
         v = sparse_to_int(vec)
         for key in list(v):
             if key in self.pivots:
@@ -246,6 +238,11 @@ class IncrementalRank:
         while any(k in self.pivots for k in v):
             key = next(k for k in sorted(v, key=self._order) if k in self.pivots)
             v = _reduce_once(v, key, self.pivots[key])
+        return v
+
+    def add(self, vec: dict) -> bool:
+        """Reduce vec against current pivots; returns True if rank grew."""
+        v = self.reduce(vec)
         if not v:
             return False
         key = min(v, key=self._order)

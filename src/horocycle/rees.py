@@ -1,11 +1,11 @@
-"""Lattice dominance orders, filtered algebras, the derivations filtration and
-the Rees interpolation between the determinant-one locus and the rank-one cone.
+"""Filtered algebras, the derivations filtration and the Rees interpolation
+between the determinant-one locus and the rank-one cone.
 
 The built-in filtered algebra is the function ring of the determinant-one
-locus, filtered by minimal representative degree with unit generator levels.
-Its Rees presentation has four level-one variables A, B, C, D and one lattice
-variable z with the single relation A*D - B*C = z; setting z = 1 recovers the
-original ring and z = 0 its associated graded, the rank-one cone.
+locus, filtered by minimal representative degree, with every generator at
+level one.  Its Rees presentation has four level-one variables A, B, C, D and
+one lattice variable z with the single relation A*D - B*C = z; setting z = 1
+recovers the original ring and z = 0 its associated graded, the rank-one cone.
 
 All isomorphism-style statements are certified degreewise: each check computes
 both sides of a dimension table by independent exact kernel or rank
@@ -25,60 +25,21 @@ from .exactalg import (
     QuotientRing,
     compositions,
     det_poly,
+    horocycle_ring,
     MAT2_VARS,
     pw_level,
     sl2_ring,
 )
-from .linalg import IncrementalRank, frac, rank, rref
+from .linalg import IncrementalRank, frac
 from .reports import CheckReport, ReportItem
 from .weyl import WeylOp, apply_op, preserves_ideal, relative_fields
 
 
 @dataclass(frozen=True)
-class LatticeOrder:
-    """Z^r with the partial order generated by a full-rank positive monoid."""
-
-    rank: int
-    generators: tuple
-
-    def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if len(gens) != self.rank or any(len(g) != self.rank for g in gens):
-            raise ValueError("need exactly rank generators of matching arity")
-        if rank([list(map(Fraction, g)) for g in gens]) != self.rank:
-            raise ValueError("generators must be linearly independent")
-
-    def _vec(self, v):
-        if isinstance(v, int):
-            if self.rank != 1:
-                raise ValueError("scalar level in a higher-rank lattice")
-            return (v,)
-        return tuple(int(x) for x in v)
-
-    def leq(self, mu, lam) -> bool:
-        """mu <= lam iff lam - mu is a nonnegative integer combination of generators."""
-        mu, lam = self._vec(mu), self._vec(lam)
-        target = [Fraction(lam[i] - mu[i]) for i in range(self.rank)]
-        cols = [[Fraction(g[i]) for g in self.generators] for i in range(self.rank)]
-        aug = [cols[i] + [target[i]] for i in range(self.rank)]
-        red, pivots = rref(aug)
-        if len(pivots) != self.rank or self.rank in pivots:
-            return False
-        sol = [red[i][self.rank] for i in range(self.rank)]
-        return all(x.denominator == 1 and x >= 0 for x in sol)
-
-
-ROOT_LATTICE_SL2 = LatticeOrder(1, ((2,),))
-
-
-@dataclass(frozen=True)
 class FilteredAlgebra:
-    """A filtered commutative ring: generator levels plus a level function."""
+    """A commutative ring filtered by minimal representative degree."""
 
     ring: QuotientRing
-    generator_levels: tuple
-    lattice: LatticeOrder
 
     def level(self, f: ExactPoly):
         return pw_level(f, self.ring)
@@ -88,102 +49,21 @@ def peter_weyl_sl2() -> FilteredAlgebra:
     return _PW_SL2
 
 
-_PW_SL2 = FilteredAlgebra(sl2_ring(), (1, 1, 1, 1), ROOT_LATTICE_SL2)
+_PW_SL2 = FilteredAlgebra(sl2_ring())
 
 
 def derivation_level(algebra: FilteredAlgebra, theta: WeylOp):
-    """Least lattice level n with theta(A_{<=mu}) inside A_{<=mu+n}.
-
-    Rank one: the integer max over generators of level(theta(x_i)) - g_i.
-    Higher rank: the antichain of minimal dominating lattice points is
-    returned when no least element exists.
-    """
+    """Least level n with theta(A_{<=k}) inside A_{<=k+n}: the max over the
+    level-one generators of level(theta(x_i)) - 1, BOTTOM when theta kills them."""
     if not preserves_ideal(theta, algebra.ring):
         raise ValueError("derivation does not preserve the relation ideal")
     ring = algebra.ring
     offsets = []
-    for name, g in zip(ring.variables, algebra.generator_levels):
-        image = ring.normal_form(apply_op(theta, ring.var(name)))
-        lev = algebra.level(image)
-        if lev is BOTTOM:
-            continue
-        if algebra.lattice.rank == 1:
-            lev = lev if isinstance(lev, int) else lev[0]
-            offsets.append(lev - g)
-        else:
-            offsets.append(tuple(a - b for a, b in zip(lev, g)))
-    if not offsets:
-        return BOTTOM
-    if algebra.lattice.rank == 1:
-        return max(offsets)
-    return _minimal_dominating(algebra.lattice, offsets)
-
-
-def _minimal_dominating(lattice: LatticeOrder, points):
-    """Least lattice point dominating every point, or () when none exists.
-
-    With linearly independent generators each point has a unique rational
-    coefficient vector; common dominators exist precisely when all pairwise
-    coefficient differences are integral, and then the least one is the
-    componentwise coefficient maximum.  In particular no antichain of several
-    minimal dominators can occur; an empty result records the obstruction.
-    """
-    r = lattice.rank
-    gen_matrix = [[Fraction(g[i]) for g in lattice.generators] for i in range(r)]
-    coeff_vectors = []
-    for p in points:
-        p = lattice._vec(p)
-        aug = [gen_matrix[i] + [Fraction(p[i])] for i in range(r)]
-        red, pivots = rref(aug)
-        coeff_vectors.append([red[i][r] for i in range(r)])
-    base = coeff_vectors[0]
-    for other in coeff_vectors[1:]:
-        if any((x - y).denominator != 1 for x, y in zip(base, other)):
-            return ()
-    top = [max(v[i] for v in coeff_vectors) for i in range(r)]
-    least = tuple(
-        sum(top[j] * lattice.generators[j][i] for j in range(r))
-        for i in range(r)
-    )
-    assert all(x.denominator == 1 for x in least)
-    return tuple(int(x) for x in least)
-
-
-@dataclass(frozen=True)
-class FilteredDerivation:
-    field: WeylOp
-    level: object
-
-
-def certify_derivation_level(
-    algebra: FilteredAlgebra, theta: WeylOp, bound: int = 6
-) -> tuple[FilteredDerivation, dict]:
-    """Certified level: checked on all monomial classes up to the bound, with a
-    witness generator showing the level cannot be decremented."""
-    n = derivation_level(algebra, theta)
-    ring = algebra.ring
-    detail = {"level": repr(n), "checked": 0, "witness": None}
-    if n is BOTTOM:
-        return FilteredDerivation(theta, n), detail
-    for d in range(bound + 1):
-        for e in ring.nf_monomials(d):
-            mono = ExactPoly.monomial(ring.variables, e)
-            image = ring.normal_form(apply_op(theta, mono))
-            lev = algebra.level(image)
-            if lev is BOTTOM:
-                continue
-            if not algebra.lattice.leq(lev, d + n):
-                raise AssertionError(
-                    f"level certificate fails on monomial {e}: {lev} vs {d + n}"
-                )
-            detail["checked"] += 1
-    for name, g in zip(ring.variables, algebra.generator_levels):
-        image = ring.normal_form(apply_op(theta, ring.var(name)))
-        lev = algebra.level(image)
-        if lev is not BOTTOM and lev - g == n:
-            detail["witness"] = name
-            break
-    return FilteredDerivation(theta, n), detail
+    for name in ring.variables:
+        lev = algebra.level(ring.normal_form(apply_op(theta, ring.var(name))))
+        if lev is not BOTTOM:
+            offsets.append(lev - 1)
+    return max(offsets) if offsets else BOTTOM
 
 
 # --- the derivation spaces of the built-in rings -----------------------------
@@ -214,12 +94,9 @@ REES_VARS = ("A", "B", "C", "D", "z")
 
 @dataclass(frozen=True)
 class ReesPresentation:
-    """Graded presentation: level-one variables, one lattice variable, one relation."""
+    """Graded presentation: four level-one variables, the lattice variable z, one relation."""
 
     ring: QuotientRing
-    variable_levels: tuple
-    lattice_variables: tuple
-    lattice: LatticeOrder
 
     def graded_monomials(self, weight: int) -> list:
         out = []
@@ -234,7 +111,7 @@ class ReesPresentation:
 
 def rees_build(algebra: FilteredAlgebra) -> ReesPresentation:
     """Rees presentation of the built-in filtered ring: A*D - B*C = z."""
-    if algebra.ring.key != sl2_ring().key or algebra.generator_levels != (1, 1, 1, 1):
+    if algebra.ring.key != sl2_ring().key:
         raise ValueError("unsupported algebra: only the built-in filtration is presented")
     relation = ExactPoly(
         REES_VARS,
@@ -245,15 +122,11 @@ def rees_build(algebra: FilteredAlgebra) -> ReesPresentation:
         },
     )
     ring = QuotientRing(REES_VARS, relation, name="Rees(O(SL2))")
-    return ReesPresentation(ring, (1, 1, 1, 1), ("z",), algebra.lattice)
+    return ReesPresentation(ring)
 
 
 def rees_fiber(pres: ReesPresentation, p) -> QuotientRing:
     """Specialize the lattice variable: nonzero p gives the original ring, 0 its graded."""
-    if isinstance(p, (tuple, list)):
-        if len(p) != 1:
-            raise ValueError("one lattice coordinate expected")
-        p = p[0]
     p = frac(p)
     relation = det_poly() - ExactPoly.constant(MAT2_VARS, p)
     return QuotientRing(MAT2_VARS, relation, name=f"O(det={p})")
@@ -296,12 +169,12 @@ def tau_map(algebra: FilteredAlgebra, theta: WeylOp, pres: ReesPresentation) -> 
         return WeylOp.zero(REES_VARS)
     ring = algebra.ring
     coeffs = []
-    for name, g in zip(ring.variables, algebra.generator_levels):
+    for name in ring.variables:
         image = ring.normal_form(apply_op(theta, ring.var(name)))
         if image.is_zero():
             coeffs.append(ExactPoly.zero(REES_VARS))
         else:
-            coeffs.append(homogenize_presentation(image, g + level))
+            coeffs.append(homogenize_presentation(image, 1 + level))
     coeffs.append(ExactPoly.zero(REES_VARS))  # no d/dz component
     return WeylOp.vector_field(coeffs)
 
@@ -408,8 +281,6 @@ def six_standard_fields():
 
 def _graded_span_dim(n: int) -> int:
     """Dimension of the weight-n piece of the module the six fields span on the cone."""
-    from .exactalg import horocycle_ring
-
     ring = horocycle_ring()
     if n < 0:
         return 0
@@ -520,8 +391,6 @@ def rees_dimension_check(bound: int = 6) -> CheckReport:
             passed=fiber1.key == sl2_ring().key,
         )
     )
-    from .exactalg import horocycle_ring
-
     items.append(
         ReportItem(
             name="fiber at z=0 relation",

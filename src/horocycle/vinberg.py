@@ -50,10 +50,6 @@ from .weyl import WeylOp, commutator, apply_op, euler_op, is_relative, op_to_tex
 V = MAT2_VARS
 
 
-def _vars():
-    return tuple(ExactPoly.variable(V, name) for name in V)
-
-
 def _mu_basis(act: InfinitesimalAction) -> dict[str, WeylOp]:
     d2 = sl2_desc()
     one = UEnvElement.one(d2)
@@ -77,12 +73,26 @@ def casimir_operator_identity_rhs() -> WeylOp:
     return Eu * Eu - WeylOp.from_poly(det_poly()) * (Da * Dd - Db * Dc) * 4
 
 
+def _cross_relations(mu: dict[str, WeylOp]) -> list[tuple[str, str, WeylOp]]:
+    """(X, text, rhs) for X = E, F, H, with det * mu(1(x)X) = rhs in the left-factor fields."""
+    a, b, c, d = (ExactPoly.variable(V, name) for name in V)
+    P = WeylOp.from_poly
+    e1, f1, h1 = mu["E1"], mu["F1"], mu["H1"]
+    return [
+        ("E", "-a^2 mu(E(x)1) + c^2 mu(F(x)1) + ac mu(H(x)1)",
+         P(-(a * a)) * e1 + P(c * c) * f1 + P(a * c) * h1),
+        ("F", "b^2 mu(E(x)1) - d^2 mu(F(x)1) - bd mu(H(x)1)",
+         P(b * b) * e1 - P(d * d) * f1 - P(b * d) * h1),
+        ("H", "2ab mu(E(x)1) - 2cd mu(F(x)1) - (ad+bc) mu(H(x)1)",
+         P(2 * a * b) * e1 - P(2 * c * d) * f1 - P(a * d + b * c) * h1),
+    ]
+
+
 def verify_sl2_identities() -> CheckReport:
     """The operator identity table: cross relations, Casimir images, bracket
     compatibility and the span of relative fields with linear coefficients."""
     act = lr_action_mat2()
     mu = _mu_basis(act)
-    a, b, c, d = _vars()
     detw = WeylOp.from_poly(det_poly())
     d2 = sl2_desc()
     cas = casimir_sl2()
@@ -91,28 +101,9 @@ def verify_sl2_identities() -> CheckReport:
     mu_cas_right = moment_map(tensor(one, cas), act)
 
     report = CheckReport(check="identities", parameters={})
-
-    def poly_op(p):
-        return WeylOp.from_poly(p)
-
     identities = [
-        (
-            "det * mu(1(x)E) = -a^2 mu(E(x)1) + c^2 mu(F(x)1) + ac mu(H(x)1)",
-            detw * mu["E2"],
-            poly_op(-(a * a)) * mu["E1"] + poly_op(c * c) * mu["F1"] + poly_op(a * c) * mu["H1"],
-        ),
-        (
-            "det * mu(1(x)F) = b^2 mu(E(x)1) - d^2 mu(F(x)1) - bd mu(H(x)1)",
-            detw * mu["F2"],
-            poly_op(b * b) * mu["E1"] - poly_op(d * d) * mu["F1"] - poly_op(b * d) * mu["H1"],
-        ),
-        (
-            "det * mu(1(x)H) = 2ab mu(E(x)1) - 2cd mu(F(x)1) - (ad+bc) mu(H(x)1)",
-            detw * mu["H2"],
-            poly_op(2 * a * b) * mu["E1"]
-            - poly_op(2 * c * d) * mu["F1"]
-            - poly_op(a * d + b * c) * mu["H1"],
-        ),
+        (f"det * mu(1(x){x}) = {text}", detw * mu[x + "2"], rhs) for x, text, rhs in _cross_relations(mu)
+    ] + [
         ("mu(Casimir(x)1) = mu(1(x)Casimir)", mu_cas_left, mu_cas_right),
         (
             "mu(Casimir(x)1) = Eu^2 - 4 det (Da Dd - Db Dc)",
@@ -174,45 +165,13 @@ def verify_dsl2_presentation() -> CheckReport:
     left ideal generated by det - 1."""
     act = lr_action_mat2()
     mu = _mu_basis(act)
-    a, b, c, d = _vars()
     relp = WeylOp.from_poly(det_poly() - 1)
-
-    def poly_op(p):
-        return WeylOp.from_poly(p)
-
-    cases = [
-        (
-            "relation for 1(x)E",
-            mu["E2"],
-            poly_op(-(a * a)) * mu["E1"] + poly_op(c * c) * mu["F1"] + poly_op(a * c) * mu["H1"],
-            -mu["E2"],
-        ),
-        (
-            "relation for 1(x)F",
-            mu["F2"],
-            poly_op(b * b) * mu["E1"] - poly_op(d * d) * mu["F1"] - poly_op(b * d) * mu["H1"],
-            -mu["F2"],
-        ),
-        (
-            "relation for 1(x)H",
-            mu["H2"],
-            poly_op(2 * a * b) * mu["E1"]
-            - poly_op(2 * c * d) * mu["F1"]
-            - poly_op(a * d + b * c) * mu["H1"],
-            -mu["H2"],
-        ),
-    ]
     report = CheckReport(check="presentation", parameters={})
-    for name, lhs, rhs, cofactor in cases:
-        residual = lhs - rhs
-        witness = relp * cofactor
-        diff = residual - witness
-        report.add(
-            f"{name}: residual = (det - 1) * cofactor",
-            "0",
-            op_to_text(diff),
-            diff.is_zero(),
-        )
+    for x, _, rhs in _cross_relations(mu):
+        cofactor = -mu[x + "2"]
+        diff = (mu[x + "2"] - rhs) - relp * cofactor
+        name = f"relation for 1(x){x}: residual = (det - 1) * cofactor"
+        report.add(name, "0", op_to_text(diff), diff.is_zero())
     report.add("relation for 1(x)1 (vacuous)", "0", "0", True)
     return report
 

@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import ArityMismatch, ExactPoly, QuotientRing, fmt_coef
+from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, fmt_coef
 from .linalg import frac, nullspace, zeros
 
 Exp = tuple[int, ...]
 Key = tuple[Exp, Exp]
 
 
-class WeylOp:
+class WeylOp(SparseElement):
     """Finite sum of (coordinate monomial)*(derivative monomial) terms."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables",)
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
@@ -37,6 +37,16 @@ class WeylOp:
                 k = (xe, de)
                 clean[k] = clean.get(k, Fraction(0)) + c
         self.terms = {k: c for k, c in clean.items() if c}
+
+    @property
+    def _space(self):
+        return self.variables
+
+    def _new(self, terms):
+        return WeylOp(self.variables, terms)
+
+    def _one(self):
+        return WeylOp.one(self.variables)
 
     # --- constructors ---
 
@@ -83,19 +93,6 @@ class WeylOp:
 
     # --- structure ---
 
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise ArityMismatch(f"{self.variables} vs {other.variables}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def order(self) -> int:
-        """Maximal derivative degree; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(sum(de) for _, de in self.terms)
-
     def is_vector_field(self) -> bool:
         return bool(self.terms) and all(sum(de) == 1 for _, de in self.terms)
 
@@ -107,28 +104,6 @@ class WeylOp:
         return {de: ExactPoly(self.variables, t) for de, t in out.items()}
 
     # --- arithmetic ---
-
-    def __add__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.one(self.variables) * other
-        self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + c
-        return WeylOp(self.variables, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOp(self.variables, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.one(self.variables) * other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, ExactPoly):
@@ -148,27 +123,6 @@ class WeylOp:
             return WeylOp.from_poly(other) * self
         s = frac(other)
         return WeylOp(self.variables, {k: c * s for k, c in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = WeylOp.one(self.variables)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylOp)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"WeylOp({op_to_text(self)!r})"
@@ -315,47 +269,3 @@ def op_to_text(p: WeylOp) -> str:
             piece += f" * {dmono}"
         parts.append(piece)
     return " + ".join(parts)
-
-
-def op_from_text(text: str, variables) -> WeylOp:
-    variables = tuple(variables)
-    n = len(variables)
-    text = text.strip()
-    if text == "0":
-        return WeylOp.zero(variables)
-    terms: dict[Key, Fraction] = {}
-    for part in text.split(" + "):
-        pieces = [s.strip() for s in part.split("*")]
-        coef = Fraction(pieces[0])
-        xe = [0] * n
-        de = [0] * n
-        for piece in pieces[1:]:
-            for factor in piece.split():
-                base, _, power = factor.partition("^")
-                k = int(power) if power else 1
-                if base.startswith("D") and base[1:] in variables:
-                    de[variables.index(base[1:])] += k
-                else:
-                    xe[variables.index(base)] += k
-        key = (tuple(xe), tuple(de))
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return WeylOp(variables, terms)
-
-
-def op_to_json(p: WeylOp) -> list:
-    return [
-        {
-            "coef": fmt_coef(p.terms[(xe, de)]),
-            "coordinates": list(xe),
-            "derivatives": list(de),
-        }
-        for xe, de in sorted(p.terms, key=lambda k: (sum(k[1]), k[1], sum(k[0]), k[0]), reverse=True)
-    ]
-
-
-def op_from_json(data, variables) -> WeylOp:
-    terms = {
-        (tuple(item["coordinates"]), tuple(item["derivatives"])): Fraction(item["coef"])
-        for item in data
-    }
-    return WeylOp(tuple(variables), terms)

@@ -10,7 +10,6 @@ from horocycle.action import (
     RationalPoint,
     LieSubalgebra,
     coinvariants,
-    localization_fiber,
     lr_action_horocycle,
     lr_action_mat2,
     lr_action_sl2,
@@ -28,7 +27,7 @@ from horocycle.lie import (
     sym_power_rep,
     tensor,
 )
-from horocycle.linalg import is_zero_matrix, mat_mul
+from horocycle.linalg import mat_mul, rank
 from horocycle.weyl import WeylOp, euler_op
 
 V = MAT2_VARS
@@ -36,6 +35,20 @@ V = MAT2_VARS
 
 def module(m, k):
     return external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k)))
+
+
+def field_of(act, name):
+    return act.fields[act.desc.index(name)]
+
+
+def contains(sub, vec):
+    rows = [list(v) for v in sub.vectors]
+    return rank(rows) == rank(rows + [[Fraction(x) for x in vec]])
+
+
+def localization_fiber(mod, act, p):
+    """Fiber of the localization at p: stabilizer coinvariants of the module."""
+    return coinvariants(mod, stabilizer_subalgebra(act, p))
 
 
 def test_builtin_table_is_the_expected_one():
@@ -54,7 +67,7 @@ def test_builtin_table_is_the_expected_one():
         "H2": WeylOp.vector_field([a, -b, c, -d]),
     }
     for name, op in expected.items():
-        assert act.field_of(name) == op, name
+        assert field_of(act, name) == op, name
 
 
 def test_action_constructions_validate():
@@ -86,7 +99,7 @@ def test_moment_map_cache_is_per_action():
     pair = sl2_pair_desc()
     e1 = UEnvElement.generator(pair, pair.index("E1"))
     act = lr_action_mat2()
-    assert moment_map(e1, act) == act.field_of("E1")
+    assert moment_map(e1, act) == field_of(act, "E1")
     ring = mat2_ring()
     zero = InfinitesimalAction(pair, ring, [WeylOp.zero(ring.variables)] * pair.dim)
     assert moment_map(e1, zero) == WeylOp.zero(ring.variables)
@@ -126,7 +139,7 @@ def test_stabilizer_at_identity_is_diagonal():
         vec = [0] * 6
         vec[d2.index(name)] = 1
         vec[3 + d2.index(name)] = 1
-        assert s.contains(vec)
+        assert contains(s, vec)
 
 
 def test_stabilizer_dimension_three_across_group_points():
@@ -143,7 +156,7 @@ def test_stabilizer_at_twisted_diagonal_point():
     vec = [0] * 6
     vec[1] = 1
     vec[4] = 1
-    assert s.contains(vec)
+    assert contains(s, vec)
 
 
 def test_stabilizer_on_rank_one_chart():
@@ -158,7 +171,7 @@ def test_stabilizer_on_rank_one_chart():
     hh[1] = 1
     hh[4] = 1
     for vec in (e1, f2, hh):
-        assert s.contains(vec)
+        assert contains(s, vec)
 
 
 def test_point_validation():
@@ -185,7 +198,7 @@ def test_coinvariants_projection_annihilates_action():
     mod = module(2, 2)
     res = coinvariants(mod, s)
     for v in s.vectors:
-        assert is_zero_matrix(mat_mul(res.projection, mod.rep.act_vector(list(v))))
+        assert not any(x for row in mat_mul(res.projection, mod.rep.act_vector(list(v))) for x in row)
 
 
 def test_fiber_dimension_constant_on_orbits():

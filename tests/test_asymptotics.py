@@ -4,16 +4,14 @@ import pytest
 
 from horocycle.asymptotics import (
     ExponentSet,
-    RealFormData,
     _jordan_blocks,
     _rational_eigenvalues,
     bimodule_exponents,
     exponents_from_coinvariants,
-    iwasawa_sl2,
     leading_exponent_check,
     matrix_coefficient_exponents,
 )
-from horocycle.lie import sl2_desc, sym_power_rep
+from horocycle.lie import sym_power_rep
 
 
 def test_coinvariant_exponent_examples():
@@ -40,14 +38,6 @@ def test_leading_exponent_checks_through_eight():
         assert min(oracle) in exps.eigenvalues
         assert len(exps.entries) == 1
         assert exps.max_log_power() == 0
-
-
-def test_real_form_validation():
-    rf = iwasawa_sl2()
-    rf.validate(sl2_desc())
-    bad = RealFormData(nilpotent="F", cartan="E")
-    with pytest.raises(ValueError):
-        bad.validate(sl2_desc())
 
 
 def test_jordan_machinery_on_synthetic_nilpotent():

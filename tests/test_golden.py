@@ -1,9 +1,10 @@
 """Behaviour anchor: the JSON reports of the coinvariant computations and of the
-relative-field suites, byte for byte.
+relative-field and filtration suites, byte for byte.
 
 The files under golden/ pin the quotient maps Y and the induced matrices T as
 well as the item lists, so any change to how quotients are formed shows here;
-the identities, tau and grderv reports pin the relative-field kernels.
+the identities, tau and grderv reports pin the relative-field kernels, and the
+vfilt item names pin the polynomial text format.
 """
 
 from pathlib import Path
@@ -21,6 +22,10 @@ CASES = [
     (["verify", "identities"], "verify_identities.json"),
     (["verify", "tau"], "verify_tau.json"),
     (["verify", "grderv"], "verify_grderv.json"),
+    (["verify", "presentation"], "verify_presentation.json"),
+    (["verify", "rees"], "verify_rees.json"),
+    (["verify", "pwfilt"], "verify_pwfilt.json"),
+    (["verify", "vfilt", "--bound", "6"], "verify_vfilt_bound6.json"),
     (["exponents", "--m", "5"], "exponents_m5.json"),
     (["localize", "--rep", "2,2", "--point", "1,1,0,1"], "localize_2_2_at_1_1_0_1.json"),
     (["localize", "--rep", "3,3", "--point", "0,1,0,0"], "localize_3_3_at_0_1_0_0.json"),

@@ -9,7 +9,6 @@ from horocycle.linalg import (
     identity,
     left_nullspace,
     mat_mul,
-    mat_vec,
     nullspace,
     quotient,
     rank,
@@ -17,6 +16,10 @@ from horocycle.linalg import (
     solve_right_inverse,
     transpose,
 )
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def rand_matrix(rng, n, m, density=0.6):
@@ -64,6 +67,19 @@ def test_incremental_rank_matches_dense():
             elim.add(c)
         dense = [[cols[j].get(i, Fraction(0)) for j in range(k)] for i in range(n)]
         assert elim.rank == rank(dense)
+
+
+def test_incremental_rank_reduce():
+    elim = IncrementalRank()
+    elim.add({0: 1, 1: 2})
+    elim.add({1: 1, 2: Fraction(1, 2)})
+    pivots = {k: dict(row) for k, row in elim.pivots.items()}
+    assert elim.reduce({0: 3, 1: 8, 2: 1}) == {}  # 3 (e0 + 2 e1) + 2 (e1 + e2/2)
+    rest = elim.reduce({0: 1, 2: 5})
+    assert rest and set(rest) == {2} and rest[2] > 0
+    assert elim.reduce({3: Fraction(2, 3)}) == {3: 1}
+    assert elim.pivots == pivots and elim.rank == 2
+    assert elim.add({0: 1, 2: 5}) and elim.rank == 3
 
 
 def test_incremental_rank_pivot_profile():

@@ -20,9 +20,6 @@ from horocycle.weyl import (
     commutator,
     euler_op,
     is_relative,
-    op_from_json,
-    op_from_text,
-    op_to_json,
     op_to_text,
     preserves_ideal,
     relative_fields,
@@ -179,11 +176,18 @@ def test_preserves_ideal():
 
 
 def test_serialization_roundtrip():
-    rng = random.Random(17)
-    for _ in range(20):
-        p = rand_op(rng)
-        assert op_from_text(op_to_text(p), V) == p
-        assert op_from_json(op_to_json(p), V) == p
+    # the text format is pinned literally: highest derivative order first
+    p = WeylOp(
+        V,
+        {
+            ((1, 0, 0, 0), (1, 0, 0, 0)): 1,
+            ((0, 0, 0, 0), (0, 2, 0, 1)): Fraction(-1, 2),
+            ((0, 1, 1, 0), (0, 0, 0, 0)): 3,
+            ((0, 0, 0, 0), (0, 0, 0, 0)): -1,
+        },
+    )
+    assert op_to_text(p) == "-1/2 * Db^2 Dd + 1 * a * Da + 3 * b c + -1"
+    assert repr(euler_op(V)) == "WeylOp('1 * a * Da + 1 * b * Db + 1 * c * Dc + 1 * d * Dd + 1')"
     assert op_to_text(WeylOp.zero(V)) == "0"
 
 
@@ -191,4 +195,4 @@ def test_vector_field_recognition():
     theta = WeylOp.vector_field([a, b, c, d])
     assert theta.is_vector_field()
     assert not WeylOp.one(V).is_vector_field()
-    assert (theta * theta).order() == 2
+    assert max(sum(de) for _, de in (theta * theta).terms) == 2

@@ -2,14 +2,16 @@
 
 Everything here works on matrices given as lists of lists of Fractions (or
 ints), returns fresh objects, and never rounds.  The incremental eliminator
-keeps integer rows (cross-multiplication plus a gcd pass) so that large rank
-computations avoid per-operation rational normalisation.
+keeps primitive integer rows: denominators are cleared once per insert, and
+each reduction step cancels the gcd of the two multipliers before it
+cross-multiplies, then takes the content of the result once.  Large rank
+computations thus avoid per-operation rational normalisation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -172,57 +174,65 @@ def char_poly(mat) -> list[Fraction]:
     return coeffs
 
 
+def _primitive(vec: dict) -> dict:
+    """vec divided by the gcd of its entries; the gcd pass stops at the first 1."""
+    g = 0
+    for x in vec.values():
+        g = gcd(g, x)
+        if g == 1:
+            return vec
+    if g > 1:
+        return {k: x // g for k, x in vec.items()}
+    return vec
+
+
 def sparse_to_int(vec: dict) -> dict:
     """Clear denominators and common factors of a sparse vector; int-valued dict."""
-    if not vec:
-        return {}
+    if all(type(v) is int for v in vec.values()):
+        return _primitive({k: v for k, v in vec.items() if v})
     den = 1
     for v in vec.values():
-        v = frac(v)
-        den = den * v.denominator // gcd(den, v.denominator)
-    out = {k: int(frac(v) * den) for k, v in vec.items() if v != 0}
-    g = 0
-    for v in out.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
+        den = lcm(den, frac(v).denominator)
+    return _primitive({k: int(frac(v) * den) for k, v in vec.items() if v})
 
 
 def _reduce_once(v: dict, key, row: dict) -> dict:
+    """v with its `key` entry eliminated by the pivot row, content removed."""
     c = v.get(key)
     if not c:
         return v
     p = row[key]
-    new = {k: x * p for k, x in v.items()}
+    g = gcd(p, c)
+    p //= g
+    c //= g
+    new = {k: x * p for k, x in v.items()} if p != 1 else dict(v)
     for k, x in row.items():
-        new[k] = new.get(k, 0) - c * x
-    v = {k: x for k, x in new.items() if x}
-    if v:
-        g = 0
-        for x in v.values():
-            g = gcd(g, abs(x))
-        if g > 1:
-            v = {k: x // g for k, x in v.items()}
-    return v
+        y = new.get(k, 0) - c * x
+        if y:
+            new[k] = y
+        else:
+            del new[k]
+    return _primitive(new)
 
 
 class IncrementalRank:
     """Incremental rank of a growing family of sparse vectors.
 
-    Vectors are dicts key -> coefficient.  Rows are kept fraction-free
-    (cross multiplication plus a gcd pass) and mutually reduced, so a single
-    pass over the pivots fully reduces a new vector.
+    Vectors are dicts key -> coefficient.  Rows are kept as primitive integer
+    vectors and mutually reduced: each row is zero at every other row's pivot,
+    so a single pass over the pivots fully reduces a new vector, and adding a
+    pivot touches only the rows that contain its key.
 
-    When `order` is given, pivots are chosen minimal under it; each stored row
-    then has its support entirely at-or-after its pivot in that order, so
-    counting pivots inside a downward-closed coordinate set gives the
-    dimension of the span's intersection with that coordinate subspace.
+    Pivots are chosen minimal under `order` (a key function; by default the
+    keys' own order).  Each stored row then has its support entirely
+    at-or-after its pivot in that order, so counting pivots inside a
+    downward-closed coordinate set gives the dimension of the span's
+    intersection with that coordinate subspace.
     """
 
     def __init__(self, order=None):
         self.pivots: dict[object, dict] = {}
-        self._order = order if order is not None else repr
+        self._order = order
 
     @property
     def rank(self) -> int:
@@ -231,13 +241,9 @@ class IncrementalRank:
     def reduce(self, vec: dict) -> dict:
         """vec fully reduced against the pivots, as integers; {} iff vec lies in their span."""
         v = sparse_to_int(vec)
-        for key in list(v):
-            if key in self.pivots:
-                v = _reduce_once(v, key, self.pivots[key])
-        # entries introduced by reductions may themselves sit on pivot keys
-        while any(k in self.pivots for k in v):
-            key = next(k for k in sorted(v, key=self._order) if k in self.pivots)
-            v = _reduce_once(v, key, self.pivots[key])
+        pivots = self.pivots
+        for key in [k for k in v if k in pivots]:
+            v = _reduce_once(v, key, pivots[key])
         return v
 
     def add(self, vec: dict) -> bool:
@@ -245,8 +251,9 @@ class IncrementalRank:
         v = self.reduce(vec)
         if not v:
             return False
-        key = min(v, key=self._order)
-        for pkey in list(self.pivots):
-            self.pivots[pkey] = _reduce_once(self.pivots[pkey], key, v)
+        key = min(v) if self._order is None else min(v, key=self._order)
+        for pkey, row in self.pivots.items():
+            if key in row:
+                self.pivots[pkey] = _reduce_once(row, key, v)
         self.pivots[key] = v
         return True

@@ -60,7 +60,7 @@ def derivation_level(algebra: FilteredAlgebra, theta: WeylOp):
     ring = algebra.ring
     offsets = []
     for name in ring.variables:
-        lev = algebra.level(ring.normal_form(apply_op(theta, ring.var(name))))
+        lev = algebra.level(apply_op(theta, ring.var(name)))
         if lev is not BOTTOM:
             offsets.append(lev - 1)
     return max(offsets) if offsets else BOTTOM
@@ -125,7 +125,7 @@ def rees_build(algebra: FilteredAlgebra) -> ReesPresentation:
     return ReesPresentation(ring)
 
 
-def rees_fiber(pres: ReesPresentation, p) -> QuotientRing:
+def rees_fiber(p) -> QuotientRing:
     """Specialize the lattice variable: nonzero p gives the original ring, 0 its graded."""
     p = frac(p)
     relation = det_poly() - ExactPoly.constant(MAT2_VARS, p)
@@ -158,7 +158,7 @@ def homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
     return out
 
 
-def tau_map(algebra: FilteredAlgebra, theta: WeylOp, pres: ReesPresentation) -> WeylOp:
+def tau_map(algebra: FilteredAlgebra, theta: WeylOp) -> WeylOp:
     """Lift a filtered derivation to the Rees presentation.
 
     The image has no derivative in the lattice direction, so it kills z by
@@ -238,7 +238,7 @@ def tau_check(algebra: FilteredAlgebra, pres: ReesPresentation, level_bound: int
         ("-c Da - d Db", WeylOp.vector_field([-c, -d, ExactPoly.zero(ring.variables), ExactPoly.zero(ring.variables)])),
     ]
     for name, theta in spots:
-        lifted = tau_map(algebra, theta, pres)
+        lifted = tau_map(algebra, theta)
         kills_z = all(de[4] == 0 for _, de in lifted.terms)
         ok = kills_z and preserves_ideal(lifted, pres.ring)
         items.append(
@@ -354,8 +354,8 @@ def rees_dimension_check(bound: int = 6) -> CheckReport:
     """Graded/filtered dimension tables of the presentation and its two fibers."""
     algebra = peter_weyl_sl2()
     pres = rees_build(algebra)
-    fiber1 = rees_fiber(pres, 1)
-    fiber0 = rees_fiber(pres, 0)
+    fiber1 = rees_fiber(1)
+    fiber0 = rees_fiber(0)
     items = []
     t_rees = {}
     for lam in range(bound + 1):

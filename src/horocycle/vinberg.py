@@ -199,12 +199,24 @@ def _nf_y_mono(e):
     return (e[0] - t, e[1] + t, e[2] + t, e[3] - t)
 
 
+def _integral(terms: dict) -> dict:
+    """The coefficients of `terms` as ints; ValueError names the first non-integral one."""
+    out = {}
+    for k, c in terms.items():
+        if c.denominator != 1:
+            raise ValueError(f"non-integral coefficient {c} at {k}")
+        out[k] = c.numerator
+    return out
+
+
 class _SmashContext:
     """Arithmetic for elements Sum m_f mu(u), coordinatised by (pbw exp, monomial).
 
     Functions are kept reduced on the rank-one cone.  All products preserve
     both the function degree and the torus biweight, so elements stay inside
-    one homogeneity block.
+    one homogeneity block.  Every coefficient is an int: moment maps of PBW
+    monomials, PBW products and field actions are integral, and each cached
+    table passes through `_integral`, which raises on a non-integral entry.
     """
 
     def __init__(self):
@@ -215,12 +227,16 @@ class _SmashContext:
         self._field_act: dict = {}
         self._push: dict = {}
         self._mu: dict = {}
+        self._mono_mul: dict = {}
         self.ZU = (0,) * 6
 
-    def mu_of(self, ue) -> WeylOp:
-        if ue not in self._mu:
-            self._mu[ue] = moment_map(UEnvElement(self.pair, {ue: Fraction(1)}), self.act)
-        return self._mu[ue]
+    def mu_of(self, ue) -> dict:
+        """Coefficient table {(xe, de): int} of mu(x^ue)."""
+        hit = self._mu.get(ue)
+        if hit is None:
+            op = moment_map(UEnvElement(self.pair, {ue: Fraction(1)}), self.act)
+            hit = self._mu[ue] = _integral(op.terms)
+        return hit
 
     def pbw_mul(self, e1, e2) -> dict:
         key = (e1, e2)
@@ -229,7 +245,7 @@ class _SmashContext:
             prod = UEnvElement(self.pair, {e1: Fraction(1)}) * UEnvElement(
                 self.pair, {e2: Fraction(1)}
             )
-            hit = self._pbw_mul[key] = dict(prod.terms)
+            hit = self._pbw_mul[key] = _integral(prod.terms)
         return hit
 
     def field_act(self, j, fe) -> dict:
@@ -238,16 +254,16 @@ class _SmashContext:
         if hit is None:
             poly = apply_op(self.act.fields[j], ExactPoly.monomial(V, fe))
             out: dict = {}
-            for e, c in poly.terms.items():
+            for e, c in _integral(poly.terms).items():
                 m = _nf_y_mono(e)
-                out[m] = out.get(m, Fraction(0)) + c
+                out[m] = out.get(m, 0) + c
             hit = self._field_act[key] = {k: v for k, v in out.items() if v}
         return hit
 
     def push(self, ue, fe) -> dict:
         """mu(x^ue) * m_{x^fe} rewritten with the function on the left."""
         if ue == self.ZU:
-            return {(self.ZU, fe): Fraction(1)}
+            return {(self.ZU, fe): 1}
         key = (ue, fe)
         hit = self._push.get(key)
         if hit is not None:
@@ -261,10 +277,10 @@ class _SmashContext:
         for (w, h), c in self.push(rest, fe).items():
             for w2, c2 in self.pbw_mul(unit, w).items():
                 k = (w2, h)
-                out[k] = out.get(k, Fraction(0)) + c * c2
+                out[k] = out.get(k, 0) + c * c2
             for h2, c2 in self.field_act(j, h).items():
                 k = (w, h2)
-                out[k] = out.get(k, Fraction(0)) + c * c2
+                out[k] = out.get(k, 0) + c * c2
         out = {k: v for k, v in out.items() if v}
         self._push[key] = out
         return out
@@ -276,27 +292,32 @@ class _SmashContext:
         for (w, h), c in elem.items():
             for w2, c2 in self.pbw_mul(w, ue).items():
                 k = (w2, h)
-                out[k] = out.get(k, Fraction(0)) + c * c2
+                out[k] = out.get(k, 0) + c * c2
         return {k: v for k, v in out.items() if v}
+
+    def mono_mul(self, e1, e2):
+        """The cone-reduced exponent of x^e1 * x^e2."""
+        key = (e1, e2)
+        hit = self._mono_mul.get(key)
+        if hit is None:
+            hit = self._mono_mul[key] = _nf_y_mono(tuple(x + y for x, y in zip(e1, e2)))
+        return hit
 
     def f_shift(self, unit_index: int, elem: dict) -> dict:
         unit = tuple(1 if i == unit_index else 0 for i in range(4))
         out: dict = {}
         for (w, h), c in elem.items():
-            m = _nf_y_mono(tuple(x + y for x, y in zip(h, unit)))
-            k = (w, m)
-            out[k] = out.get(k, Fraction(0)) + c
+            k = (w, self.mono_mul(h, unit))
+            out[k] = out.get(k, 0) + c
         return {k: v for k, v in out.items() if v}
 
     def realize(self, elem: dict) -> dict:
         """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
         acc: dict = {}
         for (ue, fe), cf in elem.items():
-            op = self.mu_of(ue)
-            for (xe, de), c in op.terms.items():
-                mono = _nf_y_mono(tuple(x + y for x, y in zip(xe, fe)))
-                k = (de, mono)
-                acc[k] = acc.get(k, Fraction(0)) + cf * c
+            for (xe, de), c in self.mu_of(ue).items():
+                k = (de, self.mono_mul(xe, fe))
+                acc[k] = acc.get(k, 0) + cf * c
         return {k: v for k, v in acc.items() if v}
 
     @staticmethod
@@ -345,27 +366,24 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
     f_exps = [e for q in range(poly_bound + 1) for e in ry.nf_monomials(q)]
 
     # --- kernel side: columns of the realization, eliminated per block with a
-    # rank profile over the enveloping degree
-    columns: dict[tuple, dict] = {}
+    # rank profile over the enveloping degree; each coefficient key of the
+    # realization is numbered once, so the eliminator hashes small ints
     blocks: dict[tuple, list] = {}
     for ue in u_exps:
         for fe in f_exps:
-            columns[(ue, fe)] = ctx.realize({(ue, fe): Fraction(1)})
             blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
 
+    coords: dict = {}
     kernel_profile: dict[tuple, dict[int, tuple[int, int]]] = {}
-    kernel_caps: dict[tuple, int] = {}
     for key, members in blocks.items():
         members.sort(key=lambda m: (sum(m[0]), m[0], m[1]))
         elim = IncrementalRank()
-        count = 0
         prof = {}
-        for ue, fe in members:
-            elim.add(columns[(ue, fe)])
-            count += 1
+        for count, (ue, fe) in enumerate(members, 1):
+            col = ctx.realize({(ue, fe): 1})
+            elim.add({coords.setdefault(k, len(coords)): c for k, c in col.items()})
             prof[sum(ue)] = (count, elim.rank)
         kernel_profile[key] = prof
-        kernel_caps[key] = count - elim.rank
 
     def kernel_dim(p: int, q: int) -> int:
         total = 0
@@ -381,29 +399,36 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
         return total
 
     # --- ideal side: left multiples of the Casimir difference, then closure
-    # under function multiplication (which bounds the whole two-sided ideal)
-    pivot_order = lambda key: (-sum(key[0]), key[0], key[1])
+    # under function multiplication (which bounds the whole two-sided ideal).
+    # Coordinates (u, f) are numbered in pivot order, enveloping degree
+    # downward, so each row's pivot is its key of highest enveloping degree.
+    ideal_coords = sorted(
+        ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
+        key=lambda key: (-sum(key[0]), key[0], key[1]),
+    )
+    ideal_index = {key: i for i, key in enumerate(ideal_coords)}
     span_blocks: dict[tuple, tuple] = {}
     work: list = []
 
     def insert(key, elem) -> bool:
         entry = span_blocks.get(key)
         if entry is None:
-            entry = span_blocks.setdefault(key, (IncrementalRank(pivot_order), []))
+            entry = span_blocks.setdefault(key, (IncrementalRank(), []))
         elim, basis = entry
-        if elim.add(dict(elem)):
+        if elim.add({ideal_index[k]: c for k, c in elem.items()}):
             basis.append(elem)
             return True
         return False
 
     dm_cache: dict = {}
+    delta_coefs = _integral(delta_diff.terms)
 
     def delta_times_f(fe) -> dict:
         if fe not in dm_cache:
             out: dict = {}
-            for ue, c in delta_diff.terms.items():
+            for ue, c in delta_coefs.items():
                 for k, c2 in ctx.push(ue, fe).items():
-                    out[k] = out.get(k, Fraction(0)) + c * c2
+                    out[k] = out.get(k, 0) + c * c2
             dm_cache[fe] = {k: v for k, v in out.items() if v}
         return dm_cache[fe]
 
@@ -436,7 +461,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
         for key, (elim, basis) in span_blocks.items():
             if key[0] > q:
                 continue
-            total += sum(1 for (ue, fe) in elim.pivots if sum(ue) <= p)
+            total += sum(1 for i in elim.pivots if sum(ideal_coords[i][0]) <= p)
         return total
 
     # containment spot check: ideal basis elements realize to the zero operator
@@ -539,8 +564,7 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
         for deg in range(bound + 1):
             for e in ring.nf_monomials(deg):
                 mono = ExactPoly.monomial(ring.variables, e)
-                image = ring.normal_form(apply_op(op, mono))
-                lev = pw_level(image, ring)
+                lev = pw_level(apply_op(op, mono), ring)
                 if lev is BOTTOM:
                     continue
                 shift = lev - deg

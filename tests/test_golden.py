@@ -3,8 +3,9 @@ relative-field and filtration suites, byte for byte.
 
 The files under golden/ pin the quotient maps Y and the induced matrices T as
 well as the item lists, so any change to how quotients are formed shows here;
-the identities, tau and grderv reports pin the relative-field kernels, and the
-vfilt item names pin the polynomial text format.
+the identities, tau and grderv reports pin the relative-field kernels, the
+vfilt item names pin the polynomial text format, and the dy report pins the
+window counts of the incremental eliminator.
 """
 
 from pathlib import Path
@@ -26,6 +27,7 @@ CASES = [
     (["verify", "rees"], "verify_rees.json"),
     (["verify", "pwfilt"], "verify_pwfilt.json"),
     (["verify", "vfilt", "--bound", "6"], "verify_vfilt_bound6.json"),
+    (["verify", "dy", "--bound", "3"], "verify_dy_bound3.json"),
     (["exponents", "--m", "5"], "exponents_m5.json"),
     (["localize", "--rep", "2,2", "--point", "1,1,0,1"], "localize_2_2_at_1_1_0_1.json"),
     (["localize", "--rep", "3,3", "--point", "0,1,0,0"], "localize_3_3_at_0_1_0_0.json"),

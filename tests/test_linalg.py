@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horocycle.linalg import (
     IncrementalRank,
@@ -109,6 +110,32 @@ def test_incremental_rank_pivot_profile():
                 expected = full - outside
             got = sum(1 for key in elim.pivots if key <= cutoff)
             assert got == expected, (vecs, cutoff)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_WIDTH = 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, _WIDTH - 1), _ENTRIES, max_size=_WIDTH), max_size=9))
+def test_incremental_rank_windows_match_dense_rank(vecs):
+    # rank, and with pivots preferred on high coordinates the pivot count inside
+    # every window {0..cutoff}, against dense rref of the matrix and its pieces
+    dense = [[Fraction(v.get(i, 0)) for i in range(_WIDTH)] for v in vecs]
+    plain = IncrementalRank()
+    ordered = IncrementalRank(lambda key: -key)
+    for v in vecs:
+        before = plain.rank
+        assert plain.add(v) == (plain.rank > before)
+        ordered.add(v)
+    full = rank(dense)
+    assert plain.rank == ordered.rank == full
+    for cutoff in range(_WIDTH):
+        outside = rank([row[cutoff + 1:] for row in dense]) if cutoff + 1 < _WIDTH else 0
+        assert sum(1 for key in ordered.pivots if key <= cutoff) == full - outside
 
 
 def test_char_poly():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from horocycle.action import RationalPoint
 from horocycle.vinberg import (
+    _integral,
     asymp_diagram_check,
     default_pw_samples,
     default_sample_points,
@@ -28,6 +31,12 @@ def test_presentation_suite_passes():
     rep = verify_dsl2_presentation()
     assert rep.passed
     assert len(rep.items) == 4  # three relations plus the vacuous one
+
+
+def test_dy_coefficients_are_certified_integral():
+    assert _integral({(1, 0): Fraction(-6, 2), (0, 1): 4}) == {(1, 0): -3, (0, 1): 4}
+    with pytest.raises(ValueError):
+        _integral({(0, 1): 2, (1, 0): Fraction(1, 2)})
 
 
 def test_dy_small_bidegrees():

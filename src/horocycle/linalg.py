@@ -223,16 +223,14 @@ class IncrementalRank:
     so a single pass over the pivots fully reduces a new vector, and adding a
     pivot touches only the rows that contain its key.
 
-    Pivots are chosen minimal under `order` (a key function; by default the
-    keys' own order).  Each stored row then has its support entirely
-    at-or-after its pivot in that order, so counting pivots inside a
-    downward-closed coordinate set gives the dimension of the span's
-    intersection with that coordinate subspace.
+    Each pivot is the least key of its row in the keys' own order, and each
+    stored row has its support entirely at-or-after its pivot, so counting
+    pivots inside a downward-closed coordinate set gives the dimension of the
+    span's intersection with that coordinate subspace.
     """
 
-    def __init__(self, order=None):
+    def __init__(self):
         self.pivots: dict[object, dict] = {}
-        self._order = order
 
     @property
     def rank(self) -> int:
@@ -251,7 +249,7 @@ class IncrementalRank:
         v = self.reduce(vec)
         if not v:
             return False
-        key = min(v) if self._order is None else min(v, key=self._order)
+        key = min(v)
         for pkey, row in self.pivots.items():
             if key in row:
                 self.pivots[pkey] = _reduce_once(row, key, v)

@@ -152,11 +152,8 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     of V_m (x) V_m*; an auxiliary consistency view of the same exponents."""
     module = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(m)))
     rep = module.rep
-    pair = rep.desc
-    e_left = rep.matrices[pair.index("E1")]
-    f_right = rep.matrices[pair.index("F2")]
-    span = transpose(e_left) + transpose(f_right)
-    cartans = [rep.matrices[pair.index(name)] for name in ("H1", "H2")]
+    span = transpose(rep.matrix_of("E1")) + transpose(rep.matrix_of("F2"))
+    cartans = [rep.matrix_of(name) for name in ("H1", "H2")]
     _, (left, right) = quotient(span, rep.dim, cartans)
     return set(_rational_eigenvalues(left)), set(_rational_eigenvalues(right))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import SparseElement
-from .linalg import frac, mat_eq, mat_mul, mat_sub, zeros
+from .linalg import frac
 
 Exp = tuple[int, ...]
 
@@ -270,40 +270,65 @@ def tensor(u: UEnvElement, v: UEnvElement) -> UEnvElement:
 # --- finite dimensional representations --------------------------------------
 
 
+def _sparse_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse matrices {(row, col): coefficient}."""
+    b_rows: dict = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out: dict = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _sparse_combination(coeffs, mats) -> dict:
+    """sum_k coeffs[k] * mats[k] for sparse matrices."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        for key, x in mats[k].items():
+            out[key] = out.get(key, 0) + c * x
+    return {key: v for key, v in out.items() if v}
+
+
 @dataclass(frozen=True)
 class FinDimRep:
-    """Matrices for each basis element, satisfying the bracket relations."""
+    """Matrices for each basis element, satisfying the bracket relations.
+
+    Each matrix is stored once, sparse, as {(row, col): coefficient}; a
+    matrix given as a dense list of rows is converted on construction.
+    """
 
     desc: LieAlgebraDesc
     dim: int
     matrices: tuple
 
     def __post_init__(self):
-        # antisymmetry of the structure constants covers i >= j
+        mats = tuple(
+            m if isinstance(m, dict)
+            else {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+            for m in self.matrices
+        )
+        object.__setattr__(self, "matrices", mats)
+        # [M_i, M_j] = sum_k c_k M_k; antisymmetry of the structure constants covers i >= j
         for i in range(self.desc.dim):
             for j in range(i + 1, self.desc.dim):
-                lhs = mat_sub(
-                    mat_mul(self.matrices[i], self.matrices[j]),
-                    mat_mul(self.matrices[j], self.matrices[i]),
-                )
-                bracket = self.desc.bracket_vector(i, j)
-                rhs = self.act_vector([bracket.get(k, 0) for k in range(self.desc.dim)])
-                if not mat_eq(lhs, rhs):
+                ab, ba = _sparse_mul(mats[i], mats[j]), _sparse_mul(mats[j], mats[i])
+                bracket = _sparse_combination(self.desc.bracket_vector(i, j), mats)
+                if _sparse_combination({0: 1, 1: -1}, (ab, ba)) != bracket:
                     raise ValueError(f"bracket relation fails at ({i},{j})")
 
     def matrix_of(self, name: str):
-        return self.matrices[self.desc.index(name)]
+        i = self.desc.index(name)
+        return self.act_vector([int(k == i) for k in range(self.desc.dim)])
 
     def act_vector(self, coeffs):
-        """Matrix of a Lie algebra element given by a coefficient vector."""
-        out = zeros(self.dim, self.dim)
+        """Dense matrix of a Lie algebra element given by a coefficient vector."""
+        out = [[0] * self.dim for _ in range(self.dim)]
         for i, c in enumerate(coeffs):
             if c:
-                c = frac(c)
-                out = [
-                    [x + c * y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(out, self.matrices[i])
-                ]
+                for (r, col), x in self.matrices[i].items():
+                    out[r][col] += c * x
         return out
 
 
@@ -311,26 +336,16 @@ def sym_power_rep(m: int) -> FinDimRep:
     """Sym^m of the standard 2-dim representation, weight basis m, m-2, ..., -m."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    d = sl2_desc()
     n = m + 1
-    E = zeros(n, n)
-    F = zeros(n, n)
-    H = zeros(n, n)
-    for j in range(n):
-        H[j][j] = Fraction(m - 2 * j)
-        if j > 0:
-            E[j - 1][j] = Fraction(j)
-        if j < m:
-            F[j + 1][j] = Fraction(m - j)
-    return FinDimRep(d, n, (F, H, E))
+    E = {(j - 1, j): j for j in range(1, n)}
+    F = {(j + 1, j): m - j for j in range(m)}
+    H = {(j, j): m - 2 * j for j in range(n) if m != 2 * j}
+    return FinDimRep(sl2_desc(), n, (F, H, E))
 
 
 def dual_rep(v: FinDimRep) -> FinDimRep:
     """Dual action x -> -x^T."""
-    mats = tuple(
-        [[-v.matrices[i][r][c] for r in range(v.dim)] for c in range(v.dim)]
-        for i in range(v.desc.dim)
-    )
+    mats = tuple({(c, r): -x for (r, c), x in m.items()} for m in v.matrices)
     return FinDimRep(v.desc, v.dim, mats)
 
 
@@ -345,7 +360,7 @@ class FinDimBimodule:
         for i in range(half):
             for j in range(half, self.rep.desc.dim):
                 a, b = self.rep.matrices[i], self.rep.matrices[j]
-                if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
+                if _sparse_mul(a, b) != _sparse_mul(b, a):
                     raise ValueError("left and right actions do not commute")
 
     @property
@@ -359,27 +374,12 @@ def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimBimodule:
         pair = _SL2_PAIR
     else:
         pair = direct_sum(v.desc, w.desc)
-    n = v.dim * w.dim
-
-    def kron_left(a):
-        out = zeros(n, n)
-        for i in range(v.dim):
-            for j in range(v.dim):
-                if a[i][j]:
-                    for k in range(w.dim):
-                        out[i * w.dim + k][j * w.dim + k] = a[i][j]
-        return out
-
-    def kron_right(b):
-        out = zeros(n, n)
-        for k in range(w.dim):
-            for l in range(w.dim):
-                if b[k][l]:
-                    for i in range(v.dim):
-                        out[i * w.dim + k][i * w.dim + l] = b[k][l]
-        return out
-
-    mats = tuple(kron_left(v.matrices[i]) for i in range(v.desc.dim)) + tuple(
-        kron_right(w.matrices[i]) for i in range(w.desc.dim)
+    # basis vector v_i (x) w_t has index i * k + t: A (x) 1 and 1 (x) B, entry by entry
+    k = w.dim
+    left = tuple(
+        {(i * k + t, j * k + t): x for (i, j), x in a.items() for t in range(k)} for a in v.matrices
     )
-    return FinDimBimodule(FinDimRep(pair, n, mats))
+    right = tuple(
+        {(i * k + r, i * k + c): x for (r, c), x in b.items() for i in range(v.dim)} for b in w.matrices
+    )
+    return FinDimBimodule(FinDimRep(pair, v.dim * k, left + right))

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on matrices given as lists of lists of Fractions (or
-ints), returns fresh objects, and never rounds.  The incremental eliminator
-keeps primitive integer rows: denominators are cleared once per insert, and
-each reduction step cancels the gcd of the two multipliers before it
-cross-multiplies, then takes the content of the result once.  Large rank
-computations thus avoid per-operation rational normalisation.
+ints), returns fresh objects, and never rounds.  There is one eliminator,
+`IncrementalRank`, fraction-free in the manner of Bareiss (Math. Comp. 22,
+1968): it keeps primitive integer rows, clears denominators once per insert,
+and each reduction step cancels the gcd of the two multipliers before it
+cross-multiplies, then takes the content of the result once.  `rref` feeds
+it the rows of a dense matrix and reads the reduced echelon form off its
+mutually reduced pivot rows, so `rank`, `nullspace` and `quotient` avoid
+per-operation rational normalisation too.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ def frac(x) -> Fraction:
 
 def zeros(n: int, m: int) -> list[list[Fraction]]:
     return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def transpose(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -53,37 +52,27 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    m = [[frac(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    The rows go through one IncrementalRank; its mutually reduced rows, each
+    divided by its pivot entry, are the nonzero rows of R, since a row space
+    has exactly one reduced echelon form.
+    """
+    cols = len(mat[0]) if mat else 0
+    elim = IncrementalRank()
+    for row in mat:
+        elim.add({j: x for j, x in enumerate(row) if x})
+    pivots = sorted(elim.pivots)
+    out = []
+    for c in pivots:
+        vec = elim.pivots[c]
+        r = [Fraction(0)] * cols
+        for j, x in vec.items():
+            r[j] = Fraction(x, vec[c])
+        out.append(r)
+    out += [[Fraction(0)] * cols for _ in range(len(mat) - len(pivots))]
+    return out, pivots
 
 
 def rank(mat) -> int:
@@ -92,13 +81,15 @@ def rank(mat) -> int:
     return len(rref(mat)[1])
 
 
-def nullspace(mat) -> list[list[Fraction]]:
-    """Basis of the right null space {v : M v = 0}, one vector per row."""
-    if not mat:
-        return []
+def _kernel(mat) -> tuple[list[list[Fraction]], list[int]]:
+    """(basis of {v : M v = 0}, one vector per row; its free columns).
+
+    Basis vector k is 1 at the k-th free column and 0 at the other free
+    columns, so the basis restricted to the free columns is the identity.
+    """
     cols = len(mat[0])
     r, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
@@ -106,30 +97,17 @@ def nullspace(mat) -> list[list[Fraction]]:
         for i, pc in enumerate(pivots):
             v[pc] = -r[i][fc]
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def nullspace(mat) -> list[list[Fraction]]:
+    """Basis of the right null space {v : M v = 0}, one vector per row."""
+    return _kernel(mat)[0] if mat else []
 
 
 def left_nullspace(mat) -> list[list[Fraction]]:
     """Basis of {y : y M = 0}."""
     return nullspace(transpose(mat))
-
-
-def solve_right_inverse(y: list[list[Fraction]]) -> list[list[Fraction]]:
-    """For full-row-rank Y, an R with Y R = identity."""
-    rows = len(y)
-    r, pivots = rref(y)
-    if len(pivots) != rows:
-        raise ValueError("matrix does not have full row rank")
-    # Y restricted to pivot columns is invertible; invert via rref of [Yp | I].
-    yp = [[y[i][c] for c in pivots] for i in range(rows)]
-    aug = [yp[i] + identity(rows)[i] for i in range(rows)]
-    red, piv = rref(aug)
-    inv = [row[rows:] for row in red]
-    full = zeros(len(y[0]), rows)
-    for k, c in enumerate(pivots):
-        for j in range(rows):
-            full[c][j] = inv[k][j]
-    return full
 
 
 def quotient(span, n: int, acting=()):
@@ -138,18 +116,18 @@ def quotient(span, n: int, acting=()):
 
     Returns (Y, [T for each A in acting]): Y is a full-row-rank matrix whose
     kernel is exactly the span, so v -> Y v gives coordinates on the quotient,
-    and each T satisfies T Y = Y A.  Raises ValueError when some A does not
+    and each T satisfies T Y = Y A.  Y is the identity on its free columns, so
+    T is those columns of Y A.  Raises ValueError when some A does not
     preserve the span.
     """
-    y = nullspace(span or zeros(1, n))
+    y, free = _kernel(span or zeros(1, n))
     if not y:
         return [], [zeros(0, 0) for _ in acting]
-    r = solve_right_inverse(y) if acting else None
     induced = []
     for a in acting:
         ya = mat_mul(y, a)
-        t = mat_mul(ya, r)
-        if not mat_eq(mat_mul(t, y), ya):
+        t = [[row[c] for c in free] for row in ya]
+        if mat_mul(t, y) != ya:
             raise ValueError("action does not descend to the quotient")
         induced.append(t)
     return y, induced

@@ -136,7 +136,7 @@ def test_criterion_08_fiberwise_localization():
         assert len(report.items) == 16 * 8
         return report.passed
 
-    _within("8 (fiberwise localization)", 300, run)
+    _within("8 (fiberwise localization)", 30, run)
 
 
 def test_criterion_09_parabolic_rank_one():
@@ -145,7 +145,7 @@ def test_criterion_09_parabolic_rank_one():
         assert report.parameters["points"] >= 3
         return report.passed
 
-    _within("9 (staged vs direct coinvariants)", 120, run)
+    _within("9 (staged vs direct coinvariants)", 30, run)
 
 
 def test_criterion_10_asymptotic_exponents():
@@ -161,7 +161,34 @@ def test_criterion_10_asymptotic_exponents():
             assert len(exps.entries) == 1 and exps.max_log_power() == 0
         return True
 
-    _within("10 (asymptotic exponents)", 30, run)
+    _within("10 (asymptotic exponents)", 10, run)
+
+
+def test_criterion_08_stretch_rep_bound_5():
+    def run():
+        report = asymp_diagram_check(rep_bound=5)
+        assert len(report.items) == 36 * 8
+        return report.passed
+
+    _within("8 stretch (fiberwise localization, rep_bound 5)", 5, run)
+
+
+def test_criterion_09_stretch_rep_bound_5():
+    def run():
+        report = parabolic_rank1_check(rep_bound=5)
+        assert len(report.items) == 36 * 3
+        return report.passed
+
+    _within("9 stretch (staged vs direct coinvariants, rep_bound 5)", 5, run)
+
+
+def test_criterion_10_stretch_m16():
+    def run():
+        report = leading_exponent_check(16)
+        assert len(report.items) == 5
+        return report.passed
+
+    _within("10 stretch (asymptotic exponents, m = 16)", 5, run)
 
 
 def test_criterion_11_kernel_soundness():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from horocycle.lie import (
+    FinDimBimodule,
     FinDimRep,
     LieAlgebraDesc,
     UEnvElement,
@@ -17,7 +18,15 @@ from horocycle.lie import (
     sym_power_rep,
     tensor,
 )
-from horocycle.linalg import identity, mat_eq, mat_mul
+from horocycle.linalg import mat_mul
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def basis_matrix(rep, i):
+    return rep.matrix_of(rep.desc.basis[i])
 
 
 def gens():
@@ -54,7 +63,7 @@ def act_uenv(rep, u):
         m = identity(rep.dim)
         for i, k in enumerate(e):
             for _ in range(k):
-                m = mat_mul(m, rep.matrices[i])
+                m = mat_mul(m, basis_matrix(rep, i))
         out = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(out, m)]
     return out
 
@@ -72,7 +81,7 @@ def test_casimir_scalar_on_sym_powers():
         rep = sym_power_rep(m)
         mat = act_uenv(rep, cas)
         expected = [[Fraction((m + 1) ** 2) if i == j else Fraction(0) for j in range(rep.dim)] for i in range(rep.dim)]
-        assert mat_eq(mat, expected)
+        assert mat == expected
 
 
 def test_pbw_confluence_random_strategies():
@@ -90,7 +99,7 @@ def test_sym_power_weights():
     H = rep.matrix_of("H")
     assert [H[i][i] for i in range(3)] == [2, 0, -2]
     rep0 = sym_power_rep(0)
-    assert all(all(x == 0 for row in m for x in row) for m in rep0.matrices)
+    assert all(x == 0 for i in range(3) for row in basis_matrix(rep0, i) for x in row)
     rep1 = sym_power_rep(1)
     assert [rep1.matrix_of("H")[i][i] for i in range(2)] == [1, -1]
 
@@ -100,6 +109,28 @@ def test_rep_validation_rejects_bad_matrices():
     bad = [identity(2) for _ in range(3)]
     with pytest.raises(ValueError):
         FinDimRep(d, 2, tuple(bad))
+
+
+def test_rep_validation_rejects_one_changed_entry():
+    rep = sym_power_rep(3)
+    F, H, E = ([row[:] for row in rep.matrix_of(name)] for name in ("F", "H", "E"))
+    FinDimRep(rep.desc, 4, (F, H, E))
+    for r, c in ((0, 1), (1, 2), (2, 3), (0, 2), (3, 0), (2, 1)):
+        bad = [row[:] for row in E]
+        bad[r][c] += 1
+        with pytest.raises(ValueError, match="bracket relation"):
+            FinDimRep(rep.desc, 4, (F, H, bad))
+
+
+def test_bimodule_rejects_noncommuting_factors():
+    # [x, y] = y: x acts as diag(1, 0) and y as the raising matrix, so the
+    # "right" factor y does not commute with the "left" factor x
+    desc = LieAlgebraDesc(("x", "y"), {(0, 1): {1: 1}, (1, 0): {1: -1}})
+    rep = FinDimRep(desc, 2, ([[1, 0], [0, 0]], [[0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="do not commute"):
+        FinDimBimodule(rep)
+    abelian = LieAlgebraDesc(("x", "y"), {})
+    assert FinDimBimodule(FinDimRep(abelian, 2, ([[1, 0], [0, 2]], [[3, 0], [0, 0]]))).dim == 2
 
 
 def test_dual_rep():
@@ -115,11 +146,11 @@ def test_external_tensor_commuting_actions():
     rep = bim.rep
     for i in range(3):
         for j in range(3, 6):
-            a, b = rep.matrices[i], rep.matrices[j]
-            assert mat_eq(mat_mul(a, b), mat_mul(b, a))
+            a, b = basis_matrix(rep, i), basis_matrix(rep, j)
+            assert mat_mul(a, b) == mat_mul(b, a)
     trivial = external_tensor(sym_power_rep(0), sym_power_rep(0))
     assert trivial.dim == 1
-    assert all(all(x == 0 for row in m for x in row) for m in trivial.rep.matrices)
+    assert all(x == 0 for i in range(6) for row in basis_matrix(trivial.rep, i) for x in row)
 
 
 def test_tensor_factors_commute_in_uenv():

@@ -6,16 +6,18 @@ import pytest
 from horocycle.linalg import (
     IncrementalRank,
     char_poly,
-    identity,
     left_nullspace,
     mat_mul,
     nullspace,
     quotient,
     rank,
     rref,
-    solve_right_inverse,
     transpose,
 )
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a, v):
@@ -27,6 +29,58 @@ def rand_matrix(rng, n, m, density=0.6):
         [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0) for _ in range(m)]
         for _ in range(n)
     ]
+
+
+def dense_rref(mat):
+    """Reference reduced row echelon form by dense Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def test_rref_matches_dense_gauss_jordan():
+    rng = random.Random(4)
+
+    def entry(density):
+        if rng.random() >= density:
+            return rng.choice((0, Fraction(0)))
+        x = rng.randint(-6, 6)
+        return x if rng.random() < 0.5 else Fraction(x, rng.randint(1, 5))
+
+    shapes = [(0, 0), (1, 0), (3, 0), (1, 1), (1, 7), (7, 1), (9, 3), (12, 2)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(240)]
+    for i, (n, m) in enumerate(shapes):
+        density = (0.0, 0.2, 0.5, 0.9, 1.0)[i % 5]
+        mat = [[entry(density) for _ in range(m)] for _ in range(n)]
+        if n > 1 and i % 7 == 0:
+            mat[rng.randrange(n)] = [0] * m  # a zero row
+        if m > 1 and i % 11 == 0:
+            col = rng.randrange(m)
+            for row in mat:
+                row[col] = Fraction(0)  # a zero column
+        if n > 2 and i % 13 == 0:
+            mat.append([2 * x - y for x, y in zip(mat[0], mat[1])])  # a dependent row
+        expected = dense_rref(mat)
+        assert rref(mat) == expected, mat
+        assert all(type(x) is Fraction for row in rref(mat)[0] for x in row)
 
 
 def test_rref_and_rank_consistency():
@@ -121,17 +175,6 @@ def test_char_poly():
     assert char_poly([]) == [Fraction(1)]
 
 
-def test_solve_right_inverse():
-    rng = random.Random(10)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
-        m = rand_matrix(rng, rows, cols)
-        if rank(m) != rows:
-            continue
-        r = solve_right_inverse(m)
-        assert mat_mul(m, r) == identity(rows)
-
-
 def test_quotient():
     rng = random.Random(11)
     for _ in range(30):
@@ -145,7 +188,39 @@ def test_quotient():
                 assert all(x == 0 for x in mat_vec(y, v))
 
 
+def _inverse(mat):
+    n = len(mat)
+    red, _ = dense_rref([list(row) + identity(n)[i] for i, row in enumerate(mat)])
+    return [row[n:] for row in red]
+
+
 def test_quotient_induced_actions():
+    # A = S U S^-1 with U block upper triangular preserves the span of the
+    # first k columns of S; a nonzero lower-left block of U moves it
+    rng = random.Random(12)
+    cases = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        s = rand_matrix(rng, n, n, density=0.7)
+        if rank(s) < n:
+            continue
+        s_inv = _inverse(s)
+        u = rand_matrix(rng, n, n)
+        for i in range(k, n):
+            for j in range(k):
+                u[i][j] = Fraction(0)
+        span = transpose(s)[:k]
+        a = mat_mul(mat_mul(s, u), s_inv)
+        y, (t,) = quotient(span, n, [a])
+        assert len(y) == n - k
+        assert all(x == 0 for v in span for x in mat_vec(y, v))
+        assert mat_mul(t, y) == mat_mul(y, a)
+        u[rng.randrange(k, n)][rng.randrange(k)] = Fraction(rng.choice((-2, -1, 1, 3)))
+        with pytest.raises(ValueError):
+            quotient(span, n, [mat_mul(mat_mul(s, u), s_inv)])
+        cases += 1
+    assert cases >= 20
     span = [[1, 0, 0]]
     keeps = [[1, 2, 3], [0, 4, 5], [0, 6, 7]]  # first column lies in the span
     y, (t,) = quotient(span, 3, [keeps])

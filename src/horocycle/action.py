@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .exactalg import ExactPoly, QuotientRing, horocycle_ring, mat2_ring, sl2_ring
 from .lie import (
-    FinDimBimodule,
+    FinDimRep,
     LieAlgebraDesc,
     UEnvElement,
     sl2_pair_desc,
@@ -137,6 +137,8 @@ class RationalPoint:
     coords: tuple
 
     def __post_init__(self):
+        if len(self.coords) != 4:
+            raise ValueError(f"a point of 2x2 matrix space has 4 coordinates, got {len(self.coords)}")
         object.__setattr__(self, "coords", tuple(frac(x) for x in self.coords))
 
     @classmethod
@@ -237,7 +239,7 @@ class CoinvariantsResult:
 
 
 def coinvariants(
-    module: FinDimBimodule,
+    rep: FinDimRep,
     sub: LieSubalgebra,
     commuting: LieSubalgebra | None = None,
 ) -> CoinvariantsResult:
@@ -247,7 +249,6 @@ def coinvariants(
     span, so Y * generator-action = 0 holds exactly and the induced matrices T
     satisfy T Y = Y * action.
     """
-    rep = module.rep
     if sub.desc.key != rep.desc.key:
         raise ValueError("subalgebra does not live in the module's acting algebra")
     if commuting is not None and not commuting.normalizes(sub):

@@ -150,8 +150,7 @@ def matrix_coefficient_exponents(m: int) -> set:
 def bimodule_exponents(m: int) -> tuple[set, set]:
     """Left and right Cartan eigenvalues on the two-sided nilpotent coinvariants
     of V_m (x) V_m*; an auxiliary consistency view of the same exponents."""
-    module = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(m)))
-    rep = module.rep
+    rep = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(m)))
     span = transpose(rep.matrix_of("E1")) + transpose(rep.matrix_of("F2"))
     cartans = [rep.matrix_of(name) for name in ("H1", "H2")]
     _, (left, right) = quotient(span, rep.dim, cartans)

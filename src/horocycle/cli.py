@@ -34,8 +34,6 @@ from .asymptotics import (
 from .lie import dual_rep, external_tensor, sym_power_rep
 from .rees import (
     gr_derivations_check,
-    peter_weyl_sl2,
-    rees_build,
     rees_dimension_check,
     tau_check,
 )
@@ -58,7 +56,7 @@ _SUITES = {
     "presentation": (lambda bound: verify_dsl2_presentation(), None),
     "dy": (lambda bound: verify_dy_relation(bound, bound), 4),
     "rees": (lambda bound: rees_dimension_check(bound), 6),
-    "tau": (lambda bound: tau_check(peter_weyl_sl2(), rees_build(peter_weyl_sl2()), bound), 4),
+    "tau": (lambda bound: tau_check(bound), 4),
     "grderv": (lambda bound: gr_derivations_check(bound, bound), 4),
     "pwfilt": (lambda bound: pw_vs_derivations_check(bound=bound), 6),
     "vfilt": (lambda bound: vfiltration_check(bound), 12),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import IncrementalRank, frac, rank
+from .linalg import frac
 
 Exp = tuple[int, ...]
 
@@ -343,101 +343,18 @@ def det_poly() -> ExactPoly:
 # --- Peter-Weyl levels ------------------------------------------------------
 #
 # The level of a nonzero class is the minimal total degree over all of its
-# polynomial representatives.  Rewriting by a relation whose leading monomial
-# has maximal degree never raises degree, so the normal form realises this
-# minimum; the linear-algebra search below stays available as an independent
-# oracle and is used to validate the shortcut on each ring once.
-
-_min_degree_validated: dict[int, bool] = {}
-
-
-def pw_level_oracle(f: ExactPoly, ring: QuotientRing):
-    """Minimal degree over coset representatives, by coset-membership solves."""
-    nf = ring.normal_form(f)
-    if nf.is_zero():
-        return BOTTOM
-    top = nf.degree()
-    if ring.relation is None:
-        return top
-    for t in range(top):
-        if _has_representative_of_degree(nf, ring, t):
-            return t
-    return top
-
-
-def _has_representative_of_degree(nf: ExactPoly, ring: QuotientRing, t: int) -> bool:
-    """Does nf + relation*g have degree <= t for some g?"""
-    rel = ring.relation
-    gdeg = max(nf.degree() - rel.degree(), 0)
-    gmonos = [e for d in range(gdeg + 1) for e in compositions(d, len(ring.variables))]
-    high = [
-        e
-        for d in range(t + 1, nf.degree() + 1)
-        for e in compositions(d, len(ring.variables))
-    ]
-    if not high:
-        return True
-    row_index = {e: i for i, e in enumerate(high)}
-    cols = []
-    for ge in gmonos:
-        col = [Fraction(0)] * len(high)
-        for re, rc in rel.terms.items():
-            e = tuple(x + y for x, y in zip(re, ge))
-            if e in row_index:
-                col[row_index[e]] = rc
-        cols.append(col)
-    target = [-nf.terms.get(e, Fraction(0)) for e in high]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(high))]
-    aug = [row + [target[i]] for i, row in enumerate(mat)]
-    return rank(aug) == rank(mat)
-
-
-def _validate_min_degree(ring: QuotientRing, bound: int = 6) -> bool:
-    """Check normal forms are degree-minimal in their cosets, degrees <= bound.
-
-    Batched form of the coset search: a class of normal-form degree k has a
-    representative of smaller degree exactly when its truncation above k-1 is
-    hit by the truncated multiples of the relation; one row-space per degree
-    answers that for every class at once.
-    """
-    key = ring.key
-    if key in _min_degree_validated:
-        return _min_degree_validated[key]
-    rel = ring.relation
-    nvars = len(ring.variables)
-    ok = True
-    for k in range(1, bound + 1):
-        elim = IncrementalRank()
-        for gd in range(k - 1):
-            for ge in compositions(gd, nvars):
-                vec = {}
-                for re, rc in rel.terms.items():
-                    e = tuple(x + y for x, y in zip(re, ge))
-                    if sum(e) >= k:
-                        vec[e] = rc
-                if vec:
-                    elim.add(vec)
-        for e in ring.nf_monomials(k):
-            if not elim.reduce({e: 1}):
-                ok = False  # a smaller-degree representative exists
-                break
-        if not ok:
-            break
-    _min_degree_validated[key] = ok
-    return ok
+# polynomial representatives.  The rewrite order is graded, so the relation's
+# leading monomial (a*d on the built-in rings) has its maximal degree and no
+# rewrite step raises degree.  A single relation is a Groebner basis of its ideal, so every
+# representative f of a class rewrites to the same normal form, whose degree
+# is then at most deg f.  The degree of the normal form is therefore the
+# level, on every ring; tests/test_exactalg.py keeps a coset-search oracle.
 
 
 def pw_level(f: ExactPoly, ring: QuotientRing):
     """Least filtration level of a class (its minimal degree); BOTTOM for the zero class."""
     nf = ring.normal_form(f)
-    if nf.is_zero():
-        return BOTTOM
-    if ring.relation is None or ring.relation.is_homogeneous():
-        # graded ring: the class degree is the top graded component's degree
-        return nf.degree()
-    if _validate_min_degree(ring):
-        return nf.degree()
-    return pw_level_oracle(nf, ring)
+    return BOTTOM if nf.is_zero() else nf.degree()
 
 
 # --- serialization ----------------------------------------------------------

@@ -211,40 +211,28 @@ def _word_to_exp(word, n: int) -> Exp:
 _word_nf_cache: dict[tuple, dict[Exp, Fraction]] = {}
 
 
-def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...], rng=None) -> dict[Exp, Fraction]:
-    """PBW normal form of a product of generators.
-
-    With rng=None the first descent is rewritten (deterministic, memoized);
-    a supplied rng picks random descents, exercising confluence.
-    """
-    if rng is None:
-        cached = _word_nf_cache.get((desc.key, word))
-        if cached is not None:
-            return dict(cached)
+def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...]) -> dict[Exp, Fraction]:
+    """PBW normal form of a product of generators, rewriting the first descent (memoized)."""
+    cached = _word_nf_cache.get((desc.key, word))
+    if cached is not None:
+        return dict(cached)
     descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
     if not descents:
         out = {_word_to_exp(word, desc.dim): Fraction(1)}
     else:
-        k = descents[0] if rng is None else rng.choice(descents)
+        k = descents[0]
         i, j = word[k], word[k + 1]
         swapped = word[:k] + (j, i) + word[k + 2 :]
-        out = dict(_word_normal_form(desc, swapped, rng))
+        out = dict(_word_normal_form(desc, swapped))
         bracket = desc.bracket_vector(i, j)
         if bracket:
             for m, coef in bracket.items():
                 sub = word[:k] + (m,) + word[k + 2 :]
-                for e, c in _word_normal_form(desc, sub, rng).items():
+                for e, c in _word_normal_form(desc, sub).items():
                     out[e] = out.get(e, Fraction(0)) + coef * c
             out = {e: c for e, c in out.items() if c}
-    if rng is None:
-        _word_nf_cache[(desc.key, word)] = dict(out)
+    _word_nf_cache[(desc.key, word)] = dict(out)
     return out
-
-
-def pbw_normal_form(desc: LieAlgebraDesc, word, coef=1, rng=None) -> UEnvElement:
-    """Normal form of coef * x_{word[0]} ... x_{word[-1]}."""
-    nf = _word_normal_form(desc, tuple(word), rng)
-    return UEnvElement(desc, {e: frac(coef) * c for e, c in nf.items()})
 
 
 def casimir_sl2() -> UEnvElement:
@@ -349,27 +337,12 @@ def dual_rep(v: FinDimRep) -> FinDimRep:
     return FinDimRep(v.desc, v.dim, mats)
 
 
-@dataclass(frozen=True)
-class FinDimBimodule:
-    """A module for g (+) g with commuting left and right actions."""
+def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimRep:
+    """V (x) W as a module over g (+) g: left factor acts on V, right on W.
 
-    rep: FinDimRep
-
-    def __post_init__(self):
-        half = self.rep.desc.dim // 2
-        for i in range(half):
-            for j in range(half, self.rep.desc.dim):
-                a, b = self.rep.matrices[i], self.rep.matrices[j]
-                if _sparse_mul(a, b) != _sparse_mul(b, a):
-                    raise ValueError("left and right actions do not commute")
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
-
-
-def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimBimodule:
-    """V (x) W as a module over g (+) g: left factor acts on V, right on W."""
+    The bracket check of the direct sum already demands that the two factors'
+    matrices commute, since its cross brackets vanish.
+    """
     if v.desc.key == _SL2_DESC.key and w.desc.key == _SL2_DESC.key:
         pair = _SL2_PAIR
     else:
@@ -382,4 +355,4 @@ def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimBimodule:
     right = tuple(
         {(i * k + r, i * k + c): x for (r, c), x in b.items() for i in range(v.dim)} for b in w.matrices
     )
-    return FinDimBimodule(FinDimRep(pair, v.dim * k, left + right))
+    return FinDimRep(pair, v.dim * k, left + right)

@@ -1,11 +1,12 @@
-"""Filtered algebras, the derivations filtration and the Rees interpolation
-between the determinant-one locus and the rank-one cone.
+"""The derivations filtration and the Rees interpolation between the
+determinant-one locus and the rank-one cone.
 
-The built-in filtered algebra is the function ring of the determinant-one
-locus, filtered by minimal representative degree, with every generator at
-level one.  Its Rees presentation has four level-one variables A, B, C, D and
-one lattice variable z with the single relation A*D - B*C = z; setting z = 1
-recovers the original ring and z = 0 its associated graded, the rank-one cone.
+The filtered algebra is the function ring of the determinant-one locus,
+filtered by minimal representative degree (`exactalg.pw_level`), with every
+generator at level one.  Its Rees presentation has four level-one variables
+A, B, C, D and one lattice variable z with the single relation A*D - B*C = z;
+setting z = 1 recovers the original ring and z = 0 its associated graded, the
+rank-one cone.
 
 All isomorphism-style statements are certified degreewise: each check computes
 both sides of a dimension table by independent exact kernel or rank
@@ -15,10 +16,9 @@ specific elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
+from .action import lr_action_horocycle
 from .exactalg import (
     BOTTOM,
     ExactPoly,
@@ -35,32 +35,16 @@ from .reports import CheckReport, ReportItem
 from .weyl import WeylOp, apply_op, preserves_ideal, relative_fields
 
 
-@dataclass(frozen=True)
-class FilteredAlgebra:
-    """A commutative ring filtered by minimal representative degree."""
-
-    ring: QuotientRing
-
-    def level(self, f: ExactPoly):
-        return pw_level(f, self.ring)
-
-
-def peter_weyl_sl2() -> FilteredAlgebra:
-    return _PW_SL2
-
-
-_PW_SL2 = FilteredAlgebra(sl2_ring())
-
-
-def derivation_level(algebra: FilteredAlgebra, theta: WeylOp):
-    """Least level n with theta(A_{<=k}) inside A_{<=k+n}: the max over the
-    level-one generators of level(theta(x_i)) - 1, BOTTOM when theta kills them."""
-    if not preserves_ideal(theta, algebra.ring):
+def derivation_level(theta: WeylOp):
+    """Least level n with theta(A_{<=k}) inside A_{<=k+n} on the determinant-one
+    ring: the max over the level-one generators of level(theta(x_i)) - 1,
+    BOTTOM when theta kills them."""
+    ring = sl2_ring()
+    if not preserves_ideal(theta, ring):
         raise ValueError("derivation does not preserve the relation ideal")
-    ring = algebra.ring
     offsets = []
     for name in ring.variables:
-        lev = algebra.level(apply_op(theta, ring.var(name)))
+        lev = pw_level(apply_op(theta, ring.var(name)), ring)
         if lev is not BOTTOM:
             offsets.append(lev - 1)
     return max(offsets) if offsets else BOTTOM
@@ -91,38 +75,23 @@ def sl2_derivation_space(cap: int, parity: int) -> list:
 
 REES_VARS = ("A", "B", "C", "D", "z")
 
-
-@dataclass(frozen=True)
-class ReesPresentation:
-    """Graded presentation: four level-one variables, the lattice variable z, one relation."""
-
-    ring: QuotientRing
-
-    def graded_monomials(self, weight: int) -> list:
-        out = []
-        for zk in range(weight // 2 + 1):
-            rest = weight - 2 * zk
-            for e in compositions(rest, 4):
-                if e[0] and e[3]:
-                    continue  # reduced away by the rewrite
-                out.append(e + (zk,))
-        return out
+# the Rees presentation of the determinant-one ring: A*D - B*C = z
+REES_RING = QuotientRing(
+    REES_VARS,
+    ExactPoly(REES_VARS, {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1, (0, 0, 0, 0, 1): -1}),
+    name="Rees(O(SL2))",
+)
 
 
-def rees_build(algebra: FilteredAlgebra) -> ReesPresentation:
-    """Rees presentation of the built-in filtered ring: A*D - B*C = z."""
-    if algebra.ring.key != sl2_ring().key:
-        raise ValueError("unsupported algebra: only the built-in filtration is presented")
-    relation = ExactPoly(
-        REES_VARS,
-        {
-            (1, 0, 0, 1, 0): Fraction(1),
-            (0, 1, 1, 0, 0): Fraction(-1),
-            (0, 0, 0, 0, 1): Fraction(-1),
-        },
-    )
-    ring = QuotientRing(REES_VARS, relation, name="Rees(O(SL2))")
-    return ReesPresentation(ring)
+def rees_graded_monomials(weight: int) -> list:
+    """Normal-form monomials of the presentation of weight `weight` (z has weight 2)."""
+    out = []
+    for zk in range(weight // 2 + 1):
+        for e in compositions(weight - 2 * zk, 4):
+            if e[0] and e[3]:
+                continue  # reduced away by the rewrite
+            out.append(e + (zk,))
+    return out
 
 
 def rees_fiber(p) -> QuotientRing:
@@ -158,16 +127,16 @@ def homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
     return out
 
 
-def tau_map(algebra: FilteredAlgebra, theta: WeylOp) -> WeylOp:
-    """Lift a filtered derivation to the Rees presentation.
+def tau_map(theta: WeylOp) -> WeylOp:
+    """Lift a filtered derivation of the determinant-one ring to the Rees presentation.
 
     The image has no derivative in the lattice direction, so it kills z by
     construction; preserving the presentation ideal is the checked content.
     """
-    level = derivation_level(algebra, theta)
+    level = derivation_level(theta)
     if level is BOTTOM:
         return WeylOp.zero(REES_VARS)
-    ring = algebra.ring
+    ring = sl2_ring()
     coeffs = []
     for name in ring.variables:
         image = ring.normal_form(apply_op(theta, ring.var(name)))
@@ -199,7 +168,7 @@ def _free_coords(polys):
     return vec
 
 
-def tau_check(algebra: FilteredAlgebra, pres: ReesPresentation, level_bound: int = 4) -> CheckReport:
+def tau_check(level_bound: int = 4) -> CheckReport:
     """Degreewise certification that filtered derivations match relative fields.
 
     For each level the lifted images must kill the lattice coordinate and
@@ -231,16 +200,16 @@ def tau_check(algebra: FilteredAlgebra, pres: ReesPresentation, level_bound: int
             )
         )
     # spot checks on the presentation ring itself
-    ring = algebra.ring
+    ring = sl2_ring()
     a, b, c, d = (ring.var(v) for v in ring.variables)
     spots = [
         ("a Da - d Dd", WeylOp.vector_field([a, ExactPoly.zero(ring.variables), ExactPoly.zero(ring.variables), -d])),
         ("-c Da - d Db", WeylOp.vector_field([-c, -d, ExactPoly.zero(ring.variables), ExactPoly.zero(ring.variables)])),
     ]
     for name, theta in spots:
-        lifted = tau_map(algebra, theta)
+        lifted = tau_map(theta)
         kills_z = all(de[4] == 0 for _, de in lifted.terms)
-        ok = kills_z and preserves_ideal(lifted, pres.ring)
+        ok = kills_z and preserves_ideal(lifted, REES_RING)
         items.append(
             ReportItem(
                 name=f"tau({name}) is relative on the presentation",
@@ -258,42 +227,22 @@ def tau_check(algebra: FilteredAlgebra, pres: ReesPresentation, level_bound: int
 
 # --- associated graded comparison ---------------------------------------------
 
-_SIX_FIELDS_COEFFS = None
-
-
-def six_standard_fields():
-    """Coefficient 4-tuples of the spanning relative fields on matrix space."""
-    global _SIX_FIELDS_COEFFS
-    if _SIX_FIELDS_COEFFS is None:
-        V = MAT2_VARS
-        a, b, c, d = (ExactPoly.variable(V, v) for v in V)
-        z = ExactPoly.zero(V)
-        _SIX_FIELDS_COEFFS = (
-            (c, d, z, z),      # c Da + d Db
-            (b, z, d, z),      # b Da + d Dc
-            (a, z, z, -d),     # a Da - d Dd
-            (z, b, -c, z),     # b Db - c Dc
-            (z, a, z, c),      # a Db + c Dd
-            (z, z, a, b),      # a Dc + b Dd
-        )
-    return _SIX_FIELDS_COEFFS
-
-
 def _graded_span_dim(n: int) -> int:
-    """Dimension of the weight-n piece of the module the six fields span on the cone."""
+    """Dimension of the weight-n piece of the module that the fields of the
+    built-in action span on the cone (six fields spanning its relative kernel)."""
     ring = horocycle_ring()
     if n < 0:
         return 0
+    fields = [theta.coefficient_polys() for theta in lr_action_horocycle().fields]
     elim = IncrementalRank()
     dim = 0
     for e in ring.nf_monomials(n):
         mono = ExactPoly.monomial(ring.variables, e)
-        for coeffs in six_standard_fields():
+        for coeffs in fields:
             vec = {}
-            for slot, g in enumerate(coeffs):
-                red = ring.normal_form(mono * g)
-                for te, tc in red.terms.items():
-                    vec[(slot, te)] = tc
+            for de, g in coeffs.items():
+                for te, tc in ring.normal_form(mono * g).terms.items():
+                    vec[(de, te)] = tc
             if elim.add(vec):
                 dim += 1
     return dim
@@ -302,8 +251,8 @@ def _graded_span_dim(n: int) -> int:
 def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckReport:
     """Graded dimension tables: filtration quotients against the cone's fields.
 
-    The graded side is realised concretely as the span of the six standard
-    relative fields with homogeneous coefficients on the rank-one cone.
+    The graded side is realised concretely as the span of the built-in
+    action's six fields with homogeneous coefficients on the rank-one cone.
     """
     items = [
         ReportItem(
@@ -352,14 +301,12 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
 
 def rees_dimension_check(bound: int = 6) -> CheckReport:
     """Graded/filtered dimension tables of the presentation and its two fibers."""
-    algebra = peter_weyl_sl2()
-    pres = rees_build(algebra)
     fiber1 = rees_fiber(1)
     fiber0 = rees_fiber(0)
     items = []
     t_rees = {}
     for lam in range(bound + 1):
-        t_rees[lam] = len(pres.graded_monomials(lam))
+        t_rees[lam] = len(rees_graded_monomials(lam))
         filt = sum(
             len(fiber1.nf_monomials(k))
             for k in range(lam % 2, lam + 1, 2)

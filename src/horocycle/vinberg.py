@@ -181,17 +181,13 @@ def verify_dsl2_presentation() -> CheckReport:
 _GEN_WEIGHTS = ((-2, 0), (0, 0), (2, 0), (0, -2), (0, 0), (0, 2))  # F1 H1 E1 F2 H2 E2
 _VAR_WEIGHTS = ((-1, 1), (-1, -1), (1, 1), (1, -1))  # a b c d
 
-
-def _u_weight(e):
-    w1 = sum(k * w[0] for k, w in zip(e, _GEN_WEIGHTS))
-    w2 = sum(k * w[1] for k, w in zip(e, _GEN_WEIGHTS))
-    return (w1, w2)
+# extra enveloping degrees the dy ideal is generated with, beyond the window
+_DY_MARGIN = 1
 
 
-def _f_weight(e):
-    w1 = sum(k * w[0] for k, w in zip(e, _VAR_WEIGHTS))
-    w2 = sum(k * w[1] for k, w in zip(e, _VAR_WEIGHTS))
-    return (w1, w2)
+def _weight(e, table):
+    """Torus weight of the monomial with exponents e, given the weight of each factor."""
+    return (sum(k * w[0] for k, w in zip(e, table)), sum(k * w[1] for k, w in zip(e, table)))
 
 
 def _nf_y_mono(e):
@@ -322,12 +318,12 @@ class _SmashContext:
 
     @staticmethod
     def block_of(ue, fe):
-        uw = _u_weight(ue)
-        fw = _f_weight(fe)
+        uw = _weight(ue, _GEN_WEIGHTS)
+        fw = _weight(fe, _VAR_WEIGHTS)
         return (sum(fe), (uw[0] + fw[0], uw[1] + fw[1]))
 
 
-def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1) -> CheckReport:
+def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     """Kernel of the bounded realization on the rank-one cone against the
     two-sided ideal generated by the Casimir difference, window by window.
 
@@ -336,7 +332,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
     induct on order), so an element's det-reduced coefficient table is a
     faithful model of its action.  The Casimir difference is central in the
     enveloping factor, so its two-sided ideal is spanned by function-multiples
-    of its left multiples; the ideal is generated with `margin` extra
+    of its left multiples; the ideal is generated with `_DY_MARGIN` extra
     enveloping degrees so that cancellations landing inside a window are
     found, then intersected with each window by pivot counting.
     """
@@ -346,7 +342,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
     ry = ctx.ry
     report = CheckReport(
         check="dy",
-        parameters={"pbw_bound": pbw_bound, "poly_bound": poly_bound, "margin": margin},
+        parameters={"pbw_bound": pbw_bound, "poly_bound": poly_bound, "margin": _DY_MARGIN},
     )
 
     d2 = sl2_desc()
@@ -361,7 +357,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4, margin: int = 1)
         diff_op.is_zero(),
     )
 
-    build_bound = pbw_bound + margin
+    build_bound = pbw_bound + _DY_MARGIN
     u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
     f_exps = [e for q in range(poly_bound + 1) for e in ry.nf_monomials(q)]
 

@@ -198,7 +198,7 @@ def test_coinvariants_projection_annihilates_action():
     mod = module(2, 2)
     res = coinvariants(mod, s)
     for v in s.vectors:
-        assert not any(x for row in mat_mul(res.projection, mod.rep.act_vector(list(v))) for x in row)
+        assert not any(x for row in mat_mul(res.projection, mod.act_vector(list(v))) for x in row)
 
 
 def test_fiber_dimension_constant_on_orbits():

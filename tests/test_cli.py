@@ -63,6 +63,13 @@ def test_localize_off_variety_is_usage_error():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("point", ["1,2,3", "1,0,0,1,5"])
+def test_localize_point_needs_four_coordinates(point):
+    result = invoke(["localize", "--rep", "1,1", "--point", point])
+    assert result.exit_code == 2
+    assert "--point expects four rationals" in result.output
+
+
 def test_json_report_schema_and_determinism(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

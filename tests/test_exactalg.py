@@ -15,12 +15,13 @@ from horocycle.exactalg import (
     mat2_ring,
     poly_to_text,
     poly_try_divide,
+    compositions,
     pw_level,
-    pw_level_oracle,
     sl2_ring,
     vanishing_order,
 )
 from horocycle.lie import UEnvElement, sl2_desc, sl2_pair_desc
+from horocycle.linalg import IncrementalRank, rank
 from horocycle.weyl import WeylOp
 
 V = MAT2_VARS
@@ -58,6 +59,71 @@ def test_normal_form_idempotent_and_ring_map():
 
 def test_normal_form_rewrites_ad_on_sl2():
     assert sl2_ring().normal_form(a * d) == b * c + 1
+
+
+def pw_level_oracle(f: ExactPoly, ring: QuotientRing):
+    """Minimal degree over coset representatives, by coset-membership solves."""
+    nf = ring.normal_form(f)
+    if nf.is_zero():
+        return BOTTOM
+    top = nf.degree()
+    if ring.relation is None:
+        return top
+    for t in range(top):
+        if _has_representative_of_degree(nf, ring, t):
+            return t
+    return top
+
+
+def _has_representative_of_degree(nf: ExactPoly, ring: QuotientRing, t: int) -> bool:
+    """Does nf + relation*g have degree <= t for some g?"""
+    rel = ring.relation
+    gdeg = max(nf.degree() - rel.degree(), 0)
+    gmonos = [e for d in range(gdeg + 1) for e in compositions(d, len(ring.variables))]
+    high = [
+        e
+        for d in range(t + 1, nf.degree() + 1)
+        for e in compositions(d, len(ring.variables))
+    ]
+    if not high:
+        return True
+    row_index = {e: i for i, e in enumerate(high)}
+    cols = []
+    for ge in gmonos:
+        col = [Fraction(0)] * len(high)
+        for re, rc in rel.terms.items():
+            e = tuple(x + y for x, y in zip(re, ge))
+            if e in row_index:
+                col[row_index[e]] = rc
+        cols.append(col)
+    target = [-nf.terms.get(e, Fraction(0)) for e in high]
+    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(high))]
+    aug = [row + [target[i]] for i, row in enumerate(mat)]
+    return rank(aug) == rank(mat)
+
+
+@pytest.mark.parametrize("ring", [sl2_ring(), horocycle_ring()], ids=lambda r: r.name)
+def test_normal_forms_are_degree_minimal(ring):
+    """Batched coset search up to degree 8: a class of normal-form degree k has
+    a representative of smaller degree exactly when its degree-k part is hit by
+    the multiples of the relation truncated to degrees >= k.  Those multiples
+    come from g of degree <= k - 2, because the top part of relation * g is
+    nonzero; every class is covered at once by asking that the normal-form
+    monomials of degree k stay independent modulo that span."""
+    nvars = len(ring.variables)
+    for k in range(1, 9):
+        elim = IncrementalRank()
+        for gd in range(k - 1):
+            for ge in compositions(gd, nvars):
+                vec = {}
+                for re, rc in ring.relation.terms.items():
+                    e = tuple(x + y for x, y in zip(re, ge))
+                    if sum(e) >= k:
+                        vec[e] = rc
+                if vec:
+                    elim.add(vec)
+        for e in ring.nf_monomials(k):
+            assert elim.add({e: 1}), f"{ring.name}: degree {k} classes have smaller representatives"
 
 
 def test_pw_level_examples():

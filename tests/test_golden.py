@@ -26,6 +26,9 @@ CASES = [
     (["verify", "presentation"], "verify_presentation.json"),
     (["verify", "rees"], "verify_rees.json"),
     (["verify", "pwfilt"], "verify_pwfilt.json"),
+    (["verify", "grderv", "--bound", "6"], "verify_grderv_bound6.json"),
+    (["verify", "tau", "--bound", "6"], "verify_tau_bound6.json"),
+    (["verify", "pwfilt", "--bound", "10"], "verify_pwfilt_bound10.json"),
     (["verify", "vfilt", "--bound", "6"], "verify_vfilt_bound6.json"),
     (["verify", "dy", "--bound", "3"], "verify_dy_bound3.json"),
     (["exponents", "--m", "5"], "exponents_m5.json"),

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from horocycle.lie import (
-    FinDimBimodule,
     FinDimRep,
     LieAlgebraDesc,
     UEnvElement,
@@ -12,13 +11,13 @@ from horocycle.lie import (
     direct_sum,
     dual_rep,
     external_tensor,
-    pbw_normal_form,
     sl2_desc,
     sl2_pair_desc,
     sym_power_rep,
     tensor,
 )
 from horocycle.linalg import mat_mul
+from pbw_oracle import random_pbw_normal_form, word_product
 
 
 def identity(n):
@@ -89,8 +88,8 @@ def test_pbw_confluence_random_strategies():
     d = sl2_desc()
     for _ in range(100):
         word = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
-        deterministic = pbw_normal_form(d, word)
-        randomized = pbw_normal_form(d, word, rng=rng)
+        deterministic = word_product(d, word)
+        randomized = random_pbw_normal_form(d, word, rng)
         assert deterministic == randomized
 
 
@@ -122,15 +121,14 @@ def test_rep_validation_rejects_one_changed_entry():
             FinDimRep(rep.desc, 4, (F, H, bad))
 
 
-def test_bimodule_rejects_noncommuting_factors():
-    # [x, y] = y: x acts as diag(1, 0) and y as the raising matrix, so the
-    # "right" factor y does not commute with the "left" factor x
-    desc = LieAlgebraDesc(("x", "y"), {(0, 1): {1: 1}, (1, 0): {1: -1}})
-    rep = FinDimRep(desc, 2, ([[1, 0], [0, 0]], [[0, 1], [0, 0]]))
-    with pytest.raises(ValueError, match="do not commute"):
-        FinDimBimodule(rep)
-    abelian = LieAlgebraDesc(("x", "y"), {})
-    assert FinDimBimodule(FinDimRep(abelian, 2, ([[1, 0], [0, 2]], [[3, 0], [0, 0]]))).dim == 2
+def test_direct_sum_rep_rejects_noncommuting_factors():
+    # on x (+) y the cross bracket vanishes, so the left factor x and the right
+    # factor y must commute; diag(1, 0) and the raising matrix do not
+    line = LieAlgebraDesc(("x",), {})
+    pair = direct_sum(line, LieAlgebraDesc(("y",), {}))
+    with pytest.raises(ValueError, match="bracket relation"):
+        FinDimRep(pair, 2, ([[1, 0], [0, 0]], [[0, 1], [0, 0]]))
+    assert FinDimRep(pair, 2, ([[1, 0], [0, 2]], [[3, 0], [0, 0]])).dim == 2
 
 
 def test_dual_rep():
@@ -141,16 +139,15 @@ def test_dual_rep():
 
 def test_external_tensor_commuting_actions():
     V1 = sym_power_rep(1)
-    bim = external_tensor(V1, dual_rep(V1))
-    assert bim.dim == 4
-    rep = bim.rep
+    rep = external_tensor(V1, dual_rep(V1))
+    assert rep.dim == 4
     for i in range(3):
         for j in range(3, 6):
             a, b = basis_matrix(rep, i), basis_matrix(rep, j)
             assert mat_mul(a, b) == mat_mul(b, a)
     trivial = external_tensor(sym_power_rep(0), sym_power_rep(0))
     assert trivial.dim == 1
-    assert all(x == 0 for i in range(6) for row in basis_matrix(trivial.rep, i) for x in row)
+    assert all(x == 0 for i in range(6) for row in basis_matrix(trivial, i) for x in row)
 
 
 def test_tensor_factors_commute_in_uenv():

@@ -17,14 +17,12 @@ from horocycle.exactalg import (
 )
 from horocycle.rees import (
     FREE_VARS,
-    FilteredAlgebra,
+    REES_RING,
     REES_VARS,
     derivation_level,
     gr_derivations_check,
     homogenize_free,
     homogenize_presentation,
-    peter_weyl_sl2,
-    rees_build,
     rees_dimension_check,
     rees_fiber,
     sl2_derivation_space,
@@ -43,16 +41,15 @@ zero = ExactPoly.zero(V)
 
 
 def test_derivation_levels():
-    A = peter_weyl_sl2()
     t1 = WeylOp.vector_field([a, zero, zero, -d])
-    assert derivation_level(A, t1) == 0
+    assert derivation_level(t1) == 0
     t2 = WeylOp.vector_field([-c, -d, zero, zero])
-    assert derivation_level(A, t2) == 0
+    assert derivation_level(t2) == 0
     t3 = WeylOp.from_poly(b * c) * t1
-    assert derivation_level(A, t3) == 2
-    assert derivation_level(A, WeylOp.zero(V)) is BOTTOM
+    assert derivation_level(t3) == 2
+    assert derivation_level(WeylOp.zero(V)) is BOTTOM
     with pytest.raises(ValueError):
-        derivation_level(A, WeylOp.vector_field([a, zero, zero, zero]))
+        derivation_level(WeylOp.vector_field([a, zero, zero, zero]))
 
 
 def test_derivation_spaces_dimensions():
@@ -68,22 +65,14 @@ def test_free_relative_kernel_closed_form(k):
     assert len(relative_fields(mat2_ring(), det_poly(), compositions(k, 4))) == closed
 
 
-def test_rees_build_and_fibers():
-    A = peter_weyl_sl2()
-    pres = rees_build(A)
-    assert pres.ring.variables == REES_VARS
+def test_rees_ring_and_fibers():
+    assert REES_RING.variables == REES_VARS
     fiber1 = rees_fiber(1)
     fiber0 = rees_fiber(0)
     assert fiber1.key == sl2_ring().key
     assert fiber0.key == horocycle_ring().key
     generic = rees_fiber(Fraction(3, 2))
     assert generic.relation.evaluate((1, 0, 0, Fraction(3, 2))) == 0
-
-
-def test_rees_build_rejects_other_algebras():
-    other = FilteredAlgebra(horocycle_ring())
-    with pytest.raises(ValueError):
-        rees_build(other)
 
 
 def test_homogenize():
@@ -98,20 +87,17 @@ def test_homogenize():
 
 
 def test_tau_map_spot():
-    A = peter_weyl_sl2()
-    pres = rees_build(A)
     theta = WeylOp.vector_field([a, zero, zero, -d])
-    lifted = tau_map(A, theta)
+    lifted = tau_map(theta)
     # A DA - D DD on the presentation, no z-derivative
     assert all(de[4] == 0 for _, de in lifted.terms)
-    assert preserves_ideal(lifted, pres.ring)
-    rel = pres.ring.relation
-    assert pres.ring.normal_form(apply_op(lifted, rel)).is_zero()
+    assert preserves_ideal(lifted, REES_RING)
+    rel = REES_RING.relation
+    assert REES_RING.normal_form(apply_op(lifted, rel)).is_zero()
 
 
 def test_tau_check_small():
-    A = peter_weyl_sl2()
-    rep = tau_check(A, rees_build(A), level_bound=2)
+    rep = tau_check(level_bound=2)
     assert rep.passed
     level0 = next(it for it in rep.items if it.name.startswith("level 0"))
     assert "dim 6" in level0.got
@@ -134,11 +120,10 @@ def test_rees_dimension_tables():
 def test_level_certificate_fails_below():
     # the level bounds the shift on every monomial class up to degree 4, and
     # some generator's image sits exactly at level + 1, so it cannot be lowered
-    A = peter_weyl_sl2()
-    ring = A.ring
+    ring = sl2_ring()
     t1 = WeylOp.vector_field([a, zero, zero, -d])
     for theta in (t1, WeylOp.from_poly(b * c) * t1):
-        level = derivation_level(A, theta)
+        level = derivation_level(theta)
         for deg in range(5):
             for e in ring.nf_monomials(deg):
                 lev = pw_level(apply_op(theta, ExactPoly.monomial(V, e)), ring)

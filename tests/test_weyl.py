@@ -13,7 +13,6 @@ from horocycle.exactalg import (
     sl2_ring,
 )
 from horocycle.linalg import IncrementalRank
-from horocycle.rees import six_standard_fields
 from horocycle.weyl import (
     WeylOp,
     apply_op,
@@ -155,8 +154,19 @@ def test_relative_fields_linear_kernel_is_the_six_fields():
     kernel = IncrementalRank()
     for coeffs in basis:
         kernel.add(_field_coords(coeffs))
-    for coeffs in six_standard_fields():
+    z = ExactPoly.zero(V)
+    six = (
+        (c, d, z, z),  # c Da + d Db
+        (b, z, d, z),  # b Da + d Dc
+        (a, z, z, -d),  # a Da - d Dd
+        (z, b, -c, z),  # b Db - c Dc
+        (z, a, z, c),  # a Db + c Dd
+        (z, z, a, b),  # a Dc + b Dd
+    )
+    for coeffs in six:
         assert not kernel.add(_field_coords(coeffs))
+    spanned = IncrementalRank()
+    assert all(spanned.add(_field_coords(coeffs)) for coeffs in six)
 
 
 def test_relative_fields_degenerate_inputs():

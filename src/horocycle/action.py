@@ -25,7 +25,7 @@ from .lie import (
     UEnvElement,
     sl2_pair_desc,
 )
-from .linalg import frac, left_nullspace, quotient, rank, transpose
+from .linalg import IncrementalRank, frac, nullspace, quotient, sparse_to_int, transpose
 from .weyl import WeylOp, commutator, preserves_ideal
 
 
@@ -168,73 +168,77 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class LieSubalgebra:
-    """A bracket-closed subspace of the acting algebra, given by basis vectors."""
+    """A bracket-closed subspace of the acting algebra, given by basis vectors.
+
+    `span` is an eliminator holding the basis: a vector x lies in the
+    subspace iff `span.reduce(x) == {}`.
+    """
 
     desc: LieAlgebraDesc
     vectors: tuple
+    span: IncrementalRank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vecs = tuple(tuple(frac(x) for x in v) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
-        if vecs and rank([list(v) for v in vecs]) != len(vecs):
+        span = IncrementalRank()
+        object.__setattr__(self, "span", span)
+        if not all(span.add(dict(enumerate(v))) for v in vecs):
             raise ValueError("basis vectors are linearly dependent")
-        for v in vecs:
-            for w in vecs:
-                br = self.desc.bracket_of_vectors(list(v), list(w))
-                if not _in_span(vecs, br):
-                    raise ValueError("subspace is not closed under bracket")
+        if not self.normalizes(self):
+            raise ValueError("subspace is not closed under bracket")
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def normalizes(self, other: "LieSubalgebra") -> bool:
-        for v in self.vectors:
-            for w in other.vectors:
-                if not _in_span(other.vectors, self.desc.bracket_of_vectors(list(v), list(w))):
-                    return False
-        return True
-
-
-def _in_span(vectors, target) -> bool:
-    if all(x == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    rows = [list(v) for v in vectors]
-    return rank(rows) == rank(rows + [list(target)])
+        return all(
+            other.span.reduce(dict(enumerate(self.desc.bracket_of_vectors(v, w)))) == {}
+            for v in self.vectors
+            for w in other.vectors
+        )
 
 
 def stabilizer_subalgebra(act: InfinitesimalAction, p: RationalPoint) -> LieSubalgebra:
     """Kernel of evaluating the assigned fields at p."""
     p.require_on(act.ring)
-    n = len(act.ring.variables)
-    eval_matrix = []
-    for theta in act.fields:
-        coeffs = theta.coefficient_polys()
-        row = [Fraction(0)] * n
-        for de, poly in coeffs.items():
-            slot = next(i for i, k in enumerate(de) if k)
-            row[slot] += poly.evaluate(p.coords)
-        eval_matrix.append(row)
-    kernel = left_nullspace(eval_matrix)
-    return LieSubalgebra(act.desc, tuple(tuple(v) for v in kernel))
+    # row `slot` holds the D_slot coefficient of each field at p
+    rows = [{} for _ in act.ring.variables]
+    for i, theta in enumerate(act.fields):
+        for de, poly in theta.coefficient_polys().items():
+            slot = next(k for k, d in enumerate(de) if d)
+            rows[slot][i] = poly.evaluate(p.coords)
+    kernel = nullspace(rows, act.desc.dim)
+    return LieSubalgebra(act.desc, tuple(tuple(v.get(i, 0) for i in range(act.desc.dim)) for v in kernel))
 
 
 @dataclass
 class CoinvariantsResult:
-    """Quotient of a module by the span of a subalgebra's action."""
+    """Quotient of a module by the span of a subalgebra's action.
 
-    dimension: int
+    The projection (dimension x module_dim) and the induced matrices
+    (dimension x dimension) are lists of sparse rows; `to_json` writes them
+    out dense.
+    """
+
+    module_dim: int
     projection: list
-    induced: list = field(default_factory=list)
+    induced: list
+
+    @property
+    def dimension(self) -> int:
+        return len(self.projection)
 
     def to_json(self) -> dict:
-        fmt = lambda m: [[f"{x.numerator}/{x.denominator}" for x in row] for row in m]
+        def fmt(rows, cols):
+            dense = ([row.get(j, 0) for j in range(cols)] for row in rows)
+            return [[f"{x.numerator}/{x.denominator}" for x in row] for row in dense]
+
         return {
             "dim": self.dimension,
-            "projection": fmt(self.projection),
-            "induced": [fmt(m) for m in self.induced],
+            "projection": fmt(self.projection, self.module_dim),
+            "induced": [fmt(m, self.dimension) for m in self.induced],
         }
 
 
@@ -253,7 +257,13 @@ def coinvariants(
         raise ValueError("subalgebra does not live in the module's acting algebra")
     if commuting is not None and not commuting.normalizes(sub):
         raise ValueError("designated subalgebra does not normalize the quotient data")
-    span_rows = [col for v in sub.vectors for col in transpose(rep.act_vector(list(v)))]
-    acting = [rep.act_vector(list(v)) for v in commuting.vectors] if commuting is not None else []
-    projection, induced = quotient(span_rows, rep.dim, acting)
-    return CoinvariantsResult(len(projection), projection, induced)
+    # a primitive integer multiple of each vector spans the same line and keeps the rows integral
+    span = [
+        col for v in sub.vectors
+        for col in transpose(rep.act_vector(sparse_to_int(dict(enumerate(v)))), rep.dim)
+    ]
+    acting = [] if commuting is None else [
+        rep.act_vector({i: c for i, c in enumerate(v) if c}) for v in commuting.vectors
+    ]
+    projection, induced = quotient(span, rep.dim, acting)
+    return CoinvariantsResult(rep.dim, projection, induced)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .lie import FinDimRep, dual_rep, external_tensor, sym_power_rep
-from .linalg import char_poly, mat_mul, quotient, rank, transpose
+from .linalg import char_poly, lincomb, mat_mul, quotient, rank, transpose
 from .reports import CheckReport
 
 
@@ -100,9 +100,9 @@ def _deflate(poly, root: Fraction):
 def _jordan_blocks(matrix, lam: Fraction, multiplicity: int) -> list:
     """Block sizes of the eigenvalue, from nullity jumps of powers."""
     n = len(matrix)
-    shifted = [[matrix[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+    shifted = [lincomb(((1, row), (-lam, {i: 1}))) for i, row in enumerate(matrix)]
     nullities = [0]
-    power = [row[:] for row in shifted]
+    power = shifted
     while nullities[-1] < multiplicity:
         nullities.append(n - rank(power))
         power = mat_mul(power, shifted)
@@ -117,7 +117,7 @@ def _jordan_blocks(matrix, lam: Fraction, multiplicity: int) -> list:
 def exponents_from_coinvariants(rep: FinDimRep) -> ExponentSet:
     """Generalized eigenvalues with Jordan data of the Cartan H on coinvariants
     by the image of the raising operator E."""
-    _, (induced,) = quotient(transpose(rep.matrix_of("E")), rep.dim, [rep.matrix_of("H")])
+    _, (induced,) = quotient(transpose(rep.matrix_of("E"), rep.dim), rep.dim, [rep.matrix_of("H")])
     if not induced:
         return ExponentSet(())
     eigen = _rational_eigenvalues(induced)
@@ -151,7 +151,7 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     """Left and right Cartan eigenvalues on the two-sided nilpotent coinvariants
     of V_m (x) V_m*; an auxiliary consistency view of the same exponents."""
     rep = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(m)))
-    span = transpose(rep.matrix_of("E1")) + transpose(rep.matrix_of("F2"))
+    span = transpose(rep.matrix_of("E1"), rep.dim) + transpose(rep.matrix_of("F2"), rep.dim)
     cartans = [rep.matrix_of(name) for name in ("H1", "H2")]
     _, (left, right) = quotient(span, rep.dim, cartans)
     return set(_rational_eigenvalues(left)), set(_rational_eigenvalues(right))

@@ -91,9 +91,12 @@ def _effective_bound(suite: str, bound: int | None) -> int | None:
 def _write_report(path, command: str, fields: dict) -> None:
     """Write a command's JSON report: the tool, version and command header plus `fields`."""
     payload = {"tool": "horocycle", "version": __version__, "command": command, **fields}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write the JSON report to {path}: {exc.strerror}")
 
 
 def _emit(reports: list[CheckReport], command: str, parameters: dict, json_path, quiet: bool):
@@ -211,7 +214,8 @@ def localize(rep_spec, point_spec, json_path, quiet):
             click.echo(f"  basis: {[str(x) for x in v]}")
         click.echo(f"coinvariants dimension: {result.dimension}")
         if commuting is not None and result.induced:
-            click.echo(f"induced Cartan matrix: {[[str(x) for x in row] for row in result.induced[0]]}")
+            cartan = [[str(row.get(j, 0)) for j in range(result.dimension)] for row in result.induced[0]]
+            click.echo(f"induced Cartan matrix: {cartan}")
         elif commuting is None:
             click.echo("induced Cartan action: not applicable (Cartan does not normalize stabilizer)")
     click.echo(f"dimension: {result.dimension}")

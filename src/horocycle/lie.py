@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import SparseElement
-from .linalg import frac
+from .linalg import frac, lincomb, transpose
 
 Exp = tuple[int, ...]
 
@@ -258,33 +258,11 @@ def tensor(u: UEnvElement, v: UEnvElement) -> UEnvElement:
 # --- finite dimensional representations --------------------------------------
 
 
-def _sparse_mul(a: dict, b: dict) -> dict:
-    """Product of two sparse matrices {(row, col): coefficient}."""
-    b_rows: dict = {}
-    for (k, j), y in b.items():
-        b_rows.setdefault(k, []).append((j, y))
-    out: dict = {}
-    for (i, k), x in a.items():
-        for j, y in b_rows.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + x * y
-    return {key: v for key, v in out.items() if v}
-
-
-def _sparse_combination(coeffs, mats) -> dict:
-    """sum_k coeffs[k] * mats[k] for sparse matrices."""
-    out: dict = {}
-    for k, c in coeffs.items():
-        for key, x in mats[k].items():
-            out[key] = out.get(key, 0) + c * x
-    return {key: v for key, v in out.items() if v}
-
-
 @dataclass(frozen=True)
 class FinDimRep:
     """Matrices for each basis element, satisfying the bracket relations.
 
-    Each matrix is stored once, sparse, as {(row, col): coefficient}; a
-    matrix given as a dense list of rows is converted on construction.
+    Each matrix is a list of `dim` sparse rows {column: coefficient}.
     """
 
     desc: LieAlgebraDesc
@@ -292,48 +270,48 @@ class FinDimRep:
     matrices: tuple
 
     def __post_init__(self):
-        mats = tuple(
-            m if isinstance(m, dict)
-            else {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
-            for m in self.matrices
-        )
-        object.__setattr__(self, "matrices", mats)
-        # [M_i, M_j] = sum_k c_k M_k; antisymmetry of the structure constants covers i >= j
+        mats = self.matrices
+        if len(mats) != self.desc.dim or any(
+            len(m) != self.dim or not all(isinstance(row, dict) for row in m) for m in mats
+        ):
+            raise ValueError("one matrix of dim sparse rows per basis element required")
+        # row by row, [M_i, M_j] - sum_k c_k M_k = 0; antisymmetry of the structure constants
+        # covers i >= j, and integral constants are taken as ints to keep int matrices int
         for i in range(self.desc.dim):
             for j in range(i + 1, self.desc.dim):
-                ab, ba = _sparse_mul(mats[i], mats[j]), _sparse_mul(mats[j], mats[i])
-                bracket = _sparse_combination(self.desc.bracket_vector(i, j), mats)
-                if _sparse_combination({0: 1, 1: -1}, (ab, ba)) != bracket:
-                    raise ValueError(f"bracket relation fails at ({i},{j})")
+                a, b = mats[i], mats[j]
+                bracket = [
+                    (-(int(c) if c.denominator == 1 else c), mats[k])
+                    for k, c in self.desc.bracket_vector(i, j).items()
+                ]
+                for r in range(self.dim):
+                    terms = [(x, b[k]) for k, x in a[r].items()] + [(-x, a[k]) for k, x in b[r].items()]
+                    if lincomb(terms + [(c, m[r]) for c, m in bracket]):
+                        raise ValueError(f"bracket relation fails at ({i},{j})")
 
-    def matrix_of(self, name: str):
-        i = self.desc.index(name)
-        return self.act_vector([int(k == i) for k in range(self.desc.dim)])
+    def matrix_of(self, name: str) -> list[dict]:
+        """The stored matrix of a basis element; callers do not mutate it."""
+        return self.matrices[self.desc.index(name)]
 
-    def act_vector(self, coeffs):
-        """Dense matrix of a Lie algebra element given by a coefficient vector."""
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(coeffs):
-            if c:
-                for (r, col), x in self.matrices[i].items():
-                    out[r][col] += c * x
-        return out
+    def act_vector(self, coeffs: dict) -> list[dict]:
+        """Matrix of the Lie algebra element with coefficients {basis index: c}."""
+        mats = self.matrices
+        return [lincomb((c, mats[i][r]) for i, c in coeffs.items()) for r in range(self.dim)]
 
 
 def sym_power_rep(m: int) -> FinDimRep:
     """Sym^m of the standard 2-dim representation, weight basis m, m-2, ..., -m."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    n = m + 1
-    E = {(j - 1, j): j for j in range(1, n)}
-    F = {(j + 1, j): m - j for j in range(m)}
-    H = {(j, j): m - 2 * j for j in range(n) if m != 2 * j}
-    return FinDimRep(sl2_desc(), n, (F, H, E))
+    E = [{j + 1: j + 1} for j in range(m)] + [{}]
+    F = [{}] + [{j: m - j} for j in range(m)]
+    H = [{j: m - 2 * j} if m != 2 * j else {} for j in range(m + 1)]
+    return FinDimRep(sl2_desc(), m + 1, (F, H, E))
 
 
 def dual_rep(v: FinDimRep) -> FinDimRep:
     """Dual action x -> -x^T."""
-    mats = tuple({(c, r): -x for (r, c), x in m.items()} for m in v.matrices)
+    mats = tuple([{c: -x for c, x in row.items()} for row in transpose(m, v.dim)] for m in v.matrices)
     return FinDimRep(v.desc, v.dim, mats)
 
 
@@ -347,12 +325,12 @@ def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimRep:
         pair = _SL2_PAIR
     else:
         pair = direct_sum(v.desc, w.desc)
-    # basis vector v_i (x) w_t has index i * k + t: A (x) 1 and 1 (x) B, entry by entry
+    # basis vector v_i (x) w_t has index i * k + t: A (x) 1 and 1 (x) B, row by row
     k = w.dim
     left = tuple(
-        {(i * k + t, j * k + t): x for (i, j), x in a.items() for t in range(k)} for a in v.matrices
+        [{j * k + t: x for j, x in row.items()} for row in a for t in range(k)] for a in v.matrices
     )
     right = tuple(
-        {(i * k + r, i * k + c): x for (r, c), x in b.items() for i in range(v.dim)} for b in w.matrices
+        [{i * k + c: x for c, x in row.items()} for i in range(v.dim) for row in b] for b in w.matrices
     )
     return FinDimRep(pair, v.dim * k, left + right)

@@ -1,14 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on matrices given as lists of lists of Fractions (or
-ints), returns fresh objects, and never rounds.  There is one eliminator,
-`IncrementalRank`, fraction-free in the manner of Bareiss (Math. Comp. 22,
-1968): it keeps primitive integer rows, clears denominators once per insert,
-and each reduction step cancels the gcd of the two multipliers before it
-cross-multiplies, then takes the content of the result once.  `rref` feeds
-it the rows of a dense matrix and reads the reduced echelon form off its
-mutually reduced pivot rows, so `rank`, `nullspace` and `quotient` avoid
-per-operation rational normalisation too.
+A vector is a sparse dict {index: coefficient} without zero entries, and a
+matrix is a list of such rows, so a matrix does not record its number of
+columns: functions that need it (`transpose`, `nullspace`, `quotient`) take
+it as an argument.  `lincomb` is the one kernel for linear combinations, and
+`mat_mul` is a `lincomb` per row.  Entries are ints or Fractions; nothing
+rounds, and functions return fresh objects.
+
+There is one eliminator, `IncrementalRank`, fraction-free in the manner of
+Bareiss (Math. Comp. 22, 1968): it keeps primitive integer rows, clears
+denominators once per insert, and each reduction step cancels the gcd of the
+two multipliers before it cross-multiplies, then takes the content of the
+result once.  `rref` feeds it the rows and reads the reduced echelon form
+off its mutually reduced pivot rows, so `rank`, `nullspace` and `quotient`
+avoid per-operation rational normalisation too.
 """
 
 from __future__ import annotations
@@ -21,98 +26,76 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def zeros(n: int, m: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * m for _ in range(n)]
+def lincomb(pairs) -> dict:
+    """The sparse vector sum of c * vec over the (c, vec) pairs."""
+    out: dict = {}
+    get = out.get
+    for c, vec in pairs:
+        for k, x in vec.items():
+            out[k] = get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
-def transpose(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
-
-
-def mat_mul(a, b) -> list[list[Fraction]]:
-    if not a or not b:
-        return []
-    n, m = len(a), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i, row in enumerate(a):
-        acc = out[i]
-        for k, x in enumerate(row):
-            if not x:
-                continue
-            brow = b[k]
-            for j, y in enumerate(brow):
-                if y:
-                    acc[j] += x * y
+def transpose(mat: list[dict], cols: int) -> list[dict]:
+    out: list[dict] = [{} for _ in range(cols)]
+    for i, row in enumerate(mat):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    return [lincomb((x, b[k]) for k, x in row.items()) for row in a]
 
 
-def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices).
+def rref(mat: list[dict]) -> tuple[list[dict], list[int]]:
+    """(the nonzero rows of the reduced row echelon form, their pivot columns).
 
     The rows go through one IncrementalRank; its mutually reduced rows, each
-    divided by its pivot entry, are the nonzero rows of R, since a row space
-    has exactly one reduced echelon form.
+    divided by its pivot entry, are the nonzero rows of the reduced form,
+    since a row space has exactly one reduced echelon form.
     """
-    cols = len(mat[0]) if mat else 0
     elim = IncrementalRank()
     for row in mat:
-        elim.add({j: x for j, x in enumerate(row) if x})
+        elim.add(row)
     pivots = sorted(elim.pivots)
     out = []
     for c in pivots:
         vec = elim.pivots[c]
-        r = [Fraction(0)] * cols
-        for j, x in vec.items():
-            r[j] = Fraction(x, vec[c])
-        out.append(r)
-    out += [[Fraction(0)] * cols for _ in range(len(mat) - len(pivots))]
+        out.append({j: Fraction(x, vec[c]) for j, x in vec.items()})
     return out, pivots
 
 
-def rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
+def rank(mat: list[dict]) -> int:
     return len(rref(mat)[1])
 
 
-def _kernel(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """(basis of {v : M v = 0}, one vector per row; its free columns).
+def _kernel(rows: list[dict], n: int) -> tuple[list[dict], list[int]]:
+    """(basis of {v in Q^n : M v = 0} for the matrix M with these rows; its free columns).
 
     Basis vector k is 1 at the k-th free column and 0 at the other free
     columns, so the basis restricted to the free columns is the identity.
     """
-    cols = len(mat[0])
-    r, pivots = rref(mat)
-    free = sorted(set(range(cols)) - set(pivots))
+    r, pivots = rref(rows)
+    free = sorted(set(range(n)) - set(pivots))
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
+        v = {fc: Fraction(1)}
+        for row, pc in zip(r, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis, free
 
 
-def nullspace(mat) -> list[list[Fraction]]:
-    """Basis of the right null space {v : M v = 0}, one vector per row."""
-    return _kernel(mat)[0] if mat else []
+def nullspace(rows: list[dict], n: int) -> list[dict]:
+    """Basis of the right null space {v in Q^n : M v = 0} of the matrix with these rows."""
+    return _kernel(rows, n)[0]
 
 
-def left_nullspace(mat) -> list[list[Fraction]]:
-    """Basis of {y : y M = 0}."""
-    return nullspace(transpose(mat))
-
-
-def quotient(span, n: int, acting=()):
-    """Quotient of an n-dimensional space by the row span of `span`, with the
-    induced actions of the matrices in `acting`.
+def quotient(span: list[dict], n: int, acting=()):
+    """Quotient of Q^n by the span of the vectors `span`, with the induced
+    actions of the n x n matrices in `acting`.
 
     Returns (Y, [T for each A in acting]): Y is a full-row-rank matrix whose
     kernel is exactly the span, so v -> Y v gives coordinates on the quotient,
@@ -120,35 +103,33 @@ def quotient(span, n: int, acting=()):
     T is those columns of Y A.  Raises ValueError when some A does not
     preserve the span.
     """
-    y, free = _kernel(span or zeros(1, n))
+    y, free = _kernel(span, n)
     if not y:
-        return [], [zeros(0, 0) for _ in acting]
+        return [], [[] for _ in acting]
+    slot = {c: i for i, c in enumerate(free)}
     induced = []
     for a in acting:
         ya = mat_mul(y, a)
-        t = [[row[c] for c in free] for row in ya]
+        t = [{slot[c]: x for c, x in row.items() if c in slot} for row in ya]
         if mat_mul(t, y) != ya:
             raise ValueError("action does not descend to the quotient")
         induced.append(t)
     return y, induced
 
 
-def char_poly(mat) -> list[Fraction]:
+def char_poly(mat: list[dict]) -> list[Fraction]:
     """Characteristic polynomial det(xI - M), coefficients from x^n down to x^0.
 
     Faddeev-LeVerrier; exact over Fraction.
     """
     n = len(mat)
-    m = [[frac(x) for x in row] for row in mat]
     coeffs = [Fraction(1)]
-    a = [row[:] for row in m]
+    a = mat
     for k in range(1, n + 1):
-        c = -sum(a[i][i] for i in range(n)) / k
+        c = -sum((row.get(i, 0) for i, row in enumerate(a)), Fraction(0)) / k
         coeffs.append(c)
         if k < n:
-            for i in range(n):
-                a[i][i] += c
-            a = mat_mul(m, a)
+            a = mat_mul(mat, [lincomb(((1, row), (c, {i: 1}))) for i, row in enumerate(a)])
     return coeffs
 
 

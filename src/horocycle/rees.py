@@ -31,7 +31,7 @@ from .exactalg import (
     sl2_ring,
 )
 from .linalg import IncrementalRank, frac
-from .reports import CheckReport, ReportItem
+from .reports import CheckReport
 from .weyl import WeylOp, apply_op, preserves_ideal, relative_fields
 
 
@@ -176,7 +176,7 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     a space of the same dimension as the strict relative-field kernel on the
     free ring.
     """
-    items = []
+    report = CheckReport(check="tau", parameters={"level_bound": level_bound})
     for level in range(level_bound + 1):
         basis = sl2_derivation_space(1 + level, (1 + level) % 2)
         dim_lhs = len(basis)
@@ -190,14 +190,11 @@ def tau_check(level_bound: int = 4) -> CheckReport:
             if elim.add(_free_coords(frees)):
                 independent += 1
         dim_rhs = _free_relative_kernel_dim(1 + level)
-        ok = all_relative and independent == dim_lhs and dim_lhs == dim_rhs
-        items.append(
-            ReportItem(
-                name=f"level {level}: lifted derivations = relative fields",
-                expected=f"dim {dim_rhs}, all images kill the base coordinates",
-                got=f"dim {dim_lhs}, independent {independent}, relative {all_relative}",
-                passed=ok,
-            )
+        report.add(
+            f"level {level}: lifted derivations = relative fields",
+            f"dim {dim_rhs}, all images kill the base coordinates",
+            f"dim {dim_lhs}, independent {independent}, relative {all_relative}",
+            all_relative and independent == dim_lhs and dim_lhs == dim_rhs,
         )
     # spot checks on the presentation ring itself
     ring = sl2_ring()
@@ -209,20 +206,13 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     for name, theta in spots:
         lifted = tau_map(theta)
         kills_z = all(de[4] == 0 for _, de in lifted.terms)
-        ok = kills_z and preserves_ideal(lifted, REES_RING)
-        items.append(
-            ReportItem(
-                name=f"tau({name}) is relative on the presentation",
-                expected="kills z and preserves the relation",
-                got=f"kills z: {kills_z}",
-                passed=ok,
-            )
+        report.add(
+            f"tau({name}) is relative on the presentation",
+            "kills z and preserves the relation",
+            f"kills z: {kills_z}",
+            kills_z and preserves_ideal(lifted, REES_RING),
         )
-    return CheckReport(
-        check="tau",
-        parameters={"level_bound": level_bound},
-        items=items,
-    )
+    return report
 
 
 # --- associated graded comparison ---------------------------------------------
@@ -254,14 +244,10 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
     The graded side is realised concretely as the span of the built-in
     action's six fields with homogeneous coefficients on the rank-one cone.
     """
-    items = [
-        ReportItem(
-            name="level BOTTOM",
-            expected="0",
-            got="0",
-            passed=True,
-        )
-    ]
+    report = CheckReport(
+        check="grderv", parameters={"level_bound": level_bound, "coef_bound": coef_bound}
+    )
+    report.add("level BOTTOM", 0, 0, True)
     lhs_cache: dict[tuple, int] = {}
 
     def lhs_dim(cap: int, parity: int) -> int:
@@ -284,26 +270,15 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
                 if n not in rhs_cache:
                     rhs_cache[n] = _graded_span_dim(n)
                 rhs = rhs_cache[n]
-            items.append(
-                ReportItem(
-                    name=f"level {n}, coefficient degree <= {dcap}",
-                    expected=str(rhs),
-                    got=str(lhs),
-                    passed=lhs == rhs,
-                )
-            )
-    return CheckReport(
-        check="grderv",
-        parameters={"level_bound": level_bound, "coef_bound": coef_bound},
-        items=items,
-    )
+            report.add(f"level {n}, coefficient degree <= {dcap}", rhs, lhs, lhs == rhs)
+    return report
 
 
 def rees_dimension_check(bound: int = 6) -> CheckReport:
     """Graded/filtered dimension tables of the presentation and its two fibers."""
     fiber1 = rees_fiber(1)
     fiber0 = rees_fiber(0)
-    items = []
+    report = CheckReport(check="rees", parameters={"bound": bound})
     t_rees = {}
     for lam in range(bound + 1):
         t_rees[lam] = len(rees_graded_monomials(lam))
@@ -311,39 +286,16 @@ def rees_dimension_check(bound: int = 6) -> CheckReport:
             len(fiber1.nf_monomials(k))
             for k in range(lam % 2, lam + 1, 2)
         )
-        items.append(
-            ReportItem(
-                name=f"weight {lam}: presentation piece = filtered piece at z=1",
-                expected=str(filt),
-                got=str(t_rees[lam]),
-                passed=t_rees[lam] == filt,
-            )
+        report.add(
+            f"weight {lam}: presentation piece = filtered piece at z=1", filt, t_rees[lam], t_rees[lam] == filt
         )
     for lam in range(bound + 1):
         gr = len(fiber0.nf_monomials(lam))
         prev = t_rees.get(lam - 2, 0)
-        items.append(
-            ReportItem(
-                name=f"weight {lam}: presentation jump = graded piece at z=0",
-                expected=str(gr),
-                got=str(t_rees[lam] - prev),
-                passed=t_rees[lam] - prev == gr,
-            )
-        )
-    items.append(
-        ReportItem(
-            name="fiber at z=1 relation",
-            expected="a d - b c - 1",
-            got="matches" if fiber1.key == sl2_ring().key else "differs",
-            passed=fiber1.key == sl2_ring().key,
-        )
-    )
-    items.append(
-        ReportItem(
-            name="fiber at z=0 relation",
-            expected="a d - b c",
-            got="matches" if fiber0.key == horocycle_ring().key else "differs",
-            passed=fiber0.key == horocycle_ring().key,
-        )
-    )
-    return CheckReport(check="rees", parameters={"bound": bound}, items=items)
+        jump = t_rees[lam] - prev
+        report.add(f"weight {lam}: presentation jump = graded piece at z=0", gr, jump, jump == gr)
+    fibers = ((1, fiber1, "a d - b c - 1", sl2_ring()), (0, fiber0, "a d - b c", horocycle_ring()))
+    for z, fiber, relation, ring in fibers:
+        same = fiber.key == ring.key
+        report.add(f"fiber at z={z} relation", relation, "matches" if same else "differs", same)
+    return report

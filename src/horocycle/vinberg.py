@@ -43,7 +43,7 @@ from .lie import (
     sym_power_rep,
     tensor,
 )
-from .linalg import IncrementalRank, char_poly, mat_add, quotient, transpose
+from .linalg import IncrementalRank, char_poly, quotient, transpose
 from .reports import CheckReport
 from .weyl import WeylOp, commutator, apply_op, euler_op, is_relative, op_to_text, relative_fields
 
@@ -706,7 +706,7 @@ def parabolic_rank1_check(rep_bound: int = 3, points=None) -> CheckReport:
         return tuple(v)
 
     n_sub = LieSubalgebra(pair, (unit(2), unit(3)))  # E on the left, F on the right
-    hh = LieSubalgebra(pair, (unit(1), unit(4)))
+    hh = LieSubalgebra(pair, (tuple(x + y for x, y in zip(unit(1), unit(4))), unit(1)))  # H1 + H2, H1
     cartan_left = LieSubalgebra(pair, (unit(1),))
 
     for p in points:
@@ -716,9 +716,9 @@ def parabolic_rank1_check(rep_bound: int = 3, points=None) -> CheckReport:
     staged = []
     for name, module in _rep_family(rep_bound):
         stage1 = coinvariants(module, n_sub, commuting=hh)
-        t_h1, t_h2 = stage1.induced
+        t_sum, t_h1 = stage1.induced
         # [H1, H1 + H2] = 0, so H1 descends to the quotient by H1 + H2
-        proj2, (cartan,) = quotient(transpose(mat_add(t_h1, t_h2)), stage1.dimension, [t_h1])
+        proj2, (cartan,) = quotient(transpose(t_sum, stage1.dimension), stage1.dimension, [t_h1])
         staged.append((name, module, len(proj2), char_poly(cartan)))
     for p in points:
         dir_stab = stabilizer_subalgebra(act0, p)

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, fmt_coef
-from .linalg import frac, nullspace, zeros
+from .linalg import frac, nullspace
 
 Exp = tuple[int, ...]
 Key = tuple[Exp, Exp]
@@ -197,23 +197,16 @@ def relative_fields(ring: QuotientRing, f: ExactPoly, monomials) -> list[tuple]:
     gradient = [apply_op(WeylOp.partial(variables, v), f) for v in variables]
     monomials = list(monomials)
     unknowns = [(i, e) for i in range(len(variables)) for e in monomials]
-    rows: dict = {}
-    columns = []
-    for i, e in unknowns:
-        col = ring.normal_form(ExactPoly.monomial(variables, e) * gradient[i]).terms
-        for te in col:
-            rows.setdefault(te, len(rows))
-        columns.append(col)
-    mat = zeros(max(len(rows), 1), len(unknowns))
-    for j, col in enumerate(columns):
-        for te, c in col.items():
-            mat[rows[te]][j] = c
+    rows: dict = {}  # monomial of theta(f) -> its row {unknown: coefficient}
+    for j, (i, e) in enumerate(unknowns):
+        for te, c in ring.normal_form(ExactPoly.monomial(variables, e) * gradient[i]).terms.items():
+            rows.setdefault(te, {})[j] = c
     basis = []
-    for vec in nullspace(mat):
+    for vec in nullspace(list(rows.values()), len(unknowns)):
         coeffs = [{} for _ in variables]
-        for (i, e), v in zip(unknowns, vec):
-            if v:
-                coeffs[i][e] = v
+        for j, v in sorted(vec.items()):
+            i, e = unknowns[j]
+            coeffs[i][e] = v
         basis.append(tuple(ExactPoly(variables, t) for t in coeffs))
     return basis
 

@@ -1,0 +1,23 @@
+"""Dense <-> sparse-row conversions, so that tests can state matrices densely.
+
+`horocycle` stores a matrix as a list of sparse rows {column: entry}.
+"""
+
+from fractions import Fraction
+
+from horocycle.linalg import mat_mul
+
+
+def sparse(mat):
+    """The sparse rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def dense(rows, cols):
+    """The dense matrix with `cols` columns of a list of sparse rows."""
+    return [[row.get(j, Fraction(0)) for j in range(cols)] for row in rows]
+
+
+def dense_mul(a, b):
+    """The product of two dense matrices, formed by the sparse `mat_mul`."""
+    return dense(mat_mul(sparse(a), sparse(b)), len(b[0]) if b else 0)

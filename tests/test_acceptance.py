@@ -223,7 +223,7 @@ def test_criterion_11_kernel_soundness():
             module = external_tensor(sym_power_rep(2), dual_rep(sym_power_rep(1)))
             res = coinvariants(module, s)
             for v in s.vectors:
-                if any(x for row in mat_mul(res.projection, module.act_vector(list(v))) for x in row):
+                if any(mat_mul(res.projection, module.act_vector(dict(enumerate(v))))):
                     return False
 
         runner = CliRunner()

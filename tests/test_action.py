@@ -42,8 +42,8 @@ def field_of(act, name):
 
 
 def contains(sub, vec):
-    rows = [list(v) for v in sub.vectors]
-    return rank(rows) == rank(rows + [[Fraction(x) for x in vec]])
+    rows = [dict(enumerate(v)) for v in sub.vectors]
+    return rank(rows) == rank(rows + [dict(enumerate(vec))])
 
 
 def localization_fiber(mod, act, p):
@@ -198,7 +198,7 @@ def test_coinvariants_projection_annihilates_action():
     mod = module(2, 2)
     res = coinvariants(mod, s)
     for v in s.vectors:
-        assert not any(x for row in mat_mul(res.projection, mod.act_vector(list(v))) for x in row)
+        assert not any(mat_mul(res.projection, mod.act_vector(dict(enumerate(v)))))
 
 
 def test_fiber_dimension_constant_on_orbits():

@@ -12,6 +12,7 @@ from horocycle.asymptotics import (
     matrix_coefficient_exponents,
 )
 from horocycle.lie import sym_power_rep
+from matrices import sparse
 
 
 def test_coinvariant_exponent_examples():
@@ -42,15 +43,15 @@ def test_leading_exponent_checks_through_eight():
 
 def test_jordan_machinery_on_synthetic_nilpotent():
     # synthetic: a nilpotent Cartan action, as would arise from a non-semisimple input
-    nilp = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+    nilp = sparse([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
     eigen = _rational_eigenvalues(nilp)
     assert eigen == [Fraction(0), Fraction(0)]
     assert _jordan_blocks(nilp, Fraction(0), 2) == [2]
-    mixed = [
+    mixed = sparse([
         [Fraction(3), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(3), Fraction(1)],
         [Fraction(0), Fraction(0), Fraction(3)],
-    ]
+    ])
     assert _jordan_blocks(mixed, Fraction(3), 3) == [2, 1]
 
 

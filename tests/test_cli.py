@@ -70,6 +70,52 @@ def test_localize_point_needs_four_coordinates(point):
     assert "--point expects four rationals" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "identities", "--quiet"],
+        ["exponents", "--m", "1"],
+        ["localize", "--rep", "1,1", "--point", "1,0,0,1"],
+    ],
+    ids=["verify", "exponents", "localize"],
+)
+def test_unwritable_json_path_is_usage_error(tmp_path, args):
+    path = tmp_path / "missing" / "report.json"
+    result = invoke(args + ["--json", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "cannot write the JSON report" in result.output
+    assert not path.exists()
+
+
+LOCALIZE_ECHO = {
+    ("3,3", "0,1,0,0"): """chart: det=0
+stabilizer dimension: 3
+  basis: ['0', '0', '1', '0', '0', '0']
+  basis: ['0', '-1', '0', '0', '1', '0']
+  basis: ['0', '0', '0', '0', '0', '1']
+coinvariants dimension: 1
+induced Cartan matrix: [['-3']]
+dimension: 1
+""",
+    ("2,2", "1,1,0,1"): """chart: det=1
+stabilizer dimension: 3
+  basis: ['1', '1', '-1', '1', '0', '0']
+  basis: ['0', '1', '-2', '0', '1', '0']
+  basis: ['0', '0', '1', '0', '0', '1']
+coinvariants dimension: 1
+induced Cartan action: not applicable (Cartan does not normalize stabilizer)
+dimension: 1
+""",
+}
+
+
+@pytest.mark.parametrize("rep,point", sorted(LOCALIZE_ECHO), ids=lambda x: x)
+def test_localize_echo(rep, point):
+    result = invoke(["localize", "--rep", rep, "--point", point])
+    assert result.exit_code == 0
+    assert result.stdout == LOCALIZE_ECHO[rep, point]
+
+
 def test_json_report_schema_and_determinism(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -16,7 +16,7 @@ from horocycle.lie import (
     sym_power_rep,
     tensor,
 )
-from horocycle.linalg import mat_mul
+from matrices import dense, dense_mul, sparse
 from pbw_oracle import random_pbw_normal_form, word_product
 
 
@@ -24,8 +24,13 @@ def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def dense_of(rep, name):
+    return dense(rep.matrix_of(name), rep.dim)
+
+
 def basis_matrix(rep, i):
-    return rep.matrix_of(rep.desc.basis[i])
+    return dense_of(rep, rep.desc.basis[i])
+
 
 
 def gens():
@@ -62,7 +67,7 @@ def act_uenv(rep, u):
         m = identity(rep.dim)
         for i, k in enumerate(e):
             for _ in range(k):
-                m = mat_mul(m, basis_matrix(rep, i))
+                m = dense_mul(m, basis_matrix(rep, i))
         out = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(out, m)]
     return out
 
@@ -95,30 +100,41 @@ def test_pbw_confluence_random_strategies():
 
 def test_sym_power_weights():
     rep = sym_power_rep(2)
-    H = rep.matrix_of("H")
+    H = dense_of(rep, "H")
     assert [H[i][i] for i in range(3)] == [2, 0, -2]
     rep0 = sym_power_rep(0)
     assert all(x == 0 for i in range(3) for row in basis_matrix(rep0, i) for x in row)
     rep1 = sym_power_rep(1)
-    assert [rep1.matrix_of("H")[i][i] for i in range(2)] == [1, -1]
+    assert [dense_of(rep1, "H")[i][i] for i in range(2)] == [1, -1]
 
 
 def test_rep_validation_rejects_bad_matrices():
     d = sl2_desc()
-    bad = [identity(2) for _ in range(3)]
+    bad = [sparse(identity(2)) for _ in range(3)]
     with pytest.raises(ValueError):
         FinDimRep(d, 2, tuple(bad))
 
 
+def test_rep_takes_only_sparse_rows_of_the_right_shape():
+    rep = sym_power_rep(1)
+    F, H, E = (dense_of(rep, name) for name in ("F", "H", "E"))
+    with pytest.raises(ValueError, match="sparse rows"):
+        FinDimRep(rep.desc, 2, (F, H, E))  # dense rows
+    with pytest.raises(ValueError, match="sparse rows"):
+        FinDimRep(rep.desc, 2, rep.matrices[:2])  # a matrix missing
+    with pytest.raises(ValueError, match="sparse rows"):
+        FinDimRep(rep.desc, 3, rep.matrices)  # rows missing
+
+
 def test_rep_validation_rejects_one_changed_entry():
     rep = sym_power_rep(3)
-    F, H, E = ([row[:] for row in rep.matrix_of(name)] for name in ("F", "H", "E"))
-    FinDimRep(rep.desc, 4, (F, H, E))
+    F, H, E = (dense_of(rep, name) for name in ("F", "H", "E"))
+    FinDimRep(rep.desc, 4, (sparse(F), sparse(H), sparse(E)))
     for r, c in ((0, 1), (1, 2), (2, 3), (0, 2), (3, 0), (2, 1)):
         bad = [row[:] for row in E]
         bad[r][c] += 1
         with pytest.raises(ValueError, match="bracket relation"):
-            FinDimRep(rep.desc, 4, (F, H, bad))
+            FinDimRep(rep.desc, 4, (sparse(F), sparse(H), sparse(bad)))
 
 
 def test_direct_sum_rep_rejects_noncommuting_factors():
@@ -127,13 +143,13 @@ def test_direct_sum_rep_rejects_noncommuting_factors():
     line = LieAlgebraDesc(("x",), {})
     pair = direct_sum(line, LieAlgebraDesc(("y",), {}))
     with pytest.raises(ValueError, match="bracket relation"):
-        FinDimRep(pair, 2, ([[1, 0], [0, 0]], [[0, 1], [0, 0]]))
-    assert FinDimRep(pair, 2, ([[1, 0], [0, 2]], [[3, 0], [0, 0]])).dim == 2
+        FinDimRep(pair, 2, (sparse([[1, 0], [0, 0]]), sparse([[0, 1], [0, 0]])))
+    assert FinDimRep(pair, 2, (sparse([[1, 0], [0, 2]]), sparse([[3, 0], [0, 0]]))).dim == 2
 
 
 def test_dual_rep():
     rep = dual_rep(sym_power_rep(1))
-    H = rep.matrix_of("H")
+    H = dense_of(rep, "H")
     assert [H[i][i] for i in range(2)] == [-1, 1]
 
 
@@ -144,7 +160,7 @@ def test_external_tensor_commuting_actions():
     for i in range(3):
         for j in range(3, 6):
             a, b = basis_matrix(rep, i), basis_matrix(rep, j)
-            assert mat_mul(a, b) == mat_mul(b, a)
+            assert dense_mul(a, b) == dense_mul(b, a)
     trivial = external_tensor(sym_power_rep(0), sym_power_rep(0))
     assert trivial.dim == 1
     assert all(x == 0 for i in range(6) for row in basis_matrix(trivial, i) for x in row)

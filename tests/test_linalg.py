@@ -6,7 +6,7 @@ import pytest
 from horocycle.linalg import (
     IncrementalRank,
     char_poly,
-    left_nullspace,
+    lincomb,
     mat_mul,
     nullspace,
     quotient,
@@ -14,6 +14,7 @@ from horocycle.linalg import (
     rref,
     transpose,
 )
+from matrices import dense, dense_mul, sparse
 
 
 def identity(n):
@@ -22,6 +23,14 @@ def identity(n):
 
 def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+
+def padded_rref(mat):
+    """rref of a dense matrix, written out dense with its zero rows, as dense_rref gives it."""
+    cols = len(mat[0]) if mat else 0
+    red, pivots = rref(sparse(mat))
+    return dense(red, cols) + [[Fraction(0)] * cols for _ in range(len(mat) - len(red))], pivots
 
 
 def rand_matrix(rng, n, m, density=0.6):
@@ -79,14 +88,14 @@ def test_rref_matches_dense_gauss_jordan():
         if n > 2 and i % 13 == 0:
             mat.append([2 * x - y for x, y in zip(mat[0], mat[1])])  # a dependent row
         expected = dense_rref(mat)
-        assert rref(mat) == expected, mat
-        assert all(type(x) is Fraction for row in rref(mat)[0] for x in row)
+        assert padded_rref(mat) == expected, mat
+        assert all(type(x) is Fraction for row in rref(sparse(mat))[0] for x in row.values())
 
 
 def test_rref_and_rank_consistency():
     rng = random.Random(5)
     for _ in range(50):
-        m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        m = sparse(rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
         r, pivots = rref(m)
         assert rank(m) == len(pivots)
 
@@ -95,17 +104,34 @@ def test_nullspace_is_kernel():
     rng = random.Random(6)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        for v in nullspace(m):
-            assert all(x == 0 for x in mat_vec(m, v))
-        assert len(nullspace(m)) == len(m[0]) - rank(m)
+        cols = len(m[0])
+        for v in nullspace(sparse(m), cols):
+            assert all(x == 0 for x in mat_vec(m, dense([v], cols)[0]))
+        assert len(nullspace(sparse(m), cols)) == cols - rank(sparse(m))
 
 
 def test_left_nullspace():
+    # {y : y M = 0} is the null space of the transpose
     rng = random.Random(7)
     for _ in range(30):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        for y in left_nullspace(m):
-            assert all(x == 0 for x in mat_vec(transpose(m), y))
+        rows, cols = len(m), len(m[0])
+        mt = [list(col) for col in zip(*m)]
+        assert dense(transpose(sparse(m), cols), rows) == mt
+        for y in nullspace(transpose(sparse(m), cols), rows):
+            assert all(x == 0 for x in mat_vec(mt, dense([y], rows)[0]))
+
+
+def test_lincomb_and_mat_mul():
+    assert lincomb([(2, {0: 1, 1: 3}), (-3, {1: 2, 2: Fraction(1, 3)})]) == {0: 2, 2: -1}
+    assert lincomb([(1, {0: 1}), (-1, {0: 1})]) == {}
+    rng = random.Random(10)
+    for _ in range(30):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = rand_matrix(rng, n, k), rand_matrix(rng, k, m)
+        expected = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)] for i in range(n)]
+        assert dense_mul(a, b) == expected
+        assert all(x for row in mat_mul(sparse(a), sparse(b)) for x in row.values())
 
 
 def test_incremental_rank_matches_dense():
@@ -119,8 +145,7 @@ def test_incremental_rank_matches_dense():
         elim = IncrementalRank()
         for c in cols:
             elim.add(c)
-        dense = [[cols[j].get(i, Fraction(0)) for j in range(k)] for i in range(n)]
-        assert elim.rank == rank(dense)
+        assert elim.rank == rank(transpose(cols, n))
 
 
 def test_incremental_rank_reduce():
@@ -155,22 +180,18 @@ def test_incremental_rank_pivot_profile():
         for v in vecs:
             before = elim.rank
             assert elim.add({n - 1 - i: c for i, c in v.items()}) == (elim.rank > before)
-        dense = [[Fraction(v.get(i, 0)) for i in range(n)] for v in vecs]
-        assert elim.rank == (rank(dense) if dense else 0)
+        assert elim.rank == rank(vecs)
         for cutoff in range(n):
             # brute force: dim of span intersected with coords <= cutoff
-            if not dense:
-                expected = 0
-            else:
-                full = rank(dense)
-                outside = rank([[row[i] for i in range(cutoff + 1, n)] for row in dense]) if cutoff + 1 < n else 0
-                expected = full - outside
+            full = rank(vecs)
+            outside = rank([{i: x for i, x in v.items() if i > cutoff} for v in vecs])
+            expected = full - outside
             got = sum(1 for key in elim.pivots if key >= n - 1 - cutoff)
             assert got == expected, (vecs, cutoff)
 
 
 def test_char_poly():
-    m = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
+    m = sparse([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]])
     assert char_poly(m) == [Fraction(1), Fraction(-5), Fraction(6)]
     assert char_poly([]) == [Fraction(1)]
 
@@ -180,12 +201,12 @@ def test_quotient():
     for _ in range(30):
         n = rng.randint(2, 6)
         vectors = [list(row) for row in rand_matrix(rng, rng.randint(1, 4), n)]
-        y, induced = quotient(vectors, n)
+        y, induced = quotient(sparse(vectors), n)
         assert induced == []
-        assert len(y) == n - rank(transpose(vectors))
+        assert len(y) == n - rank(transpose(sparse(vectors), n))
         for v in vectors:
             if y:
-                assert all(x == 0 for x in mat_vec(y, v))
+                assert all(x == 0 for x in mat_vec(dense(y, n), v))
 
 
 def _inverse(mat):
@@ -203,31 +224,31 @@ def test_quotient_induced_actions():
         n = rng.randint(2, 6)
         k = rng.randint(1, n - 1)
         s = rand_matrix(rng, n, n, density=0.7)
-        if rank(s) < n:
+        if rank(sparse(s)) < n:
             continue
         s_inv = _inverse(s)
         u = rand_matrix(rng, n, n)
         for i in range(k, n):
             for j in range(k):
                 u[i][j] = Fraction(0)
-        span = transpose(s)[:k]
-        a = mat_mul(mat_mul(s, u), s_inv)
-        y, (t,) = quotient(span, n, [a])
+        span = [list(col) for col in zip(*s)][:k]
+        a = dense_mul(dense_mul(s, u), s_inv)
+        y, (t,) = quotient(sparse(span), n, [sparse(a)])
         assert len(y) == n - k
-        assert all(x == 0 for v in span for x in mat_vec(y, v))
-        assert mat_mul(t, y) == mat_mul(y, a)
+        assert all(x == 0 for v in span for x in mat_vec(dense(y, n), v))
+        assert mat_mul(t, y) == mat_mul(y, sparse(a))
         u[rng.randrange(k, n)][rng.randrange(k)] = Fraction(rng.choice((-2, -1, 1, 3)))
         with pytest.raises(ValueError):
-            quotient(span, n, [mat_mul(mat_mul(s, u), s_inv)])
+            quotient(sparse(span), n, [sparse(dense_mul(dense_mul(s, u), s_inv))])
         cases += 1
     assert cases >= 20
-    span = [[1, 0, 0]]
-    keeps = [[1, 2, 3], [0, 4, 5], [0, 6, 7]]  # first column lies in the span
+    span = sparse([[1, 0, 0]])
+    keeps = sparse([[1, 2, 3], [0, 4, 5], [0, 6, 7]])  # first column lies in the span
     y, (t,) = quotient(span, 3, [keeps])
     assert len(y) == 2
     assert mat_mul(t, y) == mat_mul(y, keeps)
-    moves = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]  # e1 -> e2 leaves the span
+    moves = sparse([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # e1 -> e2 leaves the span
     with pytest.raises(ValueError):
         quotient(span, 3, [moves])
-    assert quotient([], 2) == (identity(2), [])
-    assert quotient(identity(2), 2, [identity(2), identity(2)]) == ([], [[], []])
+    assert quotient([], 2) == (sparse(identity(2)), [])
+    assert quotient(sparse(identity(2)), 2, [sparse(identity(2))] * 2) == ([], [[], []])

@@ -157,12 +157,14 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     return set(_rational_eigenvalues(left)), set(_rational_eigenvalues(right))
 
 
-def leading_exponent_check(m: int) -> CheckReport:
-    """Coinvariant exponents against the symbolic oracle for Sym^m."""
+def leading_exponent_check(m: int, exps=None, bimodule=None) -> CheckReport:
+    """Coinvariant exponents against the symbolic oracle for Sym^m; a caller that
+    has computed them or `bimodule_exponents(m)` passes `exps` and `bimodule`."""
     if m < 0:
         raise ValueError("m must be non-negative")
     report = CheckReport(check="exponents", parameters={"m": m})
-    exps = exponents_from_coinvariants(sym_power_rep(m))
+    if exps is None:
+        exps = exponents_from_coinvariants(sym_power_rep(m))
     oracle = matrix_coefficient_exponents(m)
     leading = min(oracle)
     coin = exps.eigenvalues
@@ -190,7 +192,7 @@ def leading_exponent_check(m: int) -> CheckReport:
         str(exps.max_log_power()),
         exps.max_log_power() == 0,
     )
-    left, right = bimodule_exponents(m)
+    left, right = bimodule or bimodule_exponents(m)
     report.add(
         f"Sym^{m}: two-sided coinvariant left exponents match",
         str(sorted(coin)),

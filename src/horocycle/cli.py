@@ -145,10 +145,10 @@ def verify(suite, bound, json_path, quiet):
 @click.option("--quiet", is_flag=True)
 def exponents(m, json_path, quiet):
     """Asymptotic exponents of Sym^m: coinvariants against the symbolic oracle."""
-    report = leading_exponent_check(m)
     exps = exponents_from_coinvariants(sym_power_rep(m))
+    left, right = bimodule = bimodule_exponents(m)
+    report = leading_exponent_check(m, exps, bimodule)
     oracle = sorted(matrix_coefficient_exponents(m))
-    left, right = bimodule_exponents(m)
     if not quiet:
         click.echo(f"coinvariant exponents: {exps.to_json()}")
         click.echo(f"oracle exponents: {oracle}")

@@ -8,12 +8,12 @@ it as an argument.  `lincomb` is the one kernel for linear combinations, and
 rounds, and functions return fresh objects.
 
 There is one eliminator, `IncrementalRank`, fraction-free in the manner of
-Bareiss (Math. Comp. 22, 1968): it keeps primitive integer rows, clears
-denominators once per insert, and each reduction step cancels the gcd of the
-two multipliers before it cross-multiplies, then takes the content of the
-result once.  `rref` feeds it the rows and reads the reduced echelon form
-off its mutually reduced pivot rows, so `rank`, `nullspace` and `quotient`
-avoid per-operation rational normalisation too.
+Bareiss (Math. Comp. 22, 1968): it keeps mutually reduced primitive integer
+rows, clears denominators once per insert, and reduces a new vector against
+every pivot it hits in one pass, scaled once so that each hit cancels
+exactly, then takes its content once.  `rref` feeds it the rows and reads the
+reduced echelon form off its pivot rows, so `rank`, `nullspace` and
+`quotient` avoid per-operation rational normalisation too.
 """
 
 from __future__ import annotations
@@ -179,8 +179,11 @@ class IncrementalRank:
 
     Vectors are dicts key -> coefficient.  Rows are kept as primitive integer
     vectors and mutually reduced: each row is zero at every other row's pivot,
-    so a single pass over the pivots fully reduces a new vector, and adding a
-    pivot touches only the rows that contain its key.
+    so no hit row changes a vector's entry at another hit.  `reduce` forms
+    m v - Sum (m v[k] / p_k) row_k over the hit pivots k in one pass, m the lcm
+    of the p_k / gcd(p_k, v[k]) times the signs of the pivot entries p_k, then
+    takes the content: the primitive vector that eliminating hit by hit gives.
+    Adding a pivot touches only the rows that contain its key.
 
     Each pivot is the least key of its row in the keys' own order, and each
     stored row has its support entirely at-or-after its pivot, so counting
@@ -199,9 +202,21 @@ class IncrementalRank:
         """vec fully reduced against the pivots, as integers; {} iff vec lies in their span."""
         v = sparse_to_int(vec)
         pivots = self.pivots
-        for key in [k for k in v if k in pivots]:
-            v = _reduce_once(v, key, pivots[key])
-        return v
+        hits = [k for k in v if k in pivots]
+        m, sign = 1, 1
+        for k in hits:
+            p = pivots[k][k]
+            m = lcm(m, p // gcd(p, v[k]))
+            sign = -sign if p < 0 else sign
+        m *= sign
+        out = {k: m * x for k, x in v.items()}
+        get = out.get
+        for k in hits:
+            row = pivots[k]
+            c = m * v[k] // row[k]
+            for j, x in row.items():
+                out[j] = get(j, 0) - c * x
+        return _primitive({k: x for k, x in out.items() if x})
 
     def add(self, vec: dict) -> bool:
         """Reduce vec against current pivots; returns True if rank grew."""

@@ -299,13 +299,14 @@ class _SmashContext:
             hit = self._mono_mul[key] = _nf_y_mono(tuple(x + y for x, y in zip(e1, e2)))
         return hit
 
-    def f_shift(self, unit_index: int, elem: dict) -> dict:
-        unit = tuple(1 if i == unit_index else 0 for i in range(4))
-        out: dict = {}
-        for (w, h), c in elem.items():
-            k = (w, self.mono_mul(h, unit))
-            out[k] = out.get(k, 0) + c
-        return {k: v for k, v in out.items() if v}
+    def f_shift(self, fe, elem: dict) -> dict:
+        """x^fe times an element or a realized table, keyed (w, h) with h cone-normal.
+
+        Multiplying by a monomial is injective on cone-normal monomials (the
+        cone's ring is a domain), so this only re-keys: no two keys meet.
+        """
+        mono_mul = self.mono_mul
+        return {(w, mono_mul(h, fe)): c for (w, h), c in elem.items()}
 
     def realize(self, elem: dict) -> dict:
         """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
@@ -360,6 +361,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     build_bound = pbw_bound + _DY_MARGIN
     u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
     f_exps = [e for q in range(poly_bound + 1) for e in ry.nf_monomials(q)]
+    f0 = (0,) * 4  # the exponent of the constant function 1
 
     # --- kernel side: columns of the realization, eliminated per block with a
     # rank profile over the enveloping degree; each coefficient key of the
@@ -369,14 +371,17 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
         for fe in f_exps:
             blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
 
+    # column (u, f) is x^f times the cone-reduced table of mu(u): mu(u) itself
+    # has monomials (ad, bc) that meet on the cone, which a re-keying shift loses
     coords: dict = {}
+    mu_tables = {ue: ctx.realize({(ue, f0): 1}) for ue in u_exps}
     kernel_profile: dict[tuple, dict[int, tuple[int, int]]] = {}
     for key, members in blocks.items():
         members.sort(key=lambda m: (sum(m[0]), m[0], m[1]))
         elim = IncrementalRank()
         prof = {}
         for count, (ue, fe) in enumerate(members, 1):
-            col = ctx.realize({(ue, fe): 1})
+            col = ctx.f_shift(fe, mu_tables[ue])
             elim.add({coords.setdefault(k, len(coords)): c for k, c in col.items()})
             prof[sum(ue)] = (count, elim.rank)
         kernel_profile[key] = prof
@@ -397,12 +402,18 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     # --- ideal side: left multiples of the Casimir difference, then closure
     # under function multiplication (which bounds the whole two-sided ideal).
     # Coordinates (u, f) are numbered in pivot order, enveloping degree
-    # downward, so each row's pivot is its key of highest enveloping degree.
+    # downward, so each row's pivot is its key of highest enveloping degree;
+    # the closure works on these numbers, with x_j acting through shift[j].
     ideal_coords = sorted(
         ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
         key=lambda key: (-sum(key[0]), key[0], key[1]),
     )
     ideal_index = {key: i for i, key in enumerate(ideal_coords)}
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    shift = []
+    for unit in units:
+        times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
+        shift.append([ideal_index.get((ue, times[fe])) for ue, fe in ideal_coords])
     span_blocks: dict[tuple, tuple] = {}
     work: list = []
 
@@ -411,7 +422,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
         if entry is None:
             entry = span_blocks.setdefault(key, (IncrementalRank(), []))
         elim, basis = entry
-        if elim.add({ideal_index[k]: c for k, c in elem.items()}):
+        if elim.add(elem):
             basis.append(elem)
             return True
         return False
@@ -428,6 +439,11 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
             dm_cache[fe] = {k: v for k, v in out.items() if v}
         return dm_cache[fe]
 
+    # A vector is x^g times a seed (Delta m_f) u, with signature (seed, g) for
+    # the cone-normal g.  Shifts are exact and commute, so a repeated signature
+    # is the identical vector, already in the span: skipping it changes no
+    # pivot.  x_j moves a vector from block (q, w) to (q + 1, w + weight(x_j)).
+    seen = set()
     for fe in f_exps:
         base = delta_times_f(fe)
         for ue in [c[:6] for c in compositions(build_bound - 2, 7)]:
@@ -436,21 +452,25 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
                 continue
             w0, h0 = next(iter(elem))
             key = ctx.block_of(w0, h0)
+            sig = (len(seen), f0)  # the seeds come first, numbered in order
+            seen.add(sig)
+            elem = {ideal_index[k]: c for k, c in elem.items()}
             if insert(key, elem):
-                work.append((key, elem))
+                work.append((key, sig, elem))
 
     while work:
-        key, vec = work.pop()
-        if key[0] + 1 > poly_bound:
+        (q, (wt0, wt1)), (seed, g), vec = work.pop()
+        if q >= poly_bound:
             continue
-        for j in range(4):
-            shifted = ctx.f_shift(j, vec)
-            if not shifted:
+        for unit, table, (dw0, dw1) in zip(units, shift, _VAR_WEIGHTS):
+            sig = (seed, ctx.mono_mul(g, unit))
+            if sig in seen:
                 continue
-            w0, h0 = next(iter(shifted))
-            nkey = ctx.block_of(w0, h0)
+            seen.add(sig)
+            shifted = {table[i]: c for i, c in vec.items()}
+            nkey = (q + 1, (wt0 + dw0, wt1 + dw1))
             if insert(nkey, shifted):
-                work.append((nkey, shifted))
+                work.append((nkey, sig, shifted))
 
     def ideal_window_dim(p: int, q: int) -> int:
         total = 0
@@ -468,7 +488,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
             break
         if basis:
             spot += 1
-            if ctx.realize(basis[0]):
+            if ctx.realize({ideal_coords[i]: c for i, c in basis[0].items()}):
                 contained = False
     report.add(
         "ideal elements realize to the zero operator (spot check)",

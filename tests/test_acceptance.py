@@ -95,7 +95,7 @@ def test_criterion_04_cone_relation():
         assert len(windows) == 25
         return report.passed
 
-    _within("4 (rank-one cone relation)", 60, run)
+    _within("4 (rank-one cone relation)", 20, run)
 
 
 def test_criterion_05_rees_machinery():

@@ -1,12 +1,15 @@
 """CLI contract: exit codes, JSON schema, deterministic output."""
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from horocycle import asymptotics
 from horocycle.cli import main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
@@ -37,6 +40,25 @@ def test_exponents_command():
     assert result.exit_code == 0
     assert "[['-2', 0]]" in result.output
     assert "[-2, 0, 2]" in result.output
+
+
+def test_exponents_computes_each_part_once(monkeypatch):
+    # the check and the echo share one result; every binding in the package is counted
+    calls = Counter()
+    names = ("leading_exponent_check", "exponents_from_coinvariants", "bimodule_exponents", "external_tensor")
+    for name in names:
+        original = getattr(asymptotics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("horocycle") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    result = invoke(["exponents", "--m", "6"])
+    assert result.exit_code == 0, result.output
+    assert calls == {name: 1 for name in names}
 
 
 def test_exponents_rejects_negative_m():

@@ -31,6 +31,7 @@ CASES = [
     (["verify", "pwfilt", "--bound", "10"], "verify_pwfilt_bound10.json"),
     (["verify", "vfilt", "--bound", "6"], "verify_vfilt_bound6.json"),
     (["verify", "dy", "--bound", "3"], "verify_dy_bound3.json"),
+    (["verify", "dy"], "verify_dy.json"),
     (["exponents", "--m", "5"], "exponents_m5.json"),
     (["localize", "--rep", "2,2", "--point", "1,1,0,1"], "localize_2_2_at_1_1_0_1.json"),
     (["localize", "--rep", "3,3", "--point", "0,1,0,0"], "localize_3_3_at_0_1_0_0.json"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -159,6 +160,74 @@ def test_incremental_rank_reduce():
     assert elim.reduce({3: Fraction(2, 3)}) == {3: 1}
     assert elim.pivots == pivots and elim.rank == 2
     assert elim.add({0: 1, 2: 5}) and elim.rank == 3
+
+
+def _hard_family(rng, n):
+    """Rows of a random integer matrix with entries up to +-50, many of them negative."""
+    rows = []
+    for _ in range(rng.randint(n // 2, n)):
+        row = {i: rng.choice((-1, 1)) * rng.randint(1, 50) for i in range(n) if rng.random() < 0.7}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _one_pass_reference(elim, v):
+    """v - Sum (v[k] / p_k) row_k over the hit pivots k, over Fraction, made primitive
+    and given the sign of the product of the p_k, as hit-by-hit elimination leaves it."""
+    w = {k: Fraction(x) for k, x in v.items()}
+    sign = 1
+    for k in [k for k in v if k in elim.pivots]:
+        row = elim.pivots[k]
+        sign *= 1 if row[k] > 0 else -1
+        for j, x in row.items():
+            w[j] = w.get(j, 0) - Fraction(v[k], row[k]) * x
+    w = {k: x for k, x in w.items() if x}
+    den = 1
+    for x in w.values():
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = {k: int(x * den) for k, x in w.items()}
+    g = 0
+    for x in ints.values():
+        g = gcd(g, x)
+    return {k: sign * x // g for k, x in ints.items()}
+
+
+def test_incremental_rank_reduce_hard_cases():
+    # each reduced vector hits at least 3 pivots; spans are compared by dense Gauss-Jordan
+    rng = random.Random(13)
+    dense_rank = lambda rows, n: len(dense_rref(dense(rows, n))[1])
+    hits_seen = negative_pivots = 0
+    for _ in range(40):
+        n = rng.randint(6, 10)
+        family = _hard_family(rng, n)
+        elim = IncrementalRank()
+        for row in family:
+            before = elim.rank
+            assert elim.add(row) == (elim.rank > before)
+        assert elim.rank == dense_rank(family, n)
+        negative_pivots += sum(1 for k, row in elim.pivots.items() if row[k] < 0)
+        for _ in range(5):
+            v = {i: rng.randint(-50, 50) for i in rng.sample(range(n), rng.randint(3, n))}
+            v = {i: x for i, x in v.items() if x}
+            if sum(1 for k in v if k in elim.pivots) < 3:
+                continue
+            hits_seen += 1
+            red = elim.reduce(v)
+            assert all(key not in red for key in elim.pivots)
+            assert all(type(x) is int for x in red.values())
+            g = 0
+            for x in red.values():
+                g = gcd(g, x)
+            assert g == (1 if red else 0)  # primitive
+            assert red == _one_pass_reference(elim, v)
+            with_v = dense_rank(family + [v], n)
+            assert with_v == dense_rank(family + [red], n) == dense_rank(family + [v, red], n)
+            assert bool(red) == (with_v > elim.rank)
+            before = elim.rank
+            assert elim.add(v) == (elim.rank > before) == bool(red)
+            family.append(v)
+    assert hits_seen > 100 and negative_pivots > 30, (hits_seen, negative_pivots)
 
 
 def test_incremental_rank_pivot_profile():

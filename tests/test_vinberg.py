@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from horocycle.action import RationalPoint
+from horocycle.exactalg import compositions
+from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
 from horocycle.vinberg import (
+    _SmashContext,
     _integral,
     asymp_diagram_check,
     default_pw_samples,
@@ -46,6 +50,70 @@ def test_dy_small_bidegrees():
     assert by_name["bidegree (0,0): realization kernel = Casimir-difference ideal"].got == "0"
     two_zero = by_name["bidegree (2,0): realization kernel = Casimir-difference ideal"]
     assert two_zero.got == "1"  # the Casimir difference itself
+
+
+UNITS = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+F0 = (0, 0, 0, 0)
+
+
+def _dy_seeds(ctx, f_degree, u_degree):
+    """The seeds u_right(Delta m_f, u) of the dy ideal side, as verify_dy_relation builds them."""
+    one = UEnvElement.one(sl2_desc())
+    delta = _integral((tensor(casimir_sl2(), one) - tensor(one, casimir_sl2())).terms)
+    seeds = []
+    for q in range(f_degree + 1):
+        for fe in ctx.ry.nf_monomials(q):
+            base: dict = {}
+            for ue, c in delta.items():
+                for k, c2 in ctx.push(ue, fe).items():
+                    base[k] = base.get(k, 0) + c * c2
+            base = {k: v for k, v in base.items() if v}
+            for ue in (c[:6] for c in compositions(u_degree, 7)):
+                seed = ctx.u_right(base, ue)
+                if seed:
+                    seeds.append(seed)
+    return seeds
+
+
+def test_dy_kernel_columns_are_shifts_of_the_reduced_table():
+    ctx = _SmashContext()
+    f_exps = [fe for q in range(3) for fe in ctx.ry.nf_monomials(q)]
+    for ue in (c[:6] for c in compositions(2, 7)):
+        table = ctx.realize({(ue, F0): 1})
+        for fe in f_exps:
+            col = ctx.realize({(ue, fe): 1})
+            shifted = ctx.f_shift(fe, table)
+            assert shifted == col and list(shifted) == list(col), (ue, fe)
+
+
+def test_dy_shifts_commute_and_depend_on_the_cone_monomial():
+    ctx = _SmashContext()
+    seeds = _dy_seeds(ctx, 1, 1)
+    assert len(seeds) > 20
+    a, b, c, d = UNITS
+    for v in seeds:
+        for j in range(4):
+            for k in range(j):
+                jk = ctx.f_shift(UNITS[j], ctx.f_shift(UNITS[k], v))
+                assert jk == ctx.f_shift(UNITS[k], ctx.f_shift(UNITS[j], v))
+        # ad = bc on the cone, so the signature (seed, cone-normal g) fixes the vector
+        assert ctx.f_shift(a, ctx.f_shift(d, v)) == ctx.f_shift(b, ctx.f_shift(c, v))
+
+
+def test_dy_realization_commutes_with_function_shifts():
+    ctx = _SmashContext()
+    rng = random.Random(12)
+    seeds = _dy_seeds(ctx, 1, 1)
+    coords = [(ue, fe) for ue in (c[:6] for c in compositions(2, 7))
+              for q in range(3) for fe in ctx.ry.nf_monomials(q)]
+    mixes = [{key: rng.choice((-3, -1, 1, 2, 5)) for key in rng.sample(coords, 4)} for _ in range(40)]
+    assert any(ctx.realize(v) for v in mixes)
+    for v in seeds + mixes:
+        realized = ctx.realize(v)
+        for unit in UNITS:
+            assert ctx.realize(ctx.f_shift(unit, v)) == ctx.f_shift(unit, realized)
+    # the seeds lie in the kernel, so every shift of them does too
+    assert not any(ctx.realize(v) for v in seeds)
 
 
 def test_dy_rejects_small_bound():

@@ -1,21 +1,23 @@
 """Asymptotic exponents of matrix coefficients from nilpotent coinvariants.
 
-For a finite-dimensional representation, the generalized eigenvalues of the
-Cartan action on coinvariants by the raising operator predict the characters
-appearing in the expansion of matrix coefficients on the negative chamber
-(parameter t -> -infinity for diag(e^t, e^-t)); the slowest-decaying term is
-the minimal Laurent exponent.  A direct symbolic evaluation of the
-representation at diag(s, 1/s) serves as the oracle.
+For a finite-dimensional representation, the eigenvalues of the Cartan action
+on coinvariants by the raising operator predict the characters appearing in
+the expansion of matrix coefficients on the negative chamber (parameter
+t -> -infinity for diag(e^t, e^-t)); the slowest-decaying term is the minimal
+Laurent exponent.  In rank one the coinvariants are spanned by weight vectors,
+so the induced Cartan is diagonal and the exponents are read off its diagonal.
+The oracle is the weight-basis closed form {m - 2j} of the exponents of Sym^m
+at diag(s, 1/s); it is written down, not evaluated on a group element (a
+group-level oracle is item 2 of ROADMAP.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .lie import FinDimRep, dual_rep, external_tensor, sym_power_rep
-from .linalg import char_poly, lincomb, mat_mul, quotient, rank, transpose
+from .linalg import quotient, transpose
 from .reports import CheckReport
 
 
@@ -36,115 +38,35 @@ class ExponentSet:
         return [[str(lam), m] for lam, m in self.entries]
 
 
-def _rational_eigenvalues(matrix) -> list:
-    """Roots of the characteristic polynomial with multiplicity; must split over Q."""
-    n = len(matrix)
-    if n == 0:
-        return []
-    coeffs = char_poly(matrix)
-    roots = []
-    # rational root search on the monic char poly, deflating as we go
-    poly = list(coeffs)
-    while len(poly) > 1:
-        root = _find_rational_root(poly)
-        if root is None:
-            raise ValueError("characteristic polynomial does not split over Q")
-        roots.append(root)
-        poly = _deflate(poly, root)
-    return roots
+def _diagonal(matrix) -> list[Fraction]:
+    """The diagonal entries of a diagonal matrix; ValueError if it is not diagonal.
 
-
-def _find_rational_root(poly) -> Fraction | None:
-    # poly is monic with rational coefficients, highest degree first
-    den = 1
-    for c in poly:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in poly]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
-        return Fraction(0)
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _eval_poly(poly, cand) == 0:
-                    return cand
-    return None
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _eval_poly(poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in poly:
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(poly, root: Fraction):
-    out = [poly[0]]
-    for c in poly[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
-
-
-def _jordan_blocks(matrix, lam: Fraction, multiplicity: int) -> list:
-    """Block sizes of the eigenvalue, from nullity jumps of powers."""
-    n = len(matrix)
-    shifted = [lincomb(((1, row), (-lam, {i: 1}))) for i, row in enumerate(matrix)]
-    nullities = [0]
-    power = shifted
-    while nullities[-1] < multiplicity:
-        nullities.append(n - rank(power))
-        power = mat_mul(power, shifted)
-    jumps = [nullities[k + 1] - nullities[k] for k in range(len(nullities) - 1)]
-    blocks = []
-    for size in range(len(jumps), 0, -1):
-        count = jumps[size - 1] - (jumps[size] if size < len(jumps) else 0)
-        blocks.extend([size] * count)
-    return sorted(blocks, reverse=True)
+    In rank one the coinvariants are spanned by weight vectors, so an induced
+    Cartan is diagonal and its eigenvalues are its diagonal entries; being
+    diagonal also certifies that it acts semisimply.
+    """
+    if any(k != i for i, row in enumerate(matrix) for k in row):
+        raise ValueError("induced Cartan is not diagonal")
+    return [Fraction(row.get(i, 0)) for i, row in enumerate(matrix)]
 
 
 def exponents_from_coinvariants(rep: FinDimRep) -> ExponentSet:
-    """Generalized eigenvalues with Jordan data of the Cartan H on coinvariants
-    by the image of the raising operator E."""
+    """Eigenvalues of the Cartan H on coinvariants by the image of the raising
+    operator E, each with log power 0; ValueError unless the induced H is diagonal."""
     _, (induced,) = quotient(transpose(rep.matrix_of("E"), rep.dim), rep.dim, [rep.matrix_of("H")])
-    if not induced:
-        return ExponentSet(())
-    eigen = _rational_eigenvalues(induced)
-    mult: dict[Fraction, int] = {}
-    for lam in eigen:
-        mult[lam] = mult.get(lam, 0) + 1
-    entries = []
-    for lam in sorted(mult):
-        for size in _jordan_blocks(induced, lam, mult[lam]):
-            entries.append((lam, size - 1))
-    return ExponentSet(tuple(sorted(entries)))
+    return ExponentSet(tuple(sorted((lam, 0) for lam in _diagonal(induced))))
 
 
 def matrix_coefficient_exponents(m: int) -> set:
     """Laurent exponents of s across the entries of Sym^m at diag(s, 1/s).
 
-    Monomial basis vectors x^(m-j) y^j scale by s^(m-2j); the exponent set is
-    computed symbolically from that substitution, independently of the
-    Lie-algebra matrices.
+    The closed form in the monomial basis: x^(m-j) y^j scales by s^(m-2j), so
+    the exponents are {m - 2j : 0 <= j <= m}.  No Lie-algebra matrix and no
+    group element enters.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    exponents = set()
-    for j in range(m + 1):
-        entry = {m - 2 * j: 1}  # Laurent polynomial of the (j,j) entry
-        exponents.update(k for k, v in entry.items() if v)
-    return exponents
+    return {m - 2 * j for j in range(m + 1)}
 
 
 def bimodule_exponents(m: int) -> tuple[set, set]:
@@ -154,7 +76,7 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     span = transpose(rep.matrix_of("E1"), rep.dim) + transpose(rep.matrix_of("F2"), rep.dim)
     cartans = [rep.matrix_of(name) for name in ("H1", "H2")]
     _, (left, right) = quotient(span, rep.dim, cartans)
-    return set(_rational_eigenvalues(left)), set(_rational_eigenvalues(right))
+    return set(_diagonal(left)), set(_diagonal(right))
 
 
 def leading_exponent_check(m: int, exps=None, bimodule=None) -> CheckReport:

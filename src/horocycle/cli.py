@@ -67,8 +67,11 @@ _SUITES = {
 
 # least bound a suite accepts, where it is above zero: the dy relation has PBW
 # degree 2; at bound 0 pwfilt sees only constants, which every sample kills,
-# and grderv compares only empty spaces
-_MIN_BOUND = {"dy": 2, "grderv": 1, "pwfilt": 1}
+# grderv compares only empty spaces, and asymp-diagram and parabolic check only
+# V0 (x) V0*.  vfilt needs no minimum: at every bound it checks the constant
+# class and four fixed det-power quotients, which exercise vanishing_order
+# and pw_level, so its 5 items at bounds 0 and 1 can fail.
+_MIN_BOUND = {"dy": 2, "grderv": 1, "pwfilt": 1, "asymp-diagram": 1, "parabolic": 1}
 
 
 def _effective_bound(suite: str, bound: int | None) -> int | None:

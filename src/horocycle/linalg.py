@@ -12,8 +12,8 @@ Bareiss (Math. Comp. 22, 1968): it keeps mutually reduced primitive integer
 rows, clears denominators once per insert, and reduces a new vector against
 every pivot it hits in one pass, scaled once so that each hit cancels
 exactly, then takes its content once.  `rref` feeds it the rows and reads the
-reduced echelon form off its pivot rows, so `rank`, `nullspace` and
-`quotient` avoid per-operation rational normalisation too.
+reduced echelon form off its pivot rows, so `nullspace` and `quotient` avoid
+per-operation rational normalisation too.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ def rref(mat: list[dict]) -> tuple[list[dict], list[int]]:
         vec = elim.pivots[c]
         out.append({j: Fraction(x, vec[c]) for j, x in vec.items()})
     return out, pivots
-
-
-def rank(mat: list[dict]) -> int:
-    return len(rref(mat)[1])
 
 
 def _kernel(rows: list[dict], n: int) -> tuple[list[dict], list[int]]:
@@ -193,10 +189,6 @@ class IncrementalRank:
 
     def __init__(self):
         self.pivots: dict[object, dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def reduce(self, vec: dict) -> dict:
         """vec fully reduced against the pivots, as integers; {} iff vec lies in their span."""

@@ -66,7 +66,7 @@ def casimir_operator_identity_rhs() -> WeylOp:
 
     The scalar four is forced: expanding the normal-ordered left side gives
     coefficient four on det*(Da Dd - Db Dc) for the spin normalisation whose
-    eigenvalue on the (m+1)-dimensional representet is (m+1)^2.
+    eigenvalue on the (m+1)-dimensional representation is (m+1)^2.
     """
     Eu = euler_op(V)
     Da, Db, Dc, Dd = (WeylOp.partial(V, name) for name in V)
@@ -157,7 +157,7 @@ def _linear_relative_field_span(act: InfinitesimalAction):
         if not (linear and is_relative(theta, det_poly())):
             contains_all = False
         span.add({(de, xe): cf for (xe, de), cf in theta.terms.items()})
-    return dim, contains_all, span.rank
+    return dim, contains_all, len(span.pivots)
 
 
 def verify_dsl2_presentation() -> CheckReport:
@@ -383,7 +383,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
         for count, (ue, fe) in enumerate(members, 1):
             col = ctx.f_shift(fe, mu_tables[ue])
             elim.add({coords.setdefault(k, len(coords)): c for k, c in col.items()})
-            prof[sum(ue)] = (count, elim.rank)
+            prof[sum(ue)] = (count, len(elim.pivots))
         kernel_profile[key] = prof
 
     def kernel_dim(p: int, q: int) -> int:

@@ -211,24 +211,16 @@ def relative_fields(ring: QuotientRing, f: ExactPoly, monomials) -> list[tuple]:
     return basis
 
 
-def preserves_ideal(p: WeylOp, ring: QuotientRing, bound: int = 6) -> bool:
-    """Does p map the relation ideal into itself (so p descends to the quotient)?
+def preserves_ideal(p: WeylOp, ring: QuotientRing) -> bool:
+    """Does the operator p, of order at most one, map the relation ideal into
+    itself (so p descends to the quotient)?
 
-    Exact for O-linear combinations of vector fields (Leibniz); for higher
-    order operators the containment is checked on monomial multiples of the
-    relation up to the degree bound.
+    Exact: p(g * rel) = g * p(rel) + (p - p(1))(g) * rel, so p preserves the
+    ideal iff p(rel) lies in it.  Raises ValueError for higher order.
     """
-    if ring.relation is None:
-        return True
-    rel = ring.relation
-    if p.is_zero() or all(sum(de) <= 1 for _, de in p.terms):
-        return ring.in_ideal(apply_op(p, rel))
-    for d in range(bound + 1):
-        for e in ring.nf_monomials(d):
-            g = ExactPoly.monomial(ring.variables, e)
-            if not ring.in_ideal(apply_op(p, g * rel)):
-                return False
-    return True
+    if any(sum(de) > 1 for _, de in p.terms):
+        raise ValueError("preserves_ideal needs an operator of order at most one")
+    return ring.relation is None or ring.in_ideal(apply_op(p, ring.relation))
 
 
 def euler_op(variables) -> WeylOp:

@@ -1,11 +1,12 @@
-"""Dense <-> sparse-row conversions, so that tests can state matrices densely.
+"""Dense <-> sparse-row conversions, so that tests can state matrices densely,
+and the rank of a list of sparse rows.
 
 `horocycle` stores a matrix as a list of sparse rows {column: entry}.
 """
 
 from fractions import Fraction
 
-from horocycle.linalg import mat_mul
+from horocycle.linalg import mat_mul, rref
 
 
 def sparse(mat):
@@ -21,3 +22,8 @@ def dense(rows, cols):
 def dense_mul(a, b):
     """The product of two dense matrices, formed by the sparse `mat_mul`."""
     return dense(mat_mul(sparse(a), sparse(b)), len(b[0]) if b else 0)
+
+
+def rank(rows):
+    """The rank of a list of sparse rows."""
+    return len(rref(rows)[1])

@@ -27,8 +27,9 @@ from horocycle.lie import (
     sym_power_rep,
     tensor,
 )
-from horocycle.linalg import mat_mul, rank
+from horocycle.linalg import mat_mul
 from horocycle.weyl import WeylOp, euler_op
+from matrices import rank
 
 V = MAT2_VARS
 

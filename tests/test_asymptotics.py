@@ -4,15 +4,13 @@ import pytest
 
 from horocycle.asymptotics import (
     ExponentSet,
-    _jordan_blocks,
-    _rational_eigenvalues,
     bimodule_exponents,
     exponents_from_coinvariants,
     leading_exponent_check,
     matrix_coefficient_exponents,
 )
-from horocycle.lie import sym_power_rep
-from matrices import sparse
+from horocycle.lie import FinDimRep, sl2_desc, sym_power_rep
+from horocycle.linalg import mat_mul, quotient, transpose
 
 
 def test_coinvariant_exponent_examples():
@@ -41,18 +39,16 @@ def test_leading_exponent_checks_through_eight():
         assert exps.max_log_power() == 0
 
 
-def test_jordan_machinery_on_synthetic_nilpotent():
-    # synthetic: a nilpotent Cartan action, as would arise from a non-semisimple input
-    nilp = sparse([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
-    eigen = _rational_eigenvalues(nilp)
-    assert eigen == [Fraction(0), Fraction(0)]
-    assert _jordan_blocks(nilp, Fraction(0), 2) == [2]
-    mixed = sparse([
-        [Fraction(3), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(3), Fraction(1)],
-        [Fraction(0), Fraction(0), Fraction(3)],
-    ])
-    assert _jordan_blocks(mixed, Fraction(3), 3) == [2, 1]
+def test_non_diagonal_induced_cartan_is_rejected():
+    # V0 (+) V2 conjugated by S = I + E_03: the coinvariant basis the quotient
+    # picks is no longer one of weight vectors, so the induced H is triangular
+    s, s_inv = [{0: 1, 3: 1}, {1: 1}, {2: 1}, {3: 1}], [{0: 1, 3: -1}, {1: 1}, {2: 1}, {3: 1}]
+    padded = ([{}] + [{k + 1: x for k, x in row.items()} for row in m] for m in sym_power_rep(2).matrices)
+    rep = FinDimRep(sl2_desc(), 4, tuple(mat_mul(mat_mul(s, m), s_inv) for m in padded))
+    _, (induced,) = quotient(transpose(rep.matrix_of("E"), 4), 4, [rep.matrix_of("H")])
+    assert induced == [{1: -2}, {1: -2}]
+    with pytest.raises(ValueError, match="not diagonal"):
+        exponents_from_coinvariants(rep)
 
 
 def test_exponent_set_json():

@@ -21,9 +21,9 @@ from horocycle.exactalg import (
     vanishing_order,
 )
 from horocycle.lie import UEnvElement, sl2_desc, sl2_pair_desc
-from horocycle.linalg import IncrementalRank, rank
+from horocycle.linalg import IncrementalRank
 from horocycle.weyl import WeylOp
-from matrices import sparse
+from matrices import rank, sparse
 
 V = MAT2_VARS
 a = ExactPoly.variable(V, "a")

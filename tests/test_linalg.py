@@ -11,11 +11,10 @@ from horocycle.linalg import (
     mat_mul,
     nullspace,
     quotient,
-    rank,
     rref,
     transpose,
 )
-from matrices import dense, dense_mul, sparse
+from matrices import dense, dense_mul, rank, sparse
 
 
 def identity(n):
@@ -146,7 +145,7 @@ def test_incremental_rank_matches_dense():
         elim = IncrementalRank()
         for c in cols:
             elim.add(c)
-        assert elim.rank == rank(transpose(cols, n))
+        assert len(elim.pivots) == rank(transpose(cols, n))
 
 
 def test_incremental_rank_reduce():
@@ -158,8 +157,8 @@ def test_incremental_rank_reduce():
     rest = elim.reduce({0: 1, 2: 5})
     assert rest and set(rest) == {2} and rest[2] > 0
     assert elim.reduce({3: Fraction(2, 3)}) == {3: 1}
-    assert elim.pivots == pivots and elim.rank == 2
-    assert elim.add({0: 1, 2: 5}) and elim.rank == 3
+    assert elim.pivots == pivots and len(elim.pivots) == 2
+    assert elim.add({0: 1, 2: 5}) and len(elim.pivots) == 3
 
 
 def _hard_family(rng, n):
@@ -203,9 +202,9 @@ def test_incremental_rank_reduce_hard_cases():
         family = _hard_family(rng, n)
         elim = IncrementalRank()
         for row in family:
-            before = elim.rank
-            assert elim.add(row) == (elim.rank > before)
-        assert elim.rank == dense_rank(family, n)
+            before = len(elim.pivots)
+            assert elim.add(row) == (len(elim.pivots) > before)
+        assert len(elim.pivots) == dense_rank(family, n)
         negative_pivots += sum(1 for k, row in elim.pivots.items() if row[k] < 0)
         for _ in range(5):
             v = {i: rng.randint(-50, 50) for i in rng.sample(range(n), rng.randint(3, n))}
@@ -223,9 +222,9 @@ def test_incremental_rank_reduce_hard_cases():
             assert red == _one_pass_reference(elim, v)
             with_v = dense_rank(family + [v], n)
             assert with_v == dense_rank(family + [red], n) == dense_rank(family + [v, red], n)
-            assert bool(red) == (with_v > elim.rank)
-            before = elim.rank
-            assert elim.add(v) == (elim.rank > before) == bool(red)
+            assert bool(red) == (with_v > len(elim.pivots))
+            before = len(elim.pivots)
+            assert elim.add(v) == (len(elim.pivots) > before) == bool(red)
             family.append(v)
     assert hits_seen > 100 and negative_pivots > 30, (hits_seen, negative_pivots)
 
@@ -247,9 +246,9 @@ def test_incremental_rank_pivot_profile():
                 vecs.append(col)
         elim = IncrementalRank()
         for v in vecs:
-            before = elim.rank
-            assert elim.add({n - 1 - i: c for i, c in v.items()}) == (elim.rank > before)
-        assert elim.rank == rank(vecs)
+            before = len(elim.pivots)
+            assert elim.add({n - 1 - i: c for i, c in v.items()}) == (len(elim.pivots) > before)
+        assert len(elim.pivots) == rank(vecs)
         for cutoff in range(n):
             # brute force: dim of span intersected with coords <= cutoff
             full = rank(vecs)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import sympy
 
-from horocycle.linalg import char_poly, nullspace, rank, rref
-from matrices import dense, sparse
+from horocycle.linalg import char_poly, nullspace, rref
+from matrices import dense, rank, sparse
 
 
 def _fraction(x) -> Fraction:

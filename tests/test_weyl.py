@@ -180,9 +180,10 @@ def test_preserves_ideal():
     assert preserves_ideal(theta, horocycle_ring())
     assert not preserves_ideal(WeylOp.vector_field([a, zero, zero, zero]), sl2_ring())
     assert preserves_ideal(WeylOp.from_poly(a), sl2_ring())
-    # a second-order operator built from ideal-preserving pieces
+    # the criterion is exact only up to order one, so a second-order operator is refused
     mu_like = WeylOp.vector_field([-c, -d, zero, zero]) * WeylOp.vector_field([a, zero, zero, -d])
-    assert preserves_ideal(mu_like, sl2_ring(), bound=3)
+    with pytest.raises(ValueError, match="order at most one"):
+        preserves_ideal(mu_like, sl2_ring())
 
 
 def test_serialization_roundtrip():

@@ -8,7 +8,8 @@ the fixed graded order is a*d, so one substitution rule a*d -> lower terms
 computes canonical representatives; no general Groebner machinery is needed.
 
 All values are immutable after construction and all operations are pure, so
-concurrent use is safe.  Coefficients are fractions.Fraction throughout.
+concurrent use is safe.  A stored coefficient is an int when it is integral
+and a fractions.Fraction otherwise (`linalg.num`), never a float.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import frac
+from .linalg import frac, num
 
 Exp = tuple[int, ...]
 
@@ -43,7 +44,8 @@ BOTTOM = _Bottom()
 
 
 class SparseElement:
-    """A finite sum of basis keys with nonzero rational coefficients (`terms`).
+    """A finite sum of basis keys with nonzero rational coefficients (`terms`),
+    each an int when integral and a Fraction otherwise, so `==` is exact.
 
     Subclasses supply `_space` (what two operands must share), `_new(terms)`
     (an element of the same space) and `_one()` (its unit).  Operands of
@@ -64,7 +66,7 @@ class SparseElement:
         self._check(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + c
+            t[k] = t.get(k, 0) + c
         return self._new(t)
 
     __radd__ = __add__
@@ -112,10 +114,9 @@ class ExactPoly(SparseElement):
             e = tuple(e)
             if len(e) != n:
                 raise ArityMismatch(f"exponent {e} has wrong arity for {self.variables}")
-            c = frac(c)
             if c:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+                clean[e] = clean.get(e, 0) + c
+        self.terms = {e: num(c) for e, c in clean.items() if c}
 
     @property
     def _space(self):
@@ -133,11 +134,11 @@ class ExactPoly(SparseElement):
 
     @classmethod
     def constant(cls, variables, c):
-        return cls(variables, {(0,) * len(tuple(variables)): frac(c)})
+        return cls(variables, {(0,) * len(tuple(variables)): c})
 
     @classmethod
     def monomial(cls, variables, exponents, coef=1):
-        return cls(variables, {tuple(exponents): frac(coef)})
+        return cls(variables, {tuple(exponents): coef})
 
     @classmethod
     def variable(cls, variables, name):
@@ -145,17 +146,17 @@ class ExactPoly(SparseElement):
         i = variables.index(name)
         e = [0] * len(variables)
         e[i] = 1
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls(variables, {tuple(e): 1})
 
     def __mul__(self, other):
         if not isinstance(other, ExactPoly):
-            return ExactPoly(self.variables, {e: c * frac(other) for e, c in self.terms.items()})
+            return ExactPoly(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        t: dict[Exp, Fraction] = {}
+        t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
+                t[e] = t.get(e, 0) + c1 * c2
         return ExactPoly(self.variables, t)
 
     __rmul__ = __mul__
@@ -209,14 +210,14 @@ def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
     lead = d.leading_exponent()
     lc = d.terms[lead]
     rem = f
-    q: dict[Exp, Fraction] = {}
+    q: dict = {}
     while not rem.is_zero():
         e = rem.leading_exponent()
         if not _divides(lead, e):
             return None
         qe = _exp_sub(e, lead)
-        qc = rem.terms[e] / lc
-        q[qe] = q.get(qe, Fraction(0)) + qc
+        qc = num(Fraction(rem.terms[e], lc))
+        q[qe] = q.get(qe, 0) + qc
         rem = rem - ExactPoly.monomial(f.variables, qe, qc) * d
     return ExactPoly(f.variables, q)
 
@@ -255,7 +256,7 @@ class QuotientRing:
             lc = relation.terms[lead]
             rest = relation - ExactPoly.monomial(self.variables, lead, lc)
             self.lead_exp = lead
-            self.rewrite = rest * Fraction(-1, 1) * (Fraction(1) / lc)
+            self.rewrite = rest * Fraction(-1, lc)
         else:
             self.lead_exp = None
             self.rewrite = None
@@ -276,7 +277,7 @@ class QuotientRing:
             return f
         lead = self.lead_exp
         work = dict(f.terms)
-        out: dict[Exp, Fraction] = {}
+        out: dict = {}
         while work:
             e, c = work.popitem()
             if not c:
@@ -285,9 +286,9 @@ class QuotientRing:
                 rest = _exp_sub(e, lead)
                 for re, rc in self.rewrite.terms.items():
                     ne = tuple(x + y for x, y in zip(re, rest))
-                    work[ne] = work.get(ne, Fraction(0)) + c * rc
+                    work[ne] = work.get(ne, 0) + c * rc
             else:
-                out[e] = out.get(e, Fraction(0)) + c
+                out[e] = out.get(e, 0) + c
         return ExactPoly(self.variables, out)
 
     def in_ideal(self, f: ExactPoly) -> bool:
@@ -360,7 +361,7 @@ def pw_level(f: ExactPoly, ring: QuotientRing):
 # --- serialization ----------------------------------------------------------
 
 
-def fmt_coef(c: Fraction) -> str:
+def fmt_coef(c) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 

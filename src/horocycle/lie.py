@@ -5,6 +5,8 @@ realised as the enveloping algebra of the direct sum, whose basis keeps the
 left factor before the right factor.  PBW monomials are exponent vectors over
 the ordered basis; products are normal-ordered by the rewriting
 x_j x_i -> x_i x_j + [x_j, x_i] for j > i, which terminates and is confluent.
+Structure constants and PBW coefficients are ints when integral and Fractions
+otherwise, never floats.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import SparseElement
-from .linalg import frac, lincomb, transpose
+from .linalg import lincomb, num, transpose
 
 Exp = tuple[int, ...]
 
@@ -30,7 +32,7 @@ class LieAlgebraDesc:
         n = len(self.basis)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), vec in brackets.items():
-            vec = {k: frac(v) for k, v in vec.items() if v}
+            vec = {k: num(v) for k, v in vec.items() if v}
             if vec:
                 table[(i, j)] = vec
         self.brackets = table
@@ -48,18 +50,18 @@ class LieAlgebraDesc:
             for j in range(n):
                 bij = self.bracket_vector(i, j)
                 bji = self.bracket_vector(j, i)
-                if any(bij.get(k, Fraction(0)) + bji.get(k, Fraction(0)) for k in set(bij) | set(bji)):
+                if any(bij.get(k, 0) + bji.get(k, 0) for k in set(bij) | set(bji)):
                     raise ValueError(f"structure constants not antisymmetric at ({i},{j})")
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc: dict[int, Fraction] = {}
+                    acc: dict = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         inner = self.bracket_vector(b, c)
                         for m, coef in inner.items():
                             outer = self.bracket_vector(a, m)
                             for t, v in outer.items():
-                                acc[t] = acc.get(t, Fraction(0)) + coef * v
+                                acc[t] = acc.get(t, 0) + coef * v
                     if any(acc.values()):
                         raise ValueError(f"Jacobi identity fails at ({i},{j},{k})")
 
@@ -95,12 +97,12 @@ def _make_sl2() -> LieAlgebraDesc:
     # basis order F < H < E
     F, H, E = 0, 1, 2
     brackets = {
-        (H, E): {E: Fraction(2)},
-        (E, H): {E: Fraction(-2)},
-        (H, F): {F: Fraction(-2)},
-        (F, H): {F: Fraction(2)},
-        (E, F): {H: Fraction(1)},
-        (F, E): {H: Fraction(-1)},
+        (H, E): {E: 2},
+        (E, H): {E: -2},
+        (H, F): {F: -2},
+        (F, H): {F: 2},
+        (E, F): {H: 1},
+        (F, E): {H: -1},
     }
     return LieAlgebraDesc(("F", "H", "E"), brackets)
 
@@ -135,15 +137,14 @@ class UEnvElement(SparseElement):
     def __init__(self, desc: LieAlgebraDesc, terms: dict[Exp, Fraction]):
         self.desc = desc
         n = desc.dim
-        clean: dict[Exp, Fraction] = {}
+        clean: dict = {}
         for e, c in terms.items():
             e = tuple(e)
             if len(e) != n:
                 raise ValueError("PBW exponent arity mismatch")
-            c = frac(c)
             if c:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+                clean[e] = clean.get(e, 0) + c
+        self.terms = {e: num(c) for e, c in clean.items() if c}
 
     @property
     def _space(self):
@@ -157,30 +158,28 @@ class UEnvElement(SparseElement):
 
     @classmethod
     def one(cls, desc):
-        return cls(desc, {(0,) * desc.dim: Fraction(1)})
+        return cls(desc, {(0,) * desc.dim: 1})
 
     @classmethod
     def generator(cls, desc, index: int):
         e = [0] * desc.dim
         e[index] = 1
-        return cls(desc, {tuple(e): Fraction(1)})
+        return cls(desc, {tuple(e): 1})
 
     def __mul__(self, other):
         if not isinstance(other, UEnvElement):
-            s = frac(other)
-            return UEnvElement(self.desc, {e: c * s for e, c in self.terms.items()})
+            return UEnvElement(self.desc, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: dict[Exp, Fraction] = {}
+        out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 word = _exp_to_word(e1) + _exp_to_word(e2)
                 for e, c in _word_normal_form(self.desc, word).items():
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2 * c
+                    out[e] = out.get(e, 0) + c1 * c2 * c
         return UEnvElement(self.desc, out)
 
     def __rmul__(self, other):
-        s = frac(other)
-        return UEnvElement(self.desc, {e: c * s for e, c in self.terms.items()})
+        return UEnvElement(self.desc, {e: c * other for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -218,7 +217,7 @@ def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...]) -> dict[Exp, 
         return dict(cached)
     descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
     if not descents:
-        out = {_word_to_exp(word, desc.dim): Fraction(1)}
+        out = {_word_to_exp(word, desc.dim): 1}
     else:
         k = descents[0]
         i, j = word[k], word[k + 1]
@@ -229,7 +228,7 @@ def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...]) -> dict[Exp, 
             for m, coef in bracket.items():
                 sub = word[:k] + (m,) + word[k + 2 :]
                 for e, c in _word_normal_form(desc, sub).items():
-                    out[e] = out.get(e, Fraction(0)) + coef * c
+                    out[e] = out.get(e, 0) + coef * c
             out = {e: c for e, c in out.items() if c}
     _word_nf_cache[(desc.key, word)] = dict(out)
     return out
@@ -276,14 +275,11 @@ class FinDimRep:
         ):
             raise ValueError("one matrix of dim sparse rows per basis element required")
         # row by row, [M_i, M_j] - sum_k c_k M_k = 0; antisymmetry of the structure constants
-        # covers i >= j, and integral constants are taken as ints to keep int matrices int
+        # covers i >= j, and integral constants are ints, so int matrices stay int
         for i in range(self.desc.dim):
             for j in range(i + 1, self.desc.dim):
                 a, b = mats[i], mats[j]
-                bracket = [
-                    (-(int(c) if c.denominator == 1 else c), mats[k])
-                    for k, c in self.desc.bracket_vector(i, j).items()
-                ]
+                bracket = [(-c, mats[k]) for k, c in self.desc.bracket_vector(i, j).items()]
                 for r in range(self.dim):
                     terms = [(x, b[k]) for k, x in a[r].items()] + [(-x, a[k]) for k, x in b[r].items()]
                     if lincomb(terms + [(c, m[r]) for c, m in bracket]):

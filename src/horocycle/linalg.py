@@ -4,8 +4,10 @@ A vector is a sparse dict {index: coefficient} without zero entries, and a
 matrix is a list of such rows, so a matrix does not record its number of
 columns: functions that need it (`transpose`, `nullspace`, `quotient`) take
 it as an argument.  `lincomb` is the one kernel for linear combinations, and
-`mat_mul` is a `lincomb` per row.  Entries are ints or Fractions; nothing
-rounds, and functions return fresh objects.
+`mat_mul` is a `lincomb` per row.  Entries are ints or Fractions, never
+floats (`frac` and `num` raise TypeError on one); `num` is the one
+normaliser, an int when integral and a Fraction otherwise.  Nothing rounds,
+and functions return fresh objects.
 
 There is one eliminator, `IncrementalRank`, fraction-free in the manner of
 Bareiss (Math. Comp. 22, 1968): it keeps mutually reduced primitive integer
@@ -23,7 +25,17 @@ from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
+    if isinstance(x, float):
+        raise TypeError(f"inexact coefficient {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def num(x):
+    """x as an int when integral, else as a Fraction; TypeError on a float."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def lincomb(pairs) -> dict:
@@ -143,12 +155,10 @@ def _primitive(vec: dict) -> dict:
 
 def sparse_to_int(vec: dict) -> dict:
     """Clear denominators and common factors of a sparse vector; int-valued dict."""
-    if all(type(v) is int for v in vec.values()):
-        return _primitive({k: v for k, v in vec.items() if v})
     den = 1
     for v in vec.values():
         den = lcm(den, frac(v).denominator)
-    return _primitive({k: int(frac(v) * den) for k, v in vec.items() if v})
+    return _primitive({k: (v * den).numerator for k, v in vec.items() if v})
 
 
 def _reduce_once(v: dict, key, row: dict) -> dict:
@@ -191,10 +201,14 @@ class IncrementalRank:
         self.pivots: dict[object, dict] = {}
 
     def reduce(self, vec: dict) -> dict:
-        """vec fully reduced against the pivots, as integers; {} iff vec lies in their span."""
-        v = sparse_to_int(vec)
+        """vec fully reduced against the pivots, as integers; {} iff vec lies in their span.
+
+        An all-int vec is reduced as given: scaling it changes only the
+        content, which the last step removes.
+        """
+        v = vec if all(type(x) is int for x in vec.values()) else sparse_to_int(vec)
         pivots = self.pivots
-        hits = [k for k in v if k in pivots]
+        hits = [k for k, x in v.items() if x and k in pivots]
         m, sign = 1, 1
         for k in hits:
             p = pivots[k][k]

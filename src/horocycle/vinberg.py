@@ -230,7 +230,7 @@ class _SmashContext:
         """Coefficient table {(xe, de): int} of mu(x^ue)."""
         hit = self._mu.get(ue)
         if hit is None:
-            op = moment_map(UEnvElement(self.pair, {ue: Fraction(1)}), self.act)
+            op = moment_map(UEnvElement(self.pair, {ue: 1}), self.act)
             hit = self._mu[ue] = _integral(op.terms)
         return hit
 
@@ -238,9 +238,7 @@ class _SmashContext:
         key = (e1, e2)
         hit = self._pbw_mul.get(key)
         if hit is None:
-            prod = UEnvElement(self.pair, {e1: Fraction(1)}) * UEnvElement(
-                self.pair, {e2: Fraction(1)}
-            )
+            prod = UEnvElement(self.pair, {e1: 1}) * UEnvElement(self.pair, {e2: 1})
             hit = self._pbw_mul[key] = _integral(prod.terms)
         return hit
 

@@ -4,16 +4,16 @@ Operators are stored with every coordinate factor to the left of every
 derivative factor; this normal order is a basis, so equality of operators is
 equality of coefficient tables.  The product is computed term by term from the
 single reordering rule D_x x = x D_x + 1, extended to powers by the usual
-binomial/falling-factorial expansion.
+binomial/falling-factorial expansion.  As in `exactalg`, a coefficient is an
+int when integral and a Fraction otherwise, never a float.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, fmt_coef
-from .linalg import frac, nullspace
+from .linalg import nullspace, num
 
 Exp = tuple[int, ...]
 Key = tuple[Exp, Exp]
@@ -27,16 +27,15 @@ class WeylOp(SparseElement):
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
         n = len(self.variables)
-        clean: dict[Key, Fraction] = {}
+        clean: dict = {}
         for (xe, de), c in terms.items():
             xe, de = tuple(xe), tuple(de)
             if len(xe) != n or len(de) != n:
                 raise ArityMismatch("exponent arity mismatch")
-            c = frac(c)
             if c:
                 k = (xe, de)
-                clean[k] = clean.get(k, Fraction(0)) + c
-        self.terms = {k: c for k, c in clean.items() if c}
+                clean[k] = clean.get(k, 0) + c
+        self.terms = {k: num(c) for k, c in clean.items() if c}
 
     @property
     def _space(self):
@@ -57,7 +56,7 @@ class WeylOp(SparseElement):
     @classmethod
     def one(cls, variables):
         n = len(tuple(variables))
-        return cls(variables, {((0,) * n, (0,) * n): Fraction(1)})
+        return cls(variables, {((0,) * n, (0,) * n): 1})
 
     @classmethod
     def from_poly(cls, f: ExactPoly):
@@ -72,14 +71,14 @@ class WeylOp(SparseElement):
         n = len(variables)
         de = [0] * n
         de[i] = 1
-        return cls(variables, {((0,) * n, tuple(de)): Fraction(1)})
+        return cls(variables, {((0,) * n, tuple(de)): 1})
 
     @classmethod
     def vector_field(cls, coefficients: list[ExactPoly]):
         """Sum coefficients[i] * D_{x_i}."""
         variables = coefficients[0].variables
         n = len(variables)
-        terms: dict[Key, Fraction] = {}
+        terms: dict = {}
         for i, f in enumerate(coefficients):
             if f.variables != variables:
                 raise ArityMismatch("mixed variable lists")
@@ -88,7 +87,7 @@ class WeylOp(SparseElement):
             de = tuple(de)
             for e, c in f.terms.items():
                 k = (e, de)
-                terms[k] = terms.get(k, Fraction(0)) + c
+                terms[k] = terms.get(k, 0) + c
         return cls(variables, terms)
 
     # --- structure ---
@@ -98,7 +97,7 @@ class WeylOp(SparseElement):
 
     def coefficient_polys(self) -> dict[Exp, ExactPoly]:
         """Map derivative exponent -> its coordinate-polynomial coefficient."""
-        out: dict[Exp, dict[Exp, Fraction]] = {}
+        out: dict[Exp, dict] = {}
         for (xe, de), c in self.terms.items():
             out.setdefault(de, {})[xe] = c
         return {de: ExactPoly(self.variables, t) for de, t in out.items()}
@@ -109,10 +108,9 @@ class WeylOp(SparseElement):
         if isinstance(other, ExactPoly):
             other = WeylOp.from_poly(other)
         if not isinstance(other, WeylOp):
-            s = frac(other)
-            return WeylOp(self.variables, {k: c * s for k, c in self.terms.items()})
+            return WeylOp(self.variables, {k: c * other for k, c in self.terms.items()})
         self._check(other)
-        out: dict[Key, Fraction] = {}
+        out: dict = {}
         for (xe1, de1), c1 in self.terms.items():
             for (xe2, de2), c2 in other.terms.items():
                 _accumulate_term_product(out, xe1, de1, xe2, de2, c1 * c2)
@@ -121,8 +119,7 @@ class WeylOp(SparseElement):
     def __rmul__(self, other):
         if isinstance(other, ExactPoly):
             return WeylOp.from_poly(other) * self
-        s = frac(other)
-        return WeylOp(self.variables, {k: c * s for k, c in self.terms.items()})
+        return WeylOp(self.variables, {k: c * other for k, c in self.terms.items()})
 
     def __repr__(self):
         return f"WeylOp({op_to_text(self)!r})"
@@ -148,7 +145,7 @@ def _accumulate_term_product(out, xe1, de1, xe2, de2, coef):
             xe = tuple(xe1[j] + xe2[j] - ks[j] for j in range(n))
             de = tuple(de1[j] + de2[j] - ks[j] for j in range(n))
             key = (xe, de)
-            out[key] = out.get(key, Fraction(0)) + coef * mult
+            out[key] = out.get(key, 0) + coef * mult
             continue
         for k, w in expansions[i]:
             stack.append((i + 1, ks + (k,), mult * w))
@@ -163,7 +160,7 @@ def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
     if p.variables != f.variables:
         raise ArityMismatch(f"{p.variables} vs {f.variables}")
     n = len(p.variables)
-    out: dict[Exp, Fraction] = {}
+    out: dict = {}
     for (xe, de), c in p.terms.items():
         for fe, fc in f.terms.items():
             if any(fe[i] < de[i] for i in range(n)):
@@ -173,7 +170,7 @@ def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
                 if de[i]:
                     mult *= math.perm(fe[i], de[i])
             e = tuple(fe[i] - de[i] + xe[i] for i in range(n))
-            out[e] = out.get(e, Fraction(0)) + c * fc * mult
+            out[e] = out.get(e, 0) + c * fc * mult
     return ExactPoly(p.variables, out)
 
 

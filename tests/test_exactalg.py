@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from horocycle.exactalg import (
     BOTTOM,
@@ -21,8 +22,8 @@ from horocycle.exactalg import (
     vanishing_order,
 )
 from horocycle.lie import UEnvElement, sl2_desc, sl2_pair_desc
-from horocycle.linalg import IncrementalRank
-from horocycle.weyl import WeylOp
+from horocycle.linalg import IncrementalRank, frac, num
+from horocycle.weyl import WeylOp, apply_op
 from matrices import rank, sparse
 
 V = MAT2_VARS
@@ -252,3 +253,87 @@ def test_sparse_element_arithmetic(kind):
     for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
         with pytest.raises(ValueError):
             op(x, foreign)
+
+
+def _canonical(x) -> bool:
+    """Every stored coefficient is a nonzero int, or a Fraction that is not integral."""
+    return all(
+        (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1) for c in x.terms.values()
+    )
+
+
+def _rand_coef(rng):
+    # ints, proper fractions and integral Fractions such as 4/2, which must be stored as ints
+    return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
+
+
+def _rand_exp(rng, n, degree):
+    e = [0] * n
+    for _ in range(rng.randint(0, degree)):
+        e[rng.randrange(n)] += 1
+    return tuple(e)
+
+
+def _to_sympy(f: ExactPoly, gens):
+    out = 0
+    for e, coef in f.terms.items():
+        term = sympy.Rational(coef.numerator, coef.denominator)
+        for g, k in zip(gens, e):
+            term *= g**k
+        out += term
+    return sympy.expand(out)
+
+
+def test_coefficients_stay_canonical():
+    # sums, products, normal forms, operator actions and PBW products of seeded
+    # elements with mixed int and Fraction coefficients never store an integral
+    # Fraction, and division by the non-monic 2a + 3b matches sympy
+    gens = sympy.symbols("a b c d")
+    rng = random.Random(23)
+    rings = (mat2_ring(), sl2_ring(), horocycle_ring())
+    divisor = 2 * a + 3 * b
+    quotients_with_halves = 0
+    for _ in range(60):
+        f = ExactPoly(V, {_rand_exp(rng, 4, 3): _rand_coef(rng) for _ in range(5)})
+        g = ExactPoly(V, {_rand_exp(rng, 4, 3): _rand_coef(rng) for _ in range(5)})
+        polys = [f, g, f + g, f - g, f * g, 2 * f, f * Fraction(1, 2), Fraction(2, 3) * g * 3]
+        polys += [ring.normal_form(p) for ring in rings for p in (f, f * g)]
+        p = WeylOp(V, {(_rand_exp(rng, 4, 2), _rand_exp(rng, 4, 2)): _rand_coef(rng) for _ in range(4)})
+        q = WeylOp(V, {(_rand_exp(rng, 4, 2), _rand_exp(rng, 4, 2)): _rand_coef(rng) for _ in range(4)})
+        polys += [apply_op(p, f), apply_op(p * q, g)]
+        ops = [p + q, p * q, q * p, p * Fraction(3, 2), 2 * q]
+        desc = rng.choice((sl2_desc(), sl2_pair_desc()))
+        u = UEnvElement(desc, {_rand_exp(rng, desc.dim, 2): _rand_coef(rng) for _ in range(3)})
+        w = UEnvElement(desc, {_rand_exp(rng, desc.dim, 2): _rand_coef(rng) for _ in range(3)})
+        pbw = [u + w, u * w, w * u, u * Fraction(1, 2) * 2]
+        assert all(_canonical(x) for x in polys + ops + pbw)
+        for h in (f, f * divisor):
+            quot = poly_try_divide(h, divisor)
+            sq, sr = sympy.div(_to_sympy(h, gens), _to_sympy(divisor, gens), *gens)
+            if quot is None:
+                assert sr != 0
+                continue
+            assert _canonical(quot) and sr == 0
+            assert sympy.expand(_to_sympy(quot, gens) - sq) == 0
+            quotients_with_halves += any(type(x) is Fraction and x.denominator % 2 == 0 for x in quot.terms.values())
+    assert quotients_with_halves >= 10
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        ExactPoly(V, {(1, 0, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        WeylOp(V, {((1, 0, 0, 0), (0, 1, 0, 0)): 0.5})
+    with pytest.raises(TypeError):
+        UEnvElement(sl2_desc(), {(0, 1, 0): 0.5})
+    for x in (a, WeylOp.partial(V, "a"), UEnvElement.generator(sl2_desc(), 1)):
+        with pytest.raises(TypeError):
+            _ = x * 0.5
+        with pytest.raises(TypeError):
+            _ = 0.5 * x
+    with pytest.raises(TypeError):
+        frac(0.5)
+    with pytest.raises(TypeError):
+        num(0.5)
+    assert num(Fraction(4, 2)) == 2 and type(num(Fraction(4, 2))) is int
+    assert num(Fraction(1, 2)) == Fraction(1, 2)

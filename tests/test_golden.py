@@ -4,8 +4,9 @@ relative-field and filtration suites, byte for byte.
 The files under golden/ pin the quotient maps Y and the induced matrices T as
 well as the item lists, so any change to how quotients are formed shows here;
 the identities, tau and grderv reports pin the relative-field kernels, the
-vfilt item names pin the polynomial text format, and the dy report pins the
-window counts of the incremental eliminator.
+vfilt item names pin the polynomial text format, the vfilt and rees reports at
+bound 16 pin the normal forms on O(SL2) at the benchmark's bounds, and the dy
+report pins the window counts of the incremental eliminator.
 """
 
 from pathlib import Path
@@ -30,6 +31,8 @@ CASES = [
     (["verify", "tau", "--bound", "6"], "verify_tau_bound6.json"),
     (["verify", "pwfilt", "--bound", "10"], "verify_pwfilt_bound10.json"),
     (["verify", "vfilt", "--bound", "6"], "verify_vfilt_bound6.json"),
+    (["verify", "vfilt", "--bound", "16"], "verify_vfilt_bound16.json"),
+    (["verify", "rees", "--bound", "16"], "verify_rees_bound16.json"),
     (["verify", "dy", "--bound", "3"], "verify_dy_bound3.json"),
     (["verify", "dy"], "verify_dy.json"),
     (["exponents", "--m", "5"], "exponents_m5.json"),

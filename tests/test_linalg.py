@@ -229,6 +229,32 @@ def test_incremental_rank_reduce_hard_cases():
     assert hits_seen > 100 and negative_pivots > 30, (hits_seen, negative_pivots)
 
 
+def test_incremental_rank_reduces_int_input_as_given():
+    # a non-primitive int vector with explicit zero entries, some of them at
+    # (negative) pivots, reduces to the Fraction reference of its nonzero part,
+    # and the input is left as it was
+    rng = random.Random(17)
+    zero_at_negative_pivot = 0
+    for _ in range(40):
+        n = rng.randint(6, 10)
+        elim = IncrementalRank()
+        for row in _hard_family(rng, n):
+            elim.add(row)
+        for _ in range(5):
+            v = {i: rng.randint(-20, 20) for i in rng.sample(range(n), rng.randint(2, n))}
+            v = {i: x for i, x in v.items() if x}
+            zeros = rng.sample(sorted(set(range(n)) - set(v)), min(2, n - len(v)))
+            g = rng.randint(2, 6)
+            given = {**{i: g * x for i, x in v.items()}, **{i: 0 for i in zeros}}
+            zero_at_negative_pivot += any(i in elim.pivots and elim.pivots[i][i] < 0 for i in zeros)
+            before = dict(given)
+            red = elim.reduce(given)
+            assert given == before
+            assert red == _one_pass_reference(elim, v)
+            assert elim.reduce({i: Fraction(x, 3) for i, x in given.items()}) == red
+    assert zero_at_negative_pivot > 20, zero_at_negative_pivot
+
+
 def test_incremental_rank_pivot_profile():
     # coordinate i is stored under key n-1-i, so pivots (least keys) fall on
     # high coordinates and counting pivots in a downward closed set of

@@ -116,6 +116,8 @@ class ExactPoly(SparseElement):
                 raise ArityMismatch(f"exponent {e} has wrong arity for {self.variables}")
             if c:
                 clean[e] = clean.get(e, 0) + c
+            else:
+                num(c)  # TypeError on a float zero
         self.terms = {e: num(c) for e, c in clean.items() if c}
 
     @property

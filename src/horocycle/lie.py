@@ -144,6 +144,8 @@ class UEnvElement(SparseElement):
                 raise ValueError("PBW exponent arity mismatch")
             if c:
                 clean[e] = clean.get(e, 0) + c
+            else:
+                num(c)  # TypeError on a float zero
         self.terms = {e: num(c) for e, c in clean.items() if c}
 
     @property

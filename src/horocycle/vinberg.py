@@ -322,6 +322,114 @@ class _SmashContext:
         return (sum(fe), (uw[0] + fw[0], uw[1] + fw[1]))
 
 
+_F0 = (0,) * 4  # the exponent of the constant function 1
+_UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c d
+
+
+def _dy_generators(ctx: _SmashContext, delta: dict) -> list[dict]:
+    """Delta and D_j = Delta m_{x_j} - m_{x_j} Delta for x_j = a, b, c, d, keyed
+    (pbw exp, monomial), from the PBW coefficients `delta` of Delta.
+
+    In the smash product Leibniz gives Delta m_f = m_f Delta + Sum_j m_{d_j f} D_j
+    + m_{mu(Delta) f}, and mu(Delta) = 0 (the dy report's first item), so these
+    five generate the two-sided ideal of Delta as a left O-module under right
+    multiplication by U.  Each D_j has enveloping degree at most 1.
+    """
+    gens = [{(ue, _F0): c for ue, c in delta.items()}]
+    for unit in _UNITS:
+        out = {(ue, unit): -c for ue, c in delta.items()}
+        for ue, c in delta.items():
+            for k, c2 in ctx.push(ue, unit).items():
+                out[k] = out.get(k, 0) + c * c2
+        gens.append({k: v for k, v in out.items() if v})
+    return gens
+
+
+def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> dict:
+    """{block: {d: (columns, rank) of enveloping degree <= d}} for the realization.
+
+    Column (u, f) is x^f times the cone-reduced table of mu(u): mu(u) itself
+    has monomials (ad, bc) that meet on the cone, which a re-keying shift
+    loses.  Each coefficient key is numbered once, so the eliminator hashes
+    small ints.  Blocks go in increasing function degree, members by
+    (deg u, u, f).  x_j maps column (u, f) linearly to column (u, x_j f), so a
+    column that does not raise its block's rank, being a combination of
+    rank-raising columns of no higher enveloping degree, has every shift in
+    the span of their shifts: only the shifts of rank-raising columns are
+    inserted, and every rank of the profile is that of all the columns.
+    """
+    u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
+    f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    blocks: dict[tuple, list] = {}
+    for ue in u_exps:
+        for fe in f_exps:
+            blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
+    coords: dict = {}
+    mu_tables = {ue: ctx.realize({(ue, _F0): 1}) for ue in u_exps}
+    wanted = {(ue, _F0) for ue in u_exps}
+    profile = {}
+    for key in sorted(blocks):
+        elim = IncrementalRank()
+        prof = profile[key] = {}
+        members = sorted(blocks[key], key=lambda m: (sum(m[0]), m[0], m[1]))
+        for count, (ue, fe) in enumerate(members, 1):
+            if (ue, fe) in wanted:
+                col = ctx.f_shift(fe, mu_tables[ue])
+                if elim.add({coords.setdefault(k, len(coords)): c for k, c in col.items()}):
+                    wanted.update((ue, ctx.mono_mul(fe, unit)) for unit in _UNITS)
+            prof[sum(ue)] = (count, len(elim.pivots))
+    return profile
+
+
+def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_bound: int):
+    """({block: (IncrementalRank, basis)}, coordinates) of the span of x^g g u
+    for g in `gens`, deg u <= build_bound - 2 and deg x^g g <= poly_bound.
+
+    Coordinates (u, f) are numbered in pivot order, enveloping degree downward,
+    so each row's pivot is its key of highest enveloping degree; the closure
+    works on these numbers, with x_j acting through shift[j] and moving a
+    vector from block (q, w) to (q + 1, w + weight(x_j)).  A vector is x^g
+    times a seed g u, with signature (seed, g) for the cone-normal g.  Shifts
+    are exact and commute, so a repeated signature is the identical vector,
+    already in the span: skipping it changes no pivot.  Only rank-raising
+    vectors are shifted, since the shifts of the others lie in their span.
+    """
+    f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    coords = sorted(
+        ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
+        key=lambda key: (-sum(key[0]), key[0], key[1]),
+    )
+    index = {key: i for i, key in enumerate(coords)}
+    shift = []
+    for unit in _UNITS:
+        times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
+        shift.append([index.get((ue, times[fe])) for ue, fe in coords])
+    blocks: dict[tuple, tuple] = {}
+    work: list = []
+    seen = set()
+
+    def insert(key, sig, elem):
+        elim, basis = blocks.get(key) or blocks.setdefault(key, (IncrementalRank(), []))
+        if elim.add(elem):
+            basis.append(elem)
+            work.append((key, sig, elem))
+
+    seeds = (ctx.u_right(g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7))
+    for n, seed in enumerate(seeds):
+        if seed:
+            insert(ctx.block_of(*next(iter(seed))), (n, _F0), {index[k]: c for k, c in seed.items()})
+    while work:
+        (q, (wt0, wt1)), (n, g), vec = work.pop()
+        if q >= poly_bound:
+            continue
+        for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
+            sig = (n, ctx.mono_mul(g, unit))
+            if sig not in seen:
+                seen.add(sig)
+                insert((q + 1, (wt0 + dw0, wt1 + dw1)), sig, {table[i]: c for i, c in vec.items()})
+    return blocks, coords
+
+
 def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     """Kernel of the bounded realization on the rank-one cone against the
     two-sided ideal generated by the Casimir difference, window by window.
@@ -329,16 +437,21 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     An operator kills every function on the cone exactly when det divides all
     of its normal-ordered coefficients (commute with the coordinates and
     induct on order), so an element's det-reduced coefficient table is a
-    faithful model of its action.  The Casimir difference is central in the
-    enveloping factor, so its two-sided ideal is spanned by function-multiples
-    of its left multiples; the ideal is generated with `_DY_MARGIN` extra
-    enveloping degrees so that cancellations landing inside a window are
-    found, then intersected with each window by pivot counting.
+    faithful model of its action.  The Casimir difference Delta is central in
+    the enveloping factor, so its two-sided ideal is spanned by function
+    multiples of its left multiples Delta m_f u.  By Leibniz, Delta m_f =
+    m_f Delta + Sum_j m_{d_j f} D_j + m_{mu(Delta) f} with D_j = Delta m_{x_j}
+    - m_{x_j} Delta; the last term, which no generator would cover, drops
+    because mu(Delta) = 0 (the first item), so under the same degree bounds
+    the function multiples of Delta u and D_j u span it.  The ideal is
+    generated with `_DY_MARGIN` extra enveloping degrees so that
+    cancellations landing inside a window are found, then intersected with
+    each window by pivot counting.  On both sides only the function shifts
+    of rank-raising vectors are inserted.
     """
     if pbw_bound < 2:
         raise ValueError("bound too small to see the relation (< 2)")
     ctx = _SmashContext()
-    ry = ctx.ry
     report = CheckReport(
         check="dy",
         parameters={"pbw_bound": pbw_bound, "poly_bound": poly_bound, "margin": _DY_MARGIN},
@@ -356,119 +469,18 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
         diff_op.is_zero(),
     )
 
-    build_bound = pbw_bound + _DY_MARGIN
-    u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
-    f_exps = [e for q in range(poly_bound + 1) for e in ry.nf_monomials(q)]
-    f0 = (0,) * 4  # the exponent of the constant function 1
-
-    # --- kernel side: columns of the realization, eliminated per block with a
-    # rank profile over the enveloping degree; each coefficient key of the
-    # realization is numbered once, so the eliminator hashes small ints
-    blocks: dict[tuple, list] = {}
-    for ue in u_exps:
-        for fe in f_exps:
-            blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
-
-    # column (u, f) is x^f times the cone-reduced table of mu(u): mu(u) itself
-    # has monomials (ad, bc) that meet on the cone, which a re-keying shift loses
-    coords: dict = {}
-    mu_tables = {ue: ctx.realize({(ue, f0): 1}) for ue in u_exps}
-    kernel_profile: dict[tuple, dict[int, tuple[int, int]]] = {}
-    for key, members in blocks.items():
-        members.sort(key=lambda m: (sum(m[0]), m[0], m[1]))
-        elim = IncrementalRank()
-        prof = {}
-        for count, (ue, fe) in enumerate(members, 1):
-            col = ctx.f_shift(fe, mu_tables[ue])
-            elim.add({coords.setdefault(k, len(coords)): c for k, c in col.items()})
-            prof[sum(ue)] = (count, len(elim.pivots))
-        kernel_profile[key] = prof
+    kernel_profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
+    gens = _dy_generators(ctx, _integral(delta_diff.terms))
+    span_blocks, ideal_coords = _dy_ideal_span(ctx, gens, pbw_bound + _DY_MARGIN, poly_bound)
 
     def kernel_dim(p: int, q: int) -> int:
         total = 0
         for (fq, w), prof in kernel_profile.items():
-            if fq > q:
-                continue
-            best = None
-            for deg in sorted(prof):
-                if deg <= p:
-                    best = prof[deg]
-            if best:
-                total += best[0] - best[1]
+            degs = [deg for deg in prof if deg <= p]
+            if fq <= q and degs:
+                count, rank = prof[max(degs)]
+                total += count - rank
         return total
-
-    # --- ideal side: left multiples of the Casimir difference, then closure
-    # under function multiplication (which bounds the whole two-sided ideal).
-    # Coordinates (u, f) are numbered in pivot order, enveloping degree
-    # downward, so each row's pivot is its key of highest enveloping degree;
-    # the closure works on these numbers, with x_j acting through shift[j].
-    ideal_coords = sorted(
-        ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
-        key=lambda key: (-sum(key[0]), key[0], key[1]),
-    )
-    ideal_index = {key: i for i, key in enumerate(ideal_coords)}
-    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
-    shift = []
-    for unit in units:
-        times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
-        shift.append([ideal_index.get((ue, times[fe])) for ue, fe in ideal_coords])
-    span_blocks: dict[tuple, tuple] = {}
-    work: list = []
-
-    def insert(key, elem) -> bool:
-        entry = span_blocks.get(key)
-        if entry is None:
-            entry = span_blocks.setdefault(key, (IncrementalRank(), []))
-        elim, basis = entry
-        if elim.add(elem):
-            basis.append(elem)
-            return True
-        return False
-
-    dm_cache: dict = {}
-    delta_coefs = _integral(delta_diff.terms)
-
-    def delta_times_f(fe) -> dict:
-        if fe not in dm_cache:
-            out: dict = {}
-            for ue, c in delta_coefs.items():
-                for k, c2 in ctx.push(ue, fe).items():
-                    out[k] = out.get(k, 0) + c * c2
-            dm_cache[fe] = {k: v for k, v in out.items() if v}
-        return dm_cache[fe]
-
-    # A vector is x^g times a seed (Delta m_f) u, with signature (seed, g) for
-    # the cone-normal g.  Shifts are exact and commute, so a repeated signature
-    # is the identical vector, already in the span: skipping it changes no
-    # pivot.  x_j moves a vector from block (q, w) to (q + 1, w + weight(x_j)).
-    seen = set()
-    for fe in f_exps:
-        base = delta_times_f(fe)
-        for ue in [c[:6] for c in compositions(build_bound - 2, 7)]:
-            elem = ctx.u_right(base, ue)
-            if not elem:
-                continue
-            w0, h0 = next(iter(elem))
-            key = ctx.block_of(w0, h0)
-            sig = (len(seen), f0)  # the seeds come first, numbered in order
-            seen.add(sig)
-            elem = {ideal_index[k]: c for k, c in elem.items()}
-            if insert(key, elem):
-                work.append((key, sig, elem))
-
-    while work:
-        (q, (wt0, wt1)), (seed, g), vec = work.pop()
-        if q >= poly_bound:
-            continue
-        for unit, table, (dw0, dw1) in zip(units, shift, _VAR_WEIGHTS):
-            sig = (seed, ctx.mono_mul(g, unit))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            shifted = {table[i]: c for i, c in vec.items()}
-            nkey = (q + 1, (wt0 + dw0, wt1 + dw1))
-            if insert(nkey, shifted):
-                work.append((nkey, sig, shifted))
 
     def ideal_window_dim(p: int, q: int) -> int:
         total = 0

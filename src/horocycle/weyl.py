@@ -35,6 +35,8 @@ class WeylOp(SparseElement):
             if c:
                 k = (xe, de)
                 clean[k] = clean.get(k, 0) + c
+            else:
+                num(c)  # TypeError on a float zero
         self.terms = {k: num(c) for k, c in clean.items() if c}
 
     @property

@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -95,7 +97,18 @@ def test_criterion_04_cone_relation():
         assert len(windows) == 25
         return report.passed
 
-    _within("4 (rank-one cone relation)", 20, run)
+    _within("4 (rank-one cone relation)", 10, run)
+
+
+def test_criterion_04_stretch_bound_5():
+    golden = (Path(__file__).parent / "golden" / "verify_dy_bound5.json").read_text()
+
+    def run():
+        report = verify_dy_relation(5, 5)
+        assert json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n" == golden
+        return report.passed
+
+    _within("4 stretch (rank-one cone relation, bound 5)", 30, run)
 
 
 def test_criterion_05_rees_machinery():

@@ -337,3 +337,17 @@ def test_float_coefficients_are_rejected():
         num(0.5)
     assert num(Fraction(4, 2)) == 2 and type(num(Fraction(4, 2))) is int
     assert num(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_float_zero_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        ExactPoly(V, {(1, 0, 0, 0): 0.0, (0, 1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        WeylOp(V, {((1, 0, 0, 0), (0, 1, 0, 0)): 0.0})
+    with pytest.raises(TypeError):
+        UEnvElement(sl2_desc(), {(0, 1, 0): -0.0})
+    for x in (a, WeylOp.partial(V, "a"), UEnvElement.generator(sl2_desc(), 1)):
+        with pytest.raises(TypeError):
+            _ = x * 0.0
+    # exact zeros are still dropped
+    assert ExactPoly(V, {(1, 0, 0, 0): 0, (0, 1, 0, 0): Fraction(0)}).terms == {}

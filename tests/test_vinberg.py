@@ -6,8 +6,13 @@ import pytest
 from horocycle.action import RationalPoint
 from horocycle.exactalg import compositions
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
+from horocycle.linalg import IncrementalRank
 from horocycle.vinberg import (
+    _DY_MARGIN,
     _SmashContext,
+    _dy_generators,
+    _dy_ideal_span,
+    _dy_kernel_profile,
     _integral,
     asymp_diagram_check,
     default_pw_samples,
@@ -56,10 +61,17 @@ UNITS = [tuple(int(i == j) for i in range(4)) for j in range(4)]
 F0 = (0, 0, 0, 0)
 
 
-def _dy_seeds(ctx, f_degree, u_degree):
-    """The seeds u_right(Delta m_f, u) of the dy ideal side, as verify_dy_relation builds them."""
+def _delta():
+    """The PBW coefficients of Delta = Casimir(x)1 - 1(x)Casimir."""
     one = UEnvElement.one(sl2_desc())
-    delta = _integral((tensor(casimir_sl2(), one) - tensor(one, casimir_sl2())).terms)
+    return _integral((tensor(casimir_sl2(), one) - tensor(one, casimir_sl2())).terms)
+
+
+def _dy_seeds(ctx, f_degree, u_degree):
+    """The left multiples u_right(Delta m_f, u) for cone monomials f of degree <= f_degree
+    and PBW monomials u of degree <= u_degree; with u_degree 0, the generators Delta m_f
+    of the ideal that `_dy_generators` generates with five."""
+    delta = _delta()
     seeds = []
     for q in range(f_degree + 1):
         for fe in ctx.ry.nf_monomials(q):
@@ -114,6 +126,60 @@ def test_dy_realization_commutes_with_function_shifts():
             assert ctx.realize(ctx.f_shift(unit, v)) == ctx.f_shift(unit, realized)
     # the seeds lie in the kernel, so every shift of them does too
     assert not any(ctx.realize(v) for v in seeds)
+
+
+def test_dy_generators_have_the_stated_degrees():
+    ctx = _SmashContext()
+    gens = _dy_generators(ctx, _delta())
+    assert len(gens) == 5
+    assert max(sum(ue) for ue, _ in gens[0]) == 2 and {fe for _, fe in gens[0]} == {F0}
+    for unit, gen in zip(UNITS, gens[1:]):
+        # D_j = Delta m_{x_j} - m_{x_j} Delta: the degree-2 parts cancel, the linear part stays
+        assert max(sum(ue) for ue, _ in gen) == 1, unit
+        assert {sum(fe) for _, fe in gen} == {1}
+        assert not ctx.realize(gen)
+
+
+@pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (2, 5)])
+def test_dy_five_generators_span_the_ideal_of_every_left_multiple(pbw_bound, poly_bound):
+    """Per block, the closure of Delta u and D_j u spans what the closure of
+    every Delta m_f u spans (f over all cone monomials of degree <= poly_bound)."""
+    ctx = _SmashContext()
+    build = pbw_bound + _DY_MARGIN
+    new, coords = _dy_ideal_span(ctx, _dy_generators(ctx, _delta()), build, poly_bound)
+    old, old_coords = _dy_ideal_span(ctx, _dy_seeds(ctx, poly_bound, 0), build, poly_bound)
+    assert coords == old_coords
+    assert {k for k, (_, basis) in new.items() if basis} == {k for k, (_, basis) in old.items() if basis}
+    for key, (elim, basis) in new.items():
+        other, other_basis = old[key]
+        assert len(elim.pivots) == len(other.pivots), key
+        assert not any(other.reduce(v) for v in basis), key
+        assert not any(elim.reduce(v) for v in other_basis), key
+
+
+def _every_column_profile(ctx, pbw_bound, poly_bound):
+    """The kernel-side profile with every column (u, f) realized and inserted."""
+    blocks: dict = {}
+    for ue in (c[:6] for c in compositions(pbw_bound, 7)):
+        for q in range(poly_bound + 1):
+            for fe in ctx.ry.nf_monomials(q):
+                blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
+    profile = {}
+    for key, members in blocks.items():
+        elim = IncrementalRank()
+        prof = profile[key] = {}
+        for count, (ue, fe) in enumerate(sorted(members, key=lambda m: (sum(m[0]), m[0], m[1])), 1):
+            elim.add(ctx.realize({(ue, fe): 1}))
+            prof[sum(ue)] = (count, len(elim.pivots))
+    return profile
+
+
+@pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (3, 4)])
+def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(pbw_bound, poly_bound):
+    ctx = _SmashContext()
+    profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
+    assert profile == _every_column_profile(ctx, pbw_bound, poly_bound)
+    assert any(count > rank for prof in profile.values() for count, rank in prof.values())
 
 
 def test_dy_rejects_small_bound():

@@ -7,6 +7,7 @@ computed value and an exact pass flag; nothing is compared up to tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .action import (
@@ -297,15 +298,6 @@ class _SmashContext:
             hit = self._mono_mul[key] = _nf_y_mono(tuple(x + y for x, y in zip(e1, e2)))
         return hit
 
-    def f_shift(self, fe, elem: dict) -> dict:
-        """x^fe times an element or a realized table, keyed (w, h) with h cone-normal.
-
-        Multiplying by a monomial is injective on cone-normal monomials (the
-        cone's ring is a domain), so this only re-keys: no two keys meet.
-        """
-        mono_mul = self.mono_mul
-        return {(w, mono_mul(h, fe)): c for (w, h), c in elem.items()}
-
     def realize(self, elem: dict) -> dict:
         """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
         acc: dict = {}
@@ -350,33 +342,57 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
 
     Column (u, f) is x^f times the cone-reduced table of mu(u): mu(u) itself
     has monomials (ad, bc) that meet on the cone, which a re-keying shift
-    loses.  Each coefficient key is numbered once, so the eliminator hashes
-    small ints.  Blocks go in increasing function degree, members by
-    (deg u, u, f).  x_j maps column (u, f) linearly to column (u, x_j f), so a
-    column that does not raise its block's rank, being a combination of
-    rank-raising columns of no higher enveloping degree, has every shift in
-    the span of their shifts: only the shifts of rank-raising columns are
-    inserted, and every rank of the profile is that of all the columns.
+    loses.  Blocks go in increasing function degree, members by (deg u, u, f).
+    Each coefficient key (de, h) is coded by an int that orders keys by
+    decreasing differential order |de|, then by reverse first sight, so a
+    row's pivot is a key of its top order.  A column of enveloping degree d
+    has order at most d, and no row of lower degree holds a key of order d,
+    so a new pivot of order d is met only by rows of degree d: back-reduction
+    stays among the rows of one degree unless a column's top-order part
+    reduces to zero.  The key order changes no rank.
+    x_j maps column (u, f) linearly to column (u, x_j f): each code is re-keyed
+    through shift[j], code -> code of (de, nf(h x_j)), exactly, since
+    nf(nf(h) x_j) = nf(h x_j).  A column that does not raise its block's rank,
+    being a combination of rank-raising columns of no higher enveloping degree,
+    has every shift in the span of their shifts: only the shifts of
+    rank-raising columns are inserted, and every rank of the profile is that
+    of all the columns.
     """
-    u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
-    f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    u_weights = {c[:6]: _weight(c[:6], _GEN_WEIGHTS) for c in compositions(pbw_bound, 7)}
     blocks: dict[tuple, list] = {}
-    for ue in u_exps:
-        for fe in f_exps:
-            blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
-    coords: dict = {}
-    mu_tables = {ue: ctx.realize({(ue, _F0): 1}) for ue in u_exps}
-    wanted = {(ue, _F0) for ue in u_exps}
+    for fe in (e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)):
+        fw0, fw1 = _weight(fe, _VAR_WEIGHTS)
+        for ue, (uw0, uw1) in u_weights.items():
+            blocks.setdefault((sum(fe), (uw0 + fw0, uw1 + fw1)), []).append((ue, fe))
+    codes: dict = {}
+    keys: dict = {}
+
+    def code(key) -> int:
+        hit = codes.get(key)
+        if hit is None:
+            hit = codes[key] = -len(codes) - (sum(key[0]) << 32)
+            keys[hit] = key
+        return hit
+
+    cols = {(ue, _F0): {code(k): c for k, c in ctx.realize({(ue, _F0): 1}).items()} for ue in u_weights}
+    shift: list[dict] = [{} for _ in _UNITS]
     profile = {}
     for key in sorted(blocks):
         elim = IncrementalRank()
         prof = profile[key] = {}
         members = sorted(blocks[key], key=lambda m: (sum(m[0]), m[0], m[1]))
         for count, (ue, fe) in enumerate(members, 1):
-            if (ue, fe) in wanted:
-                col = ctx.f_shift(fe, mu_tables[ue])
-                if elim.add({coords.setdefault(k, len(coords)): c for k, c in col.items()}):
-                    wanted.update((ue, ctx.mono_mul(fe, unit)) for unit in _UNITS)
+            col = cols.pop((ue, fe), None)
+            if col is not None and elim.add(col) and key[0] < poly_bound:
+                for unit, table in zip(_UNITS, shift):
+                    child = (ue, ctx.mono_mul(fe, unit))
+                    if child in cols:
+                        continue
+                    for k in col:
+                        if k not in table:
+                            de, h = keys[k]
+                            table[k] = code((de, ctx.mono_mul(h, unit)))
+                    cols[child] = {table[k]: c for k, c in col.items()}
             prof[sum(ue)] = (count, len(elim.pivots))
     return profile
 
@@ -482,13 +498,12 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
                 total += count - rank
         return total
 
+    ideal_pivots = Counter(
+        (fq, sum(ideal_coords[i][0])) for (fq, _), (elim, _) in span_blocks.items() for i in elim.pivots
+    )
+
     def ideal_window_dim(p: int, q: int) -> int:
-        total = 0
-        for key, (elim, basis) in span_blocks.items():
-            if key[0] > q:
-                continue
-            total += sum(1 for i in elim.pivots if sum(ideal_coords[i][0]) <= p)
-        return total
+        return sum(n for (fq, d), n in ideal_pivots.items() if fq <= q and d <= p)
 
     # containment spot check: ideal basis elements realize to the zero operator
     spot = 0

@@ -4,9 +4,10 @@ relative-field and filtration suites, byte for byte.
 The files under golden/ pin the quotient maps Y and the induced matrices T as
 well as the item lists, so any change to how quotients are formed shows here;
 the identities, tau and grderv reports pin the relative-field kernels, the
-vfilt item names pin the polynomial text format, the vfilt and rees reports at
-bound 16 pin the normal forms on O(SL2) at the benchmark's bounds, and the dy
-report pins the window counts of the incremental eliminator.
+vfilt item names pin the polynomial text format, the vfilt reports at bounds 6,
+12 (the default) and 16 and the rees report at bound 16 pin the normal forms on
+O(SL2) up to the benchmark's bounds, and the dy report pins the window counts
+of the incremental eliminator.
 """
 
 from pathlib import Path
@@ -27,6 +28,7 @@ CASES = [
     (["verify", "presentation"], "verify_presentation.json"),
     (["verify", "rees"], "verify_rees.json"),
     (["verify", "pwfilt"], "verify_pwfilt.json"),
+    (["verify", "vfilt"], "verify_vfilt.json"),
     (["verify", "grderv", "--bound", "6"], "verify_grderv_bound6.json"),
     (["verify", "tau", "--bound", "6"], "verify_tau_bound6.json"),
     (["verify", "pwfilt", "--bound", "10"], "verify_pwfilt_bound10.json"),

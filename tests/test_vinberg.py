@@ -6,6 +6,7 @@ import pytest
 from horocycle.action import RationalPoint
 from horocycle.exactalg import compositions
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
+from horocycle import vinberg
 from horocycle.linalg import IncrementalRank
 from horocycle.vinberg import (
     _DY_MARGIN,
@@ -61,6 +62,15 @@ UNITS = [tuple(int(i == j) for i in range(4)) for j in range(4)]
 F0 = (0, 0, 0, 0)
 
 
+def _f_shift(ctx, fe, elem):
+    """x^fe times an element or a realized table, keyed (w, h) with h cone-normal.
+
+    Multiplying by a monomial is injective on cone-normal monomials (the
+    cone's ring is a domain), so this only re-keys: no two keys meet.
+    """
+    return {(w, ctx.mono_mul(h, fe)): c for (w, h), c in elem.items()}
+
+
 def _delta():
     """The PBW coefficients of Delta = Casimir(x)1 - 1(x)Casimir."""
     one = UEnvElement.one(sl2_desc())
@@ -94,7 +104,7 @@ def test_dy_kernel_columns_are_shifts_of_the_reduced_table():
         table = ctx.realize({(ue, F0): 1})
         for fe in f_exps:
             col = ctx.realize({(ue, fe): 1})
-            shifted = ctx.f_shift(fe, table)
+            shifted = _f_shift(ctx, fe, table)
             assert shifted == col and list(shifted) == list(col), (ue, fe)
 
 
@@ -106,10 +116,10 @@ def test_dy_shifts_commute_and_depend_on_the_cone_monomial():
     for v in seeds:
         for j in range(4):
             for k in range(j):
-                jk = ctx.f_shift(UNITS[j], ctx.f_shift(UNITS[k], v))
-                assert jk == ctx.f_shift(UNITS[k], ctx.f_shift(UNITS[j], v))
+                jk = _f_shift(ctx, UNITS[j], _f_shift(ctx, UNITS[k], v))
+                assert jk == _f_shift(ctx, UNITS[k], _f_shift(ctx, UNITS[j], v))
         # ad = bc on the cone, so the signature (seed, cone-normal g) fixes the vector
-        assert ctx.f_shift(a, ctx.f_shift(d, v)) == ctx.f_shift(b, ctx.f_shift(c, v))
+        assert _f_shift(ctx, a, _f_shift(ctx, d, v)) == _f_shift(ctx, b, _f_shift(ctx, c, v))
 
 
 def test_dy_realization_commutes_with_function_shifts():
@@ -123,7 +133,7 @@ def test_dy_realization_commutes_with_function_shifts():
     for v in seeds + mixes:
         realized = ctx.realize(v)
         for unit in UNITS:
-            assert ctx.realize(ctx.f_shift(unit, v)) == ctx.f_shift(unit, realized)
+            assert ctx.realize(_f_shift(ctx, unit, v)) == _f_shift(ctx, unit, realized)
     # the seeds lie in the kernel, so every shift of them does too
     assert not any(ctx.realize(v) for v in seeds)
 
@@ -174,11 +184,28 @@ def _every_column_profile(ctx, pbw_bound, poly_bound):
     return profile
 
 
-@pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (3, 4)])
-def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(pbw_bound, poly_bound):
+# kernel-side inserts by (pbw_bound, poly_bound): the unit columns plus the distinct
+# shifts of rank-raising columns, counted when the shifts were first pruned
+KERNEL_INSERTS = {(3, 3): 1771, (3, 4): 2868, (2, 5): 1674, (4, 2): 2240}
+
+
+@pytest.mark.parametrize("pbw_bound,poly_bound", list(KERNEL_INSERTS))
+def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkeypatch, pbw_bound, poly_bound):
+    """The pruned profile equals the every-column one, and the insert count
+    shows that no column outside the rank-raising shifts is inserted."""
+    calls = []
+
+    class Counting(IncrementalRank):
+        def add(self, vec):
+            calls.append(vec)
+            return super().add(vec)
+
     ctx = _SmashContext()
+    monkeypatch.setattr(vinberg, "IncrementalRank", Counting)
     profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
+    monkeypatch.undo()
     assert profile == _every_column_profile(ctx, pbw_bound, poly_bound)
+    assert len(calls) == KERNEL_INSERTS[pbw_bound, poly_bound]
     assert any(count > rank for prof in profile.values() for count, rank in prof.values())
 
 

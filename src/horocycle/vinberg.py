@@ -196,6 +196,34 @@ def _nf_y_mono(e):
     return (e[0] - t, e[1] + t, e[2] + t, e[3] - t)
 
 
+def _phi(key):
+    """(image, sign) of a key under phi = adjugate (a, b, c, d) -> (d, -b, -c, a)
+    with the sl2 factor swap: a PBW exponent swaps halves, a monomial or derivative
+    exponent e goes to (e3, e1, e2, e0) with sign (-1)^(e1 + e2), a pair part-wise."""
+    if isinstance(key[0], tuple):
+        (k0, s0), (k1, s1) = _phi(key[0]), _phi(key[1])
+        return (k0, k1), s0 * s1
+    if len(key) == 6:
+        return key[3:] + key[:3], 1
+    return (key[3], key[1], key[2], key[0]), -1 if (key[1] + key[2]) & 1 else 1
+
+
+def _phi_terms(terms: dict) -> dict:
+    return {image: s * c for k, c in terms.items() for image, s in [_phi(k)]}
+
+
+def _phi_vector(vec: dict, cache: dict, key_of, code_of) -> dict:
+    """phi on a vector over numbered coordinates, k <-> key_of(k), cached per k."""
+    out = {}
+    for k, c in vec.items():
+        hit = cache.get(k)
+        if hit is None:
+            image, s = _phi(key_of(k))
+            hit = cache[k] = (code_of(image), s)
+        out[hit[0]] = hit[1] * c
+    return out
+
+
 def _integral(terms: dict) -> dict:
     """The coefficients of `terms` as ints; ValueError names the first non-integral one."""
     out = {}
@@ -356,14 +384,19 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
     being a combination of rank-raising columns of no higher enveloping degree,
     has every shift in the span of their shifts: only the shifts of
     rank-raising columns are inserted, and every rank of the profile is that
-    of all the columns.
+    of all the columns.  Only blocks with w0 >= w1 are built: phi commutes
+    with the realization and maps the columns of block (q, (w0, w1)) to +- those
+    of (q, (w1, w0)), keeping deg u.  A half-plane column has all its parents
+    in the half-plane except the x_d-parent of a diagonal block; there the phi
+    image of each inserted shift is inserted too, for the mirror's x_d-shifts.
     """
     u_weights = {c[:6]: _weight(c[:6], _GEN_WEIGHTS) for c in compositions(pbw_bound, 7)}
     blocks: dict[tuple, list] = {}
     for fe in (e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)):
         fw0, fw1 = _weight(fe, _VAR_WEIGHTS)
         for ue, (uw0, uw1) in u_weights.items():
-            blocks.setdefault((sum(fe), (uw0 + fw0, uw1 + fw1)), []).append((ue, fe))
+            if uw0 + fw0 >= uw1 + fw1:
+                blocks.setdefault((sum(fe), (uw0 + fw0, uw1 + fw1)), []).append((ue, fe))
     codes: dict = {}
     keys: dict = {}
 
@@ -374,31 +407,36 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
             keys[hit] = key
         return hit
 
-    cols = {(ue, _F0): {code(k): c for k, c in ctx.realize({(ue, _F0): 1}).items()} for ue in u_weights}
+    cols = {(ue, _F0): {code(k): c for k, c in ctx.realize({(ue, _F0): 1}).items()}
+            for ue, (uw0, uw1) in u_weights.items() if uw0 >= uw1}
     shift: list[dict] = [{} for _ in _UNITS]
+    mirror: dict = {}
     profile = {}
     for key in sorted(blocks):
+        q, (w0, w1) = key
         elim = IncrementalRank()
         prof = profile[key] = {}
         members = sorted(blocks[key], key=lambda m: (sum(m[0]), m[0], m[1]))
         for count, (ue, fe) in enumerate(members, 1):
             col = cols.pop((ue, fe), None)
-            if col is not None and elim.add(col) and key[0] < poly_bound:
-                for unit, table in zip(_UNITS, shift):
+            if col is not None and elim.add(col) and q < poly_bound:
+                for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
                     child = (ue, ctx.mono_mul(fe, unit))
-                    if child in cols:
+                    if child in cols or w0 + dw0 < w1 + dw1:
                         continue
                     for k in col:
                         if k not in table:
                             de, h = keys[k]
                             table[k] = code((de, ctx.mono_mul(h, unit)))
-                    cols[child] = {table[k]: c for k, c in col.items()}
+                    cols[child] = vec = {table[k]: c for k, c in col.items()}
+                    if w0 + dw0 == w1 + dw1 and (image := _phi(child)[0]) not in cols:
+                        cols[image] = _phi_vector(vec, mirror, keys.__getitem__, code)
             prof[sum(ue)] = (count, len(elim.pivots))
     return profile
 
 
 def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_bound: int):
-    """({block: (IncrementalRank, basis)}, coordinates) of the span of x^g g u
+    """({block: IncrementalRank}, coordinates) of the span of x^g g u
     for g in `gens`, deg u <= build_bound - 2 and deg x^g g <= poly_bound.
 
     Coordinates (u, f) are numbered in pivot order, enveloping degree downward,
@@ -409,10 +447,19 @@ def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_
     are exact and commute, so a repeated signature is the identical vector,
     already in the span: skipping it changes no pivot.  Only rank-raising
     vectors are shifted, since the shifts of the others lie in their span.
+    As on the kernel side only blocks with w0 >= w1 are built; phi maps seeds
+    to +- seeds.  Seeds and shifts below the diagonal are dropped (x_a v for a
+    diagonal v has mirror x_d phi(v), in the span), and a diagonal block also
+    gets the phi image of each shift, signature (-1 - seed, phi g).  Each
+    function degree is inserted block by block, largest least coordinate
+    first, so a new pivot is seldom held by a stored row: little back-reduction.
     """
     f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    u_exps = [c[:6] for c in compositions(build_bound, 7)]
+    tilt = {e: w0 - w1 for exps, table in ((u_exps, _GEN_WEIGHTS), (f_exps, _VAR_WEIGHTS))
+            for e in exps for w0, w1 in [_weight(e, table)]}
     coords = sorted(
-        ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
+        ((ue, fe) for ue in u_exps for fe in f_exps if tilt[ue] + tilt[fe] >= 0),
         key=lambda key: (-sum(key[0]), key[0], key[1]),
     )
     index = {key: i for i, key in enumerate(coords)}
@@ -420,29 +467,32 @@ def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_
     for unit in _UNITS:
         times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
         shift.append([index.get((ue, times[fe])) for ue, fe in coords])
-    blocks: dict[tuple, tuple] = {}
-    work: list = []
-    seen = set()
-
-    def insert(key, sig, elem):
-        elim, basis = blocks.get(key) or blocks.setdefault(key, (IncrementalRank(), []))
-        if elim.add(elem):
-            basis.append(elem)
-            work.append((key, sig, elem))
-
-    seeds = (ctx.u_right(g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7))
-    for n, seed in enumerate(seeds):
+    blocks: dict[tuple, IncrementalRank] = {}
+    levels: list[list] = [[] for _ in range(poly_bound + 1)]
+    for n, (g, ue) in enumerate((g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7)):
+        seed = tilt[ue] + sum(map(tilt.get, next(iter(g)))) >= 0 and ctx.u_right(g, ue)
         if seed:
-            insert(ctx.block_of(*next(iter(seed))), (n, _F0), {index[k]: c for k, c in seed.items()})
-    while work:
-        (q, (wt0, wt1)), (n, g), vec = work.pop()
-        if q >= poly_bound:
-            continue
-        for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
-            sig = (n, ctx.mono_mul(g, unit))
-            if sig not in seen:
+            key = ctx.block_of(*next(iter(seed)))
+            levels[key[0]].append((key, (n, _F0), {index[k]: c for k, c in seed.items()}))
+    seen = set()
+    mirror: dict = {}
+    for q, level in enumerate(levels):
+        level.sort(key=lambda item: (item[0], -min(item[2])))
+        for key, (n, g), vec in level:
+            elim = blocks.get(key) or blocks.setdefault(key, IncrementalRank())
+            if not elim.add(vec) or q == poly_bound:
+                continue
+            for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
+                target, sig = (q + 1, (key[1][0] + dw0, key[1][1] + dw1)), (n, ctx.mono_mul(g, unit))
+                if sig in seen or target[1][0] < target[1][1]:
+                    continue
                 seen.add(sig)
-                insert((q + 1, (wt0 + dw0, wt1 + dw1)), sig, {table[i]: c for i, c in vec.items()})
+                child = {table[i]: c for i, c in vec.items()}
+                levels[q + 1].append((target, sig, child))
+                if target[1][0] == target[1][1] and (image := (-1 - n, _phi(sig[1])[0])) not in seen:
+                    seen.add(image)
+                    child = _phi_vector(child, mirror, coords.__getitem__, index.__getitem__)
+                    levels[q + 1].append((target, image, child))
     return blocks, coords
 
 
@@ -463,7 +513,12 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     generated with `_DY_MARGIN` extra enveloping degrees so that
     cancellations landing inside a window are found, then intersected with
     each window by pivot counting.  On both sides only the function shifts
-    of rank-raising vectors are inserted.
+    of rank-raising vectors are inserted.  Containment: a generator realizing
+    to zero is det P in normal order, and f det P mu(u) is again det times an
+    operator, so the span realizes to zero and equal windows prove kernel =
+    ideal.  Items certify that phi (`_phi`) is an automorphism with phi(Delta)
+    = -Delta; both sides are built on the blocks with w0 >= w1, each counted
+    with its phi-orbit size: 1 on the diagonal, 2 off it.
     """
     if pbw_bound < 2:
         raise ValueError("bound too small to see the relation (< 2)")
@@ -485,42 +540,46 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
         diff_op.is_zero(),
     )
 
+    pair, delta = sl2_pair_desc(), _integral(delta_diff.terms)
+    # phi on the basis F1 H1 E1 F2 H2 E2, read off the unit PBW exponents
+    swap = [_phi(tuple(int(k == i) for k in range(6)))[0].index(1) for i in range(6)]
+    ok = pair.brackets == {
+        (swap[i], swap[j]): {swap[k]: c for k, c in vec.items()} for (i, j), vec in pair.brackets.items()
+    }
+    report.add("phi = adjugate (x) factor swap preserves the brackets of sl2 (+) sl2", "True", str(ok), ok)
+    det, image = det_poly(), ExactPoly(V, _phi_terms(det_poly().terms))
+    report.add("phi preserves det", poly_to_text(det), poly_to_text(image), image == det)
+    fields = [field.terms for field in ctx.act.fields]
+    pushed = " ".join(pair.basis[fields.index(t)] if t in fields else "?" for t in map(_phi_terms, fields))
+    want = " ".join(pair.basis[k] for k in swap)
+    report.add(f"phi pushes mu({' '.join(pair.basis)}) forward to mu of", want, pushed, pushed == want)
+    ok = _phi_terms(delta) == {k: -c for k, c in delta.items()}
+    report.add("phi sends Delta to -Delta", "True", str(ok), ok)
+
     kernel_profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
-    gens = _dy_generators(ctx, _integral(delta_diff.terms))
+    gens = _dy_generators(ctx, delta)
     span_blocks, ideal_coords = _dy_ideal_span(ctx, gens, pbw_bound + _DY_MARGIN, poly_bound)
 
     def kernel_dim(p: int, q: int) -> int:
         total = 0
-        for (fq, w), prof in kernel_profile.items():
+        for (fq, (w0, w1)), prof in kernel_profile.items():
             degs = [deg for deg in prof if deg <= p]
             if fq <= q and degs:
                 count, rank = prof[max(degs)]
-                total += count - rank
+                total += (count - rank) * (2 - (w0 == w1))
         return total
 
-    ideal_pivots = Counter(
-        (fq, sum(ideal_coords[i][0])) for (fq, _), (elim, _) in span_blocks.items() for i in elim.pivots
-    )
+    ideal_pivots: Counter = Counter()
+    for (fq, (w0, w1)), elim in span_blocks.items():
+        for i in elim.pivots:
+            ideal_pivots[fq, sum(ideal_coords[i][0])] += 2 - (w0 == w1)
 
     def ideal_window_dim(p: int, q: int) -> int:
         return sum(n for (fq, d), n in ideal_pivots.items() if fq <= q and d <= p)
 
-    # containment spot check: ideal basis elements realize to the zero operator
-    spot = 0
-    contained = True
-    for key, (elim, basis) in sorted(span_blocks.items()):
-        if spot >= 8:
-            break
-        if basis:
-            spot += 1
-            if ctx.realize({ideal_coords[i]: c for i, c in basis[0].items()}):
-                contained = False
-    report.add(
-        "ideal elements realize to the zero operator (spot check)",
-        "True",
-        str(contained),
-        contained,
-    )
+    zero = sum(not ctx.realize(g) for g in gens)
+    name = "the ideal generators Delta, D_a, D_b, D_c, D_d realize to the zero operator"
+    report.add(name, str(len(gens)), str(zero), zero == len(gens))
 
     for p in range(pbw_bound + 1):
         for q in range(poly_bound + 1):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from horocycle.action import RationalPoint
-from horocycle.exactalg import compositions
+from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
 from horocycle import vinberg
 from horocycle.linalg import IncrementalRank
@@ -15,6 +15,9 @@ from horocycle.vinberg import (
     _dy_ideal_span,
     _dy_kernel_profile,
     _integral,
+    _phi,
+    _phi_terms,
+    _phi_vector,
     asymp_diagram_check,
     default_pw_samples,
     default_sample_points,
@@ -159,16 +162,113 @@ def test_dy_five_generators_span_the_ideal_of_every_left_multiple(pbw_bound, pol
     new, coords = _dy_ideal_span(ctx, _dy_generators(ctx, _delta()), build, poly_bound)
     old, old_coords = _dy_ideal_span(ctx, _dy_seeds(ctx, poly_bound, 0), build, poly_bound)
     assert coords == old_coords
-    assert {k for k, (_, basis) in new.items() if basis} == {k for k, (_, basis) in old.items() if basis}
-    for key, (elim, basis) in new.items():
-        other, other_basis = old[key]
+    assert {k for k, elim in new.items() if elim.pivots} == {k for k, elim in old.items() if elim.pivots}
+    for key, elim in new.items():
+        other = old[key]
         assert len(elim.pivots) == len(other.pivots), key
-        assert not any(other.reduce(v) for v in basis), key
-        assert not any(elim.reduce(v) for v in other_basis), key
+        assert not any(other.reduce(v) for v in elim.pivots.values()), key
+        assert not any(elim.reduce(v) for v in other.pivots.values()), key
+
+
+def _upper(block):
+    """Whether a block (q, (w0, w1)) lies in the half-plane w0 >= w1 that dy computes."""
+    return block[1][0] >= block[1][1]
+
+
+def _mirror(block):
+    q, (w0, w1) = block
+    return q, (w1, w0)
+
+
+def test_phi_is_the_adjugate_substitution_and_an_involution():
+    """phi on keys is f(a, b, c, d) -> f(d, -b, -c, a) on functions, the factor
+    swap on PBW exponents, and the weight mirror on blocks; phi^2 = 1."""
+    ctx = _SmashContext()
+    a, b, c, d = (ExactPoly.variable(MAT2_VARS, name) for name in MAT2_VARS)
+    for e in compositions(4, 5):
+        e = e[:4]
+        assert _phi_terms({e: 1}) == (d ** e[0] * (-b) ** e[1] * (-c) ** e[2] * a ** e[3]).terms
+    for ue in (comp[:6] for comp in compositions(2, 7)):
+        for fe in ctx.ry.nf_monomials(2):
+            image, sign = _phi((ue, fe))
+            assert image == (ue[3:] + ue[:3], _phi(fe)[0]) and sign == _phi(fe)[1]
+            assert _phi(image) == ((ue, fe), sign)
+            assert ctx.block_of(*image) == _mirror(ctx.block_of(ue, fe))
+
+
+def _full_plane_ideal_span(ctx, gens, build_bound, poly_bound):
+    """The ideal closure over every weight block, without the symmetry: the
+    oracle of the half-plane closure in `_dy_ideal_span`."""
+    f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    coords = sorted(
+        ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
+        key=lambda key: (-sum(key[0]), key[0], key[1]),
+    )
+    index = {key: i for i, key in enumerate(coords)}
+    shift = []
+    for unit in UNITS:
+        times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
+        shift.append([index.get((ue, times[fe])) for ue, fe in coords])
+    blocks: dict = {}
+    work: list = []
+    seen = set()
+
+    def insert(key, sig, elem):
+        elim, basis = blocks.get(key) or blocks.setdefault(key, (IncrementalRank(), []))
+        if elim.add(elem):
+            basis.append(elem)
+            work.append((key, sig, elem))
+
+    seeds = (ctx.u_right(g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7))
+    for n, seed in enumerate(seeds):
+        if seed:
+            insert(ctx.block_of(*next(iter(seed))), (n, F0), {index[k]: c for k, c in seed.items()})
+    while work:
+        (q, (wt0, wt1)), (n, g), vec = work.pop()
+        if q >= poly_bound:
+            continue
+        for unit, table, (dw0, dw1) in zip(UNITS, shift, vinberg._VAR_WEIGHTS):
+            sig = (n, ctx.mono_mul(g, unit))
+            if sig not in seen:
+                seen.add(sig)
+                insert((q + 1, (wt0 + dw0, wt1 + dw1)), sig, {table[i]: c for i, c in vec.items()})
+    return blocks, coords
+
+
+ORACLE_SIZES = [(3, 3), (2, 5), (4, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("pbw_bound,poly_bound", ORACLE_SIZES)
+def test_dy_half_plane_ideal_is_the_full_plane_closure(pbw_bound, poly_bound):
+    """On every block with w0 >= w1 the half-plane closure has the oracle's
+    pivots and span; the oracle itself is phi-symmetric: phi maps each block's
+    basis into the span of its mirror block."""
+    ctx = _SmashContext()
+    gens = _dy_generators(ctx, _delta())
+    build = pbw_bound + _DY_MARGIN
+    half, coords = _dy_ideal_span(ctx, gens, build, poly_bound)
+    full, full_coords = _full_plane_ideal_span(ctx, gens, build, poly_bound)
+    half_index = {key: i for i, key in enumerate(coords)}
+    full_index = {key: i for i, key in enumerate(full_coords)}
+    assert {k for k, elim in half.items() if elim.pivots} == {
+        k for k, (_, basis) in full.items() if basis and _upper(k)
+    }
+    for key, elim in half.items():
+        other, other_basis = full[key]
+        assert {coords[i] for i in elim.pivots} == {full_coords[i] for i in other.pivots}, key
+        rows = ({full_index[coords[i]]: c for i, c in v.items()} for v in elim.pivots.values())
+        assert not any(other.reduce(v) for v in rows), key
+        assert not any(elim.reduce({half_index[full_coords[i]]: c for i, c in v.items()}) for v in other_basis), key
+    cache: dict = {}
+    for key, (elim, basis) in full.items():
+        mirror = full[_mirror(key)][0]
+        assert len(elim.pivots) == len(mirror.pivots), key
+        images = (_phi_vector(v, cache, full_coords.__getitem__, full_index.__getitem__) for v in basis)
+        assert not any(mirror.reduce(v) for v in images), key
 
 
 def _every_column_profile(ctx, pbw_bound, poly_bound):
-    """The kernel-side profile with every column (u, f) realized and inserted."""
+    """The kernel-side profile with every column (u, f) of every block realized and inserted."""
     blocks: dict = {}
     for ue in (c[:6] for c in compositions(pbw_bound, 7)):
         for q in range(poly_bound + 1):
@@ -184,15 +284,18 @@ def _every_column_profile(ctx, pbw_bound, poly_bound):
     return profile
 
 
-# kernel-side inserts by (pbw_bound, poly_bound): the unit columns plus the distinct
-# shifts of rank-raising columns, counted when the shifts were first pruned
-KERNEL_INSERTS = {(3, 3): 1771, (3, 4): 2868, (2, 5): 1674, (4, 2): 2240}
+# kernel-side inserts by (pbw_bound, poly_bound): the unit columns of the half-plane
+# blocks plus the distinct shifts of rank-raising columns and, in a diagonal block,
+# their phi images
+KERNEL_INSERTS = {(3, 3): 1093, (3, 4): 1737, (2, 5): 1016, (4, 2): 1385}
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", list(KERNEL_INSERTS))
 def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkeypatch, pbw_bound, poly_bound):
-    """The pruned profile equals the every-column one, and the insert count
-    shows that no column outside the rank-raising shifts is inserted."""
+    """The half-plane profile equals the every-column one on the blocks with
+    w0 >= w1, the every-column profile is phi-symmetric (a block and its mirror
+    agree), and the insert count shows that no column outside the rank-raising
+    shifts and their phi images is inserted."""
     calls = []
 
     class Counting(IncrementalRank):
@@ -204,7 +307,9 @@ def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkey
     monkeypatch.setattr(vinberg, "IncrementalRank", Counting)
     profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
     monkeypatch.undo()
-    assert profile == _every_column_profile(ctx, pbw_bound, poly_bound)
+    every = _every_column_profile(ctx, pbw_bound, poly_bound)
+    assert all(every[key] == every[_mirror(key)] for key in every)
+    assert profile == {key: prof for key, prof in every.items() if _upper(key)}
     assert len(calls) == KERNEL_INSERTS[pbw_bound, poly_bound]
     assert any(count > rank for prof in profile.values() for count, rank in prof.values())
 

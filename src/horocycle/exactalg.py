@@ -7,14 +7,17 @@ Each relation is a single binomial-plus-constant whose leading monomial under
 the fixed graded order is a*d, so one substitution rule a*d -> lower terms
 computes canonical representatives; no general Groebner machinery is needed.
 
-All values are immutable after construction and all operations are pure, so
-concurrent use is safe.  A stored coefficient is an int when it is integral
-and a fractions.Fraction otherwise (`linalg.num`), never a float.
+All values are immutable after construction and all operations are pure,
+except that a ring memoizes the normal forms of rewritten monomials; that memo
+is keyed by the exponent on an immutable ring and filled idempotently, so
+concurrent use is still safe.  A stored coefficient is an int when it is
+integral and a fractions.Fraction otherwise (`linalg.num`), never a float.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .linalg import frac, num
@@ -197,11 +200,11 @@ class ExactPoly(SparseElement):
 
 
 def _divides(e1: Exp, e2: Exp) -> bool:
-    return all(x <= y for x, y in zip(e1, e2))
+    return all(map(operator.le, e1, e2))
 
 
 def _exp_sub(e1: Exp, e2: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(e1, e2))
+    return tuple(map(operator.sub, e1, e2))
 
 
 def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
@@ -211,16 +214,22 @@ def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
     f._check(d)
     lead = d.leading_exponent()
     lc = d.terms[lead]
-    rem = f
+    rest = [(e, c) for e, c in d.terms.items() if e != lead]
+    rem = dict(f.terms)
     q: dict = {}
-    while not rem.is_zero():
-        e = rem.leading_exponent()
+    while rem:
+        e = max(rem, key=lambda e: (sum(e), e))
         if not _divides(lead, e):
             return None
         qe = _exp_sub(e, lead)
-        qc = num(Fraction(rem.terms[e], lc))
-        q[qe] = q.get(qe, 0) + qc
-        rem = rem - ExactPoly.monomial(f.variables, qe, qc) * d
+        qc = q[qe] = num(Fraction(rem.pop(e), lc))
+        for re, rc in rest:
+            ne = tuple(map(operator.add, qe, re))
+            c = rem.get(ne, 0) - qc * rc
+            if c:
+                rem[ne] = c
+            else:
+                del rem[ne]
     return ExactPoly(f.variables, q)
 
 
@@ -264,6 +273,7 @@ class QuotientRing:
             self.rewrite = None
         rel_key = None if relation is None else tuple(sorted(relation.terms.items()))
         self.key = (self.variables, rel_key)
+        self._nf_memo: dict[Exp, tuple] = {}
 
     def __repr__(self):
         return f"QuotientRing({self.name})"
@@ -272,26 +282,36 @@ class QuotientRing:
         return ExactPoly.variable(self.variables, name)
 
     def normal_form(self, f: ExactPoly) -> ExactPoly:
-        """Unique representative with no monomial divisible by the leading monomial."""
+        """Unique representative with no monomial divisible by the leading monomial.
+
+        Sums the normal forms of f's monomials (`_monomial_nf`), which fills the
+        ring's memo idempotently, so concurrent calls stay safe.
+        """
         if f.variables != self.variables:
             raise ArityMismatch(f"{f.variables} vs {self.variables}")
         if self.relation is None:
             return f
-        lead = self.lead_exp
-        work = dict(f.terms)
         out: dict = {}
-        while work:
-            e, c = work.popitem()
-            if not c:
-                continue
-            if _divides(lead, e):
-                rest = _exp_sub(e, lead)
-                for re, rc in self.rewrite.terms.items():
-                    ne = tuple(x + y for x, y in zip(re, rest))
-                    work[ne] = work.get(ne, 0) + c * rc
-            else:
-                out[e] = out.get(e, 0) + c
+        for e, c in f.terms.items():
+            for ne, nc in self._monomial_nf(e):
+                out[ne] = out.get(ne, 0) + c * nc
         return ExactPoly(self.variables, out)
+
+    def _monomial_nf(self, e: Exp) -> tuple:
+        """Normal form of x^e as (exponent, coefficient) pairs, memoized on the ring
+        when x^e is rewritten: nf(x^e) = sum of rc * nf(x^(e - lead + re)) over the
+        rewrite terms rc * x^re."""
+        nf = self._nf_memo.get(e)
+        if nf is None:
+            if not _divides(self.lead_exp, e):
+                return ((e, 1),)
+            rest = _exp_sub(e, self.lead_exp)
+            acc: dict = {}
+            for re, rc in self.rewrite.terms.items():
+                for ne, nc in self._monomial_nf(tuple(map(operator.add, re, rest))):
+                    acc[ne] = acc.get(ne, 0) + rc * nc
+            nf = self._nf_memo[e] = tuple((ne, nc) for ne, nc in acc.items() if nc)
+        return nf
 
     def in_ideal(self, f: ExactPoly) -> bool:
         """Membership in the principal relation ideal."""
@@ -355,7 +375,9 @@ def det_poly() -> ExactPoly:
 
 
 def pw_level(f: ExactPoly, ring: QuotientRing):
-    """Least filtration level of a class (its minimal degree); BOTTOM for the zero class."""
+    """Least filtration level of a class (its minimal degree); BOTTOM for the zero class.
+
+    Reads `ring.normal_form`, so it may fill the ring's monomial memo (idempotently)."""
     nf = ring.normal_form(f)
     return BOTTOM if nf.is_zero() else nf.degree()
 

@@ -16,6 +16,7 @@ specific elements.
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 from .action import lr_action_horocycle
@@ -116,15 +117,22 @@ FREE_VARS = ("A", "B", "C", "D")
 _DET_FREE = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
 
 
+@functools.cache
+def _det_free_power(k: int) -> ExactPoly:
+    return _DET_FREE**k
+
+
 def homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
     """Same lift with the lattice variable eliminated against A*D - B*C."""
-    out = ExactPoly.zero(FREE_VARS)
+    out: dict = {}
     for e, c in g.terms.items():
         k = sum(e)
         if (level - k) % 2 or k > level:
             raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
-        out = out + ExactPoly.monomial(FREE_VARS, e, c) * _DET_FREE ** ((level - k) // 2)
-    return out
+        for pe, pc in _det_free_power((level - k) // 2).terms.items():
+            ne = tuple(x + y for x, y in zip(e, pe))
+            out[ne] = out.get(ne, 0) + c * pc
+    return ExactPoly(FREE_VARS, out)
 
 
 def tau_map(theta: WeylOp) -> WeylOp:

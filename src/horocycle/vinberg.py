@@ -652,6 +652,11 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
     if samples is None:
         samples = default_pw_samples()
     report = CheckReport(check="pwfilt", parameters={"bound": bound, "samples": len(samples)})
+    monos = [
+        (deg, ExactPoly.monomial(ring.variables, e))
+        for deg in range(bound + 1)
+        for e in ring.nf_monomials(deg)
+    ]
     for name, pairs in samples:
         expr_level = BOTTOM
         op = WeylOp.zero(ring.variables)
@@ -661,15 +666,13 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
                 expr_level = lev
             op = op + WeylOp.from_poly(f) * moment_map(u, act)
         action_level = BOTTOM
-        for deg in range(bound + 1):
-            for e in ring.nf_monomials(deg):
-                mono = ExactPoly.monomial(ring.variables, e)
-                lev = pw_level(apply_op(op, mono), ring)
-                if lev is BOTTOM:
-                    continue
-                shift = lev - deg
-                if action_level is BOTTOM or shift > action_level:
-                    action_level = shift
+        for deg, mono in monos:
+            lev = pw_level(apply_op(op, mono), ring)
+            if lev is BOTTOM:
+                continue
+            shift = lev - deg
+            if action_level is BOTTOM or shift > action_level:
+                action_level = shift
         report.add(
             f"{name}: expression level = action level",
             repr(expr_level),

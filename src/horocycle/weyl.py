@@ -165,14 +165,15 @@ def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
     out: dict = {}
     for (xe, de), c in p.terms.items():
         for fe, fc in f.terms.items():
-            if any(fe[i] < de[i] for i in range(n)):
-                continue
-            mult = 1
+            mult = c * fc
             for i in range(n):
                 if de[i]:
+                    if fe[i] < de[i]:
+                        break
                     mult *= math.perm(fe[i], de[i])
-            e = tuple(fe[i] - de[i] + xe[i] for i in range(n))
-            out[e] = out.get(e, 0) + c * fc * mult
+            else:
+                e = tuple(fe[i] - de[i] + xe[i] for i in range(n))
+                out[e] = out.get(e, 0) + mult
     return ExactPoly(p.variables, out)
 
 

@@ -118,7 +118,7 @@ def test_criterion_05_rees_machinery():
         fibers = rees_dimension_check(6)
         return tau.passed and gr.passed and fibers.passed
 
-    _within("5 (Rees machinery)", 10, run)
+    _within("5 (Rees machinery)", 3, run)
 
 
 def test_criterion_06_filtration_agreement():
@@ -128,7 +128,7 @@ def test_criterion_06_filtration_agreement():
         report = pw_vs_derivations_check(samples=samples, bound=6)
         return report.passed
 
-    _within("6 (Peter-Weyl vs derivations levels)", 10, run)
+    _within("6 (Peter-Weyl vs derivations levels)", 3, run)
 
 
 def test_criterion_07_pole_orders():
@@ -138,7 +138,7 @@ def test_criterion_07_pole_orders():
         assert len(monomials) == 1036
         return report.passed
 
-    _within("7 (pole order vs matrix-coefficient level)", 10, run)
+    _within("7 (pole order vs matrix-coefficient level)", 3, run)
 
 
 def test_criterion_06_stretch_bound_10():
@@ -147,7 +147,7 @@ def test_criterion_06_stretch_bound_10():
         assert len(report.items) == 21
         return report.passed
 
-    _within("6 stretch (Peter-Weyl vs derivations levels, bound 10)", 5, run)
+    _within("6 stretch (Peter-Weyl vs derivations levels, bound 10)", 2, run)
 
 
 def test_criterion_07_stretch_bound_16():
@@ -157,7 +157,7 @@ def test_criterion_07_stretch_bound_16():
         assert len(monomials) == 2685
         return report.passed
 
-    _within("7 stretch (pole order vs matrix-coefficient level, bound 16)", 5, run)
+    _within("7 stretch (pole order vs matrix-coefficient level, bound 16)", 2, run)
 
 
 def test_criterion_08_fiberwise_localization():

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from horocycle.exactalg import (
     ExactPoly,
     MAT2_VARS,
     QuotientRing,
+    _divides,
     det_poly,
     horocycle_ring,
     mat2_ring,
@@ -23,6 +26,7 @@ from horocycle.exactalg import (
 )
 from horocycle.lie import UEnvElement, sl2_desc, sl2_pair_desc
 from horocycle.linalg import IncrementalRank, frac, num
+from horocycle.rees import REES_RING, rees_fiber
 from horocycle.weyl import WeylOp, apply_op
 from matrices import rank, sparse
 
@@ -351,3 +355,127 @@ def test_float_zero_coefficients_are_rejected():
             _ = x * 0.0
     # exact zeros are still dropped
     assert ExactPoly(V, {(1, 0, 0, 0): 0, (0, 1, 0, 0): Fraction(0)}).terms == {}
+
+
+# --- rewrite kernels against the loops they replaced -------------------------
+#
+# As with `dense_rref` in test_linalg.py, the straightforward versions stay
+# here as oracles: the work-list rewrite that `QuotientRing.normal_form` ran
+# before its monomial memo, and the division that built a new remainder per
+# step.  Both read the leading monomial off the relation itself, not off the
+# ring's precomputed rewrite rule.
+
+
+def worklist_normal_form(ring: QuotientRing, f: ExactPoly) -> ExactPoly:
+    """Pop a term; rewrite it by the relation if the leading monomial divides it, else keep it."""
+    if ring.relation is None:
+        return f
+    lead = ring.relation.leading_exponent()
+    lc = ring.relation.terms[lead]
+    rewrite = {e: Fraction(-c, lc) for e, c in ring.relation.terms.items() if e != lead}
+    work = dict(f.terms)
+    out: dict = {}
+    while work:
+        e, c = work.popitem()
+        if not c:
+            continue
+        if all(x <= y for x, y in zip(lead, e)):
+            rest = tuple(y - x for x, y in zip(lead, e))
+            for re, rc in rewrite.items():
+                ne = tuple(x + y for x, y in zip(re, rest))
+                work[ne] = work.get(ne, 0) + c * rc
+        else:
+            out[e] = out.get(e, 0) + c
+    return ExactPoly(ring.variables, out)
+
+
+def leading_term_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
+    """Exact quotient by repeated subtraction of (quotient monomial) * d, or None."""
+    lead = d.leading_exponent()
+    rem, q = f, {}
+    while not rem.is_zero():
+        e = rem.leading_exponent()
+        if not all(x <= y for x, y in zip(lead, e)):
+            return None
+        qe = tuple(x - y for x, y in zip(e, lead))
+        qc = Fraction(rem.terms[e], d.terms[lead])
+        q[qe] = q.get(qe, 0) + qc
+        rem = rem - ExactPoly.monomial(f.variables, qe, qc) * d
+    return ExactPoly(f.variables, q)
+
+
+# 3ad - 2bc + 5: non-monic, so its rewrite rule ad -> (2bc - 5)/3 has Fraction coefficients
+NON_MONIC = QuotientRing(V, ExactPoly(V, {(1, 0, 0, 1): 3, (0, 1, 1, 0): -2, (0, 0, 0, 0): 5}), name="3ad-2bc+5")
+B_SQUARED = QuotientRing(V, ExactPoly(V, {(1, 0, 0, 0): 1, (0, 2, 0, 0): -1}), name="a-b^2")
+ORACLE_RINGS = [mat2_ring(), sl2_ring(), horocycle_ring(), rees_fiber(2), REES_RING, NON_MONIC, B_SQUARED]
+
+
+def _rand_ring_poly(rng, variables, degree, terms):
+    return ExactPoly(variables, {_rand_exp(rng, len(variables), degree): _rand_coef(rng) for _ in range(terms)})
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.name)
+def test_memoized_normal_form_matches_worklist_rewrite(ring):
+    rng = random.Random(2024)
+    fresh = QuotientRing(ring.variables, ring.relation)  # an empty memo, filled below
+    for i in range(120):
+        f = _rand_ring_poly(rng, ring.variables, degree=2 + i % 9, terms=1 + i % 6)
+        expected = worklist_normal_form(ring, f)
+        for r in (ring, fresh):
+            got = r.normal_form(f)
+            assert got == expected and _canonical(got), (ring.name, f)
+    for e in compositions(6, len(ring.variables)):  # every monomial of degree 6, twice
+        mono = ExactPoly.monomial(ring.variables, e)
+        assert fresh.normal_form(mono) == fresh.normal_form(mono) == worklist_normal_form(ring, mono)
+    if ring.relation is not None:
+        assert fresh._nf_memo and all(_divides(ring.lead_exp, e) for e in fresh._nf_memo)
+    if ring is NON_MONIC:
+        assert any(type(c) is Fraction for c in ring.normal_form(a * a * d * d).terms.values())
+
+
+@pytest.mark.parametrize("variables", [V, REES_RING.variables], ids=["mat2", "rees"])
+def test_in_place_division_matches_leading_term_division(variables):
+    rng = random.Random(77)
+    n = len(variables)
+    det = ExactPoly(variables, {(1, 0, 0, 1) + (0,) * (n - 4): 1, (0, 1, 1, 0) + (0,) * (n - 4): -1})
+    divisors = [det, det - 2, NON_MONIC.relation if n == 4 else REES_RING.relation, det * det]
+    divisors += [_rand_ring_poly(rng, variables, 2, 3) for _ in range(6)]
+    exact = 0
+    for i in range(150):
+        d = divisors[i % len(divisors)]
+        if d.is_zero():
+            continue
+        f = _rand_ring_poly(rng, variables, degree=1 + i % 4, terms=1 + i % 4)
+        for h in (f, f * d, f * d + ExactPoly.monomial(variables, _rand_exp(rng, n, 2))):
+            expected = leading_term_divide(h, d)
+            got = poly_try_divide(h, d)
+            assert got == expected, (h, d)
+            exact += got is not None
+            assert got is None or _canonical(got)
+    assert exact >= 150
+
+
+def test_normal_form_memo_is_safe_under_threads():
+    # eight threads fill one empty memo at once, with a thread switch forced
+    # every microsecond; a torn or lost entry would give a wrong normal form
+    ring = QuotientRing(V, sl2_ring().relation)
+    monos = [ExactPoly.monomial(V, e) for k in range(9) for e in compositions(k, 4)]
+    expected = [worklist_normal_form(ring, m) for m in monos]
+    results = [None] * 8
+
+    def work(i):
+        step = -1 if i % 2 else 1  # half the threads run through the monomials backwards
+        results[i] = [ring.normal_form(m) for m in monos[::step]][::step]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)

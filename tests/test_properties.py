@@ -1,0 +1,83 @@
+"""Property tests of the exact-algebra kernels over generated polynomials and operators.
+
+Derandomized and without an example database, so a run is reproducible and
+writes no files.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horocycle.exactalg import (
+    MAT2_VARS,
+    ExactPoly,
+    QuotientRing,
+    horocycle_ring,
+    poly_try_divide,
+    sl2_ring,
+)
+from horocycle.rees import REES_RING, rees_fiber
+from horocycle.weyl import WeylOp, apply_op
+
+V = MAT2_VARS
+RINGS = [
+    sl2_ring(),
+    horocycle_ring(),
+    rees_fiber(2),
+    REES_RING,
+    QuotientRing(V, ExactPoly(V, {(1, 0, 0, 1): 3, (0, 1, 1, 0): -2, (0, 0, 0, 0): 5}), name="3ad-2bc+5"),
+]
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+coefs = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+)
+
+
+def exps(n: int, top: int = 3):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+def polys(variables, max_terms: int = 5):
+    return st.dictionaries(exps(len(variables)), coefs, max_size=max_terms).map(
+        lambda t: ExactPoly(variables, t)
+    )
+
+
+def ops(variables, max_terms: int = 3):
+    n = len(variables)
+    return st.dictionaries(st.tuples(exps(n, 2), exps(n, 2)), coefs, max_size=max_terms).map(
+        lambda t: WeylOp(variables, t)
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_normal_form_is_idempotent_and_a_ring_map(data):
+    ring = data.draw(st.sampled_from(RINGS), label="ring")
+    f = data.draw(polys(ring.variables), label="f")
+    g = data.draw(polys(ring.variables), label="g")
+    nf_f, nf_g = ring.normal_form(f), ring.normal_form(g)
+    assert ring.normal_form(nf_f) == nf_f
+    assert ring.normal_form(f + g) == nf_f + nf_g
+    assert ring.normal_form(f * g) == ring.normal_form(nf_f * nf_g)
+    assert ring.in_ideal(f - nf_f)
+
+
+@PROPERTY
+@given(ops(V), ops(V), polys(V))
+def test_apply_op_is_an_action(p, q, f):
+    assert apply_op(p * q, f) == apply_op(p, apply_op(q, f))
+    assert apply_op(p + q, f) == apply_op(p, f) + apply_op(q, f)
+
+
+@PROPERTY
+@given(st.data())
+def test_division_recovers_the_cofactor(data):
+    variables = data.draw(st.sampled_from([V, REES_RING.variables]), label="variables")
+    f = data.draw(polys(variables), label="f")
+    d = data.draw(polys(variables, max_terms=3).filter(lambda d: not d.is_zero()), label="d")
+    assert poly_try_divide(f * d, d) == f

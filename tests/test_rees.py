@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,3 +130,34 @@ def test_level_certificate_fails_below():
                 lev = pw_level(apply_op(theta, ExactPoly.monomial(V, e)), ring)
                 assert lev is BOTTOM or lev <= deg + level
         assert any(pw_level(apply_op(theta, ring.var(name)), ring) == level + 1 for name in ring.variables)
+
+
+def power_sum_homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
+    """Oracle for homogenize_free: the sum of mono * det_free ** k, one ExactPoly per term."""
+    det_free = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+    out = ExactPoly.zero(FREE_VARS)
+    for e, c in g.terms.items():
+        k = sum(e)
+        if (level - k) % 2 or k > level:
+            raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
+        out = out + ExactPoly.monomial(FREE_VARS, e, c) * det_free ** ((level - k) // 2)
+    return out
+
+
+def test_homogenize_free_matches_power_sum_oracle():
+    rng = random.Random(31)
+    ring = sl2_ring()
+    for i in range(200):
+        level = i % 11
+        degrees = range(level % 2, level + 1, 2)
+        terms = {}
+        for _ in range(1 + i % 5):
+            e = rng.choice(ring.nf_monomials(rng.choice(degrees)))
+            terms[e] = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-7, 7), rng.randint(1, 4))))
+        g = ExactPoly(V, terms)
+        assert homogenize_free(g, level) == power_sum_homogenize_free(g, level)
+    for g, level in ((a, 2), (a * b, 1), (a * b * c, 4), (a, 0), (a * b + c, 2)):
+        with pytest.raises(ValueError):
+            homogenize_free(g, level)
+        with pytest.raises(ValueError):
+            power_sum_homogenize_free(g, level)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from horocycle.action import RationalPoint
-from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions
+from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
 from horocycle import vinberg
 from horocycle.linalg import IncrementalRank
@@ -15,6 +15,7 @@ from horocycle.vinberg import (
     _dy_ideal_span,
     _dy_kernel_profile,
     _integral,
+    _nf_y_mono,
     _phi,
     _phi_terms,
     _phi_vector,
@@ -359,3 +360,13 @@ def test_parabolic_small():
 def test_parabolic_rejects_off_fiber_points():
     with pytest.raises(ValueError):
         parabolic_rank1_check(rep_bound=0, points=[RationalPoint((1, 1, 0, 0))])
+
+
+def test_cone_monomial_normal_form_matches_the_quotient_ring():
+    # the closed form that _SmashContext uses on the rank-one cone against the
+    # memoized rewrite of QuotientRing.normal_form, every exponent of degree <= 8
+    ring = horocycle_ring()
+    for deg in range(9):
+        for e in compositions(deg, 4):
+            nf = ring.normal_form(ExactPoly.monomial(MAT2_VARS, e))
+            assert nf.terms == {_nf_y_mono(e): 1}, e

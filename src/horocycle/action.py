@@ -15,6 +15,7 @@ action is constructed, rather than re-derived from a group-level convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +41,6 @@ class InfinitesimalAction:
         self.desc = desc
         self.ring = ring
         self.fields = tuple(fields)
-        self._moment_cache: dict[tuple, WeylOp] = {}
         if len(self.fields) != desc.dim:
             raise ValueError("one vector field per basis element required")
         for theta in self.fields:
@@ -48,16 +48,20 @@ class InfinitesimalAction:
                 raise ValueError("assignments must be vector fields")
             if not preserves_ideal(theta, ring):
                 raise ValueError("assigned field does not preserve the relation ideal")
-        for i in range(desc.dim):
-            for j in range(i + 1, desc.dim):
-                lhs = commutator(self.fields[i], self.fields[j])
-                rhs = WeylOp.zero(ring.variables)
-                for k, c in desc.bracket_vector(i, j).items():
+        for i, j, residual in self.bracket_residuals():
+            if not residual.is_zero():
+                raise ValueError(
+                    f"assignment is not a Lie algebra map at ({desc.basis[i]},{desc.basis[j]})"
+                )
+
+    def bracket_residuals(self):
+        """(i, j, [f_i, f_j] - Sum_k c_k f_k) for i < j, with c the structure constants."""
+        for i in range(self.desc.dim):
+            for j in range(i + 1, self.desc.dim):
+                rhs = WeylOp.zero(self.ring.variables)
+                for k, c in self.desc.bracket_vector(i, j).items():
                     rhs = rhs + self.fields[k] * c
-                if lhs != rhs:
-                    raise ValueError(
-                        f"assignment is not a Lie algebra map at ({desc.basis[i]},{desc.basis[j]})"
-                    )
+                yield i, j, commutator(self.fields[i], self.fields[j]) - rhs
 
 
 def _mu_fields(variables) -> tuple[WeylOp, ...]:
@@ -89,19 +93,10 @@ def lr_action_horocycle() -> InfinitesimalAction:
     return _builtin_action(horocycle_ring())
 
 
+@functools.cache
 def _builtin_action(ring: QuotientRing) -> InfinitesimalAction:
     """The left-right action on a built-in ring, built and validated once."""
-    act = _ACTIONS.get(ring.key)
-    if act is None:
-        act = _ACTIONS[ring.key] = _make_action(ring)
-    return act
-
-
-def _make_action(ring: QuotientRing) -> InfinitesimalAction:
     return InfinitesimalAction(sl2_pair_desc(), ring, _mu_fields(ring.variables))
-
-
-_ACTIONS: dict[tuple, InfinitesimalAction] = {}
 
 
 def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
@@ -114,20 +109,14 @@ def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
     return out
 
 
+@functools.cache
 def _moment_monomial(e, act: InfinitesimalAction) -> WeylOp:
-    hit = act._moment_cache.get(e)
-    if hit is not None:
-        return hit
-    total = sum(e)
-    if total == 0:
-        out = WeylOp.one(act.ring.variables)
-    else:
-        i = max(k for k in range(len(e)) if e[k])
-        prev = list(e)
-        prev[i] -= 1
-        out = _moment_monomial(tuple(prev), act) * act.fields[i]
-    act._moment_cache[e] = out
-    return out
+    if not any(e):
+        return WeylOp.one(act.ring.variables)
+    i = max(k for k in range(len(e)) if e[k])
+    prev = list(e)
+    prev[i] -= 1
+    return _moment_monomial(tuple(prev), act) * act.fields[i]
 
 
 @dataclass(frozen=True)

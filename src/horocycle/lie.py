@@ -11,8 +11,10 @@ otherwise, never floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .exactalg import SparseElement
 from .linalg import lincomb, num, transpose
@@ -176,7 +178,7 @@ class UEnvElement(SparseElement):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 word = _exp_to_word(e1) + _exp_to_word(e2)
-                for e, c in _word_normal_form(self.desc, word).items():
+                for e, c in _word_normal_form(self.desc, word):
                     out[e] = out.get(e, 0) + c1 * c2 * c
         return UEnvElement(self.desc, out)
 
@@ -209,31 +211,20 @@ def _word_to_exp(word, n: int) -> Exp:
     return tuple(e)
 
 
-_word_nf_cache: dict[tuple, dict[Exp, Fraction]] = {}
-
-
-def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...]) -> dict[Exp, Fraction]:
-    """PBW normal form of a product of generators, rewriting the first descent (memoized)."""
-    cached = _word_nf_cache.get((desc.key, word))
-    if cached is not None:
-        return dict(cached)
+@functools.cache
+def _word_normal_form(desc: LieAlgebraDesc, word: tuple[int, ...]) -> tuple[tuple[Exp, Fraction], ...]:
+    """PBW normal form of a product of generators as (exponent, coefficient)
+    pairs, rewriting the first descent (memoized)."""
     descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
     if not descents:
-        out = {_word_to_exp(word, desc.dim): 1}
-    else:
-        k = descents[0]
-        i, j = word[k], word[k + 1]
-        swapped = word[:k] + (j, i) + word[k + 2 :]
-        out = dict(_word_normal_form(desc, swapped))
-        bracket = desc.bracket_vector(i, j)
-        if bracket:
-            for m, coef in bracket.items():
-                sub = word[:k] + (m,) + word[k + 2 :]
-                for e, c in _word_normal_form(desc, sub).items():
-                    out[e] = out.get(e, 0) + coef * c
-            out = {e: c for e, c in out.items() if c}
-    _word_nf_cache[(desc.key, word)] = dict(out)
-    return out
+        return ((_word_to_exp(word, desc.dim), 1),)
+    k = descents[0]
+    i, j = word[k], word[k + 1]
+    out = dict(_word_normal_form(desc, word[:k] + (j, i) + word[k + 2 :]))
+    for m, coef in desc.bracket_vector(i, j).items():
+        for e, c in _word_normal_form(desc, word[:k] + (m,) + word[k + 2 :]):
+            out[e] = out.get(e, 0) + coef * c
+    return tuple(filter(itemgetter(1), out.items()))
 
 
 def casimir_sl2() -> UEnvElement:

@@ -53,23 +53,16 @@ def derivation_level(theta: WeylOp):
 
 # --- the derivation spaces of the built-in rings -----------------------------
 
-_derivation_space_cache: dict[tuple, list] = {}
-
-
-def sl2_derivation_space(cap: int, parity: int) -> list:
+@functools.cache
+def sl2_derivation_space(cap: int, parity: int) -> tuple:
     """Basis of derivations of the determinant-one ring whose generator images
     are spanned by normal-form monomials of degree <= cap, degree == parity mod 2.
 
     Returned as 4-tuples of coefficient polynomials (images of a, b, c, d).
     """
-    key = (cap, parity % 2)
-    hit = _derivation_space_cache.get(key)
-    if hit is not None:
-        return hit
     ring = sl2_ring()
-    monos = [e for d in range(key[1], cap + 1, 2) for e in ring.nf_monomials(d)]
-    basis = _derivation_space_cache[key] = relative_fields(ring, det_poly(), monos)
-    return basis
+    monos = [e for d in range(parity % 2, cap + 1, 2) for e in ring.nf_monomials(d)]
+    return tuple(relative_fields(ring, det_poly(), monos))
 
 
 # --- Rees presentation --------------------------------------------------------
@@ -225,6 +218,7 @@ def tau_check(level_bound: int = 4) -> CheckReport:
 
 # --- associated graded comparison ---------------------------------------------
 
+@functools.cache
 def _graded_span_dim(n: int) -> int:
     """Dimension of the weight-n piece of the module that the fields of the
     built-in action span on the cone (six fields spanning its relative kernel)."""
@@ -256,28 +250,16 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
         check="grderv", parameters={"level_bound": level_bound, "coef_bound": coef_bound}
     )
     report.add("level BOTTOM", 0, 0, True)
-    lhs_cache: dict[tuple, int] = {}
 
     def lhs_dim(cap: int, parity: int) -> int:
-        if cap < 0:
-            return 0
-        key = (cap, parity % 2)
-        if key not in lhs_cache:
-            lhs_cache[key] = len(sl2_derivation_space(key[0], key[1]))
-        return lhs_cache[key]
+        return len(sl2_derivation_space(cap, parity)) if cap >= 0 else 0
 
-    rhs_cache: dict[int, int] = {}
     for n in range(-level_bound, level_bound + 1):
         for dcap in range(coef_bound + 1):
             big = lhs_dim(min(1 + n, dcap), (1 + n) % 2)
             small = lhs_dim(min(n - 1, dcap), (n - 1) % 2)
             lhs = big - small
-            if n < 0 or 1 + n > dcap:
-                rhs = 0
-            else:
-                if n not in rhs_cache:
-                    rhs_cache[n] = _graded_span_dim(n)
-                rhs = rhs_cache[n]
+            rhs = 0 if n < 0 or 1 + n > dcap else _graded_span_dim(n)
             report.add(f"level {n}, coefficient degree <= {dcap}", rhs, lhs, lhs == rhs)
     return report
 
@@ -288,12 +270,10 @@ def rees_dimension_check(bound: int = 6) -> CheckReport:
     fiber0 = rees_fiber(0)
     report = CheckReport(check="rees", parameters={"bound": bound})
     t_rees = {}
+    counts = [len(fiber1.nf_monomials(k)) for k in range(bound + 1)]
     for lam in range(bound + 1):
         t_rees[lam] = len(rees_graded_monomials(lam))
-        filt = sum(
-            len(fiber1.nf_monomials(k))
-            for k in range(lam % 2, lam + 1, 2)
-        )
+        filt = sum(counts[lam % 2 : lam + 1 : 2])
         report.add(
             f"weight {lam}: presentation piece = filtered piece at z=1", filt, t_rees[lam], t_rees[lam] == filt
         )

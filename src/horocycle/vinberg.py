@@ -7,6 +7,7 @@ computed value and an exact pass flag; nothing is compared up to tolerance.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ from .lie import (
 )
 from .linalg import IncrementalRank, char_poly, quotient, transpose
 from .reports import CheckReport
-from .weyl import WeylOp, commutator, apply_op, euler_op, is_relative, op_to_text, relative_fields
+from .weyl import WeylOp, apply_op, euler_op, is_relative, op_to_text, relative_fields
 
 V = MAT2_VARS
 
@@ -118,19 +119,9 @@ def verify_sl2_identities() -> CheckReport:
         report.add(name, "0", op_to_text(diff), diff.is_zero())
 
     pair = sl2_pair_desc()
-    for i in range(pair.dim):
-        for j in range(i + 1, pair.dim):
-            lhs = commutator(act.fields[i], act.fields[j])
-            rhs = WeylOp.zero(V)
-            for k, coef in pair.bracket_vector(i, j).items():
-                rhs = rhs + act.fields[k] * coef
-            diff = lhs - rhs
-            report.add(
-                f"bracket [{pair.basis[i]}, {pair.basis[j]}]",
-                "0",
-                op_to_text(diff),
-                diff.is_zero(),
-            )
+    for i, j, diff in act.bracket_residuals():
+        name = f"bracket [{pair.basis[i]}, {pair.basis[j]}]"
+        report.add(name, "0", op_to_text(diff), diff.is_zero())
 
     # linear-coefficient relative fields: a 6-dimensional space spanned by the table
     dim, contains_all, spans = _linear_relative_field_span(act)
@@ -234,119 +225,95 @@ def _integral(terms: dict) -> dict:
     return out
 
 
-class _SmashContext:
-    """Arithmetic for elements Sum m_f mu(u), coordinatised by (pbw exp, monomial).
-
-    Functions are kept reduced on the rank-one cone.  All products preserve
-    both the function degree and the torus biweight, so elements stay inside
-    one homogeneity block.  Every coefficient is an int: moment maps of PBW
-    monomials, PBW products and field actions are integral, and each cached
-    table passes through `_integral`, which raises on a non-integral entry.
-    """
-
-    def __init__(self):
-        self.act = lr_action_mat2()
-        self.pair = sl2_pair_desc()
-        self.ry = horocycle_ring()
-        self._pbw_mul: dict = {}
-        self._field_act: dict = {}
-        self._push: dict = {}
-        self._mu: dict = {}
-        self._mono_mul: dict = {}
-        self.ZU = (0,) * 6
-
-    def mu_of(self, ue) -> dict:
-        """Coefficient table {(xe, de): int} of mu(x^ue)."""
-        hit = self._mu.get(ue)
-        if hit is None:
-            op = moment_map(UEnvElement(self.pair, {ue: 1}), self.act)
-            hit = self._mu[ue] = _integral(op.terms)
-        return hit
-
-    def pbw_mul(self, e1, e2) -> dict:
-        key = (e1, e2)
-        hit = self._pbw_mul.get(key)
-        if hit is None:
-            prod = UEnvElement(self.pair, {e1: 1}) * UEnvElement(self.pair, {e2: 1})
-            hit = self._pbw_mul[key] = _integral(prod.terms)
-        return hit
-
-    def field_act(self, j, fe) -> dict:
-        key = (j, fe)
-        hit = self._field_act.get(key)
-        if hit is None:
-            poly = apply_op(self.act.fields[j], ExactPoly.monomial(V, fe))
-            out: dict = {}
-            for e, c in _integral(poly.terms).items():
-                m = _nf_y_mono(e)
-                out[m] = out.get(m, 0) + c
-            hit = self._field_act[key] = {k: v for k, v in out.items() if v}
-        return hit
-
-    def push(self, ue, fe) -> dict:
-        """mu(x^ue) * m_{x^fe} rewritten with the function on the left."""
-        if ue == self.ZU:
-            return {(self.ZU, fe): 1}
-        key = (ue, fe)
-        hit = self._push.get(key)
-        if hit is not None:
-            return hit
-        j = next(i for i in range(6) if ue[i])
-        rest = list(ue)
-        rest[j] -= 1
-        rest = tuple(rest)
-        unit = tuple(1 if i == j else 0 for i in range(6))
-        out: dict = {}
-        for (w, h), c in self.push(rest, fe).items():
-            for w2, c2 in self.pbw_mul(unit, w).items():
-                k = (w2, h)
-                out[k] = out.get(k, 0) + c * c2
-            for h2, c2 in self.field_act(j, h).items():
-                k = (w, h2)
-                out[k] = out.get(k, 0) + c * c2
-        out = {k: v for k, v in out.items() if v}
-        self._push[key] = out
-        return out
-
-    def u_right(self, elem: dict, ue) -> dict:
-        if ue == self.ZU:
-            return elem
-        out: dict = {}
-        for (w, h), c in elem.items():
-            for w2, c2 in self.pbw_mul(w, ue).items():
-                k = (w2, h)
-                out[k] = out.get(k, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
-
-    def mono_mul(self, e1, e2):
-        """The cone-reduced exponent of x^e1 * x^e2."""
-        key = (e1, e2)
-        hit = self._mono_mul.get(key)
-        if hit is None:
-            hit = self._mono_mul[key] = _nf_y_mono(tuple(x + y for x, y in zip(e1, e2)))
-        return hit
-
-    def realize(self, elem: dict) -> dict:
-        """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
-        acc: dict = {}
-        for (ue, fe), cf in elem.items():
-            for (xe, de), c in self.mu_of(ue).items():
-                k = (de, self.mono_mul(xe, fe))
-                acc[k] = acc.get(k, 0) + cf * c
-        return {k: v for k, v in acc.items() if v}
-
-    @staticmethod
-    def block_of(ue, fe):
-        uw = _weight(ue, _GEN_WEIGHTS)
-        fw = _weight(fe, _VAR_WEIGHTS)
-        return (sum(fe), (uw[0] + fw[0], uw[1] + fw[1]))
-
-
 _F0 = (0,) * 4  # the exponent of the constant function 1
+_U0 = (0,) * 6  # the PBW exponent of 1
 _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c d
 
+# The smash-product arithmetic of dy: an element Sum m_f mu(u) is a dict keyed
+# (pbw exp, monomial), with functions kept reduced on the rank-one cone.  All
+# products preserve both the function degree and the torus biweight, so
+# elements stay inside one homogeneity block.  Every coefficient is an int:
+# moment maps of PBW monomials, PBW products and field actions are integral,
+# and each cached table passes through `_integral`, which raises on a
+# non-integral entry.  Callers do not mutate a cached table.
 
-def _dy_generators(ctx: _SmashContext, delta: dict) -> list[dict]:
+
+@functools.cache
+def _mu_of(ue) -> dict:
+    """Coefficient table {(xe, de): int} of mu(x^ue)."""
+    return _integral(moment_map(UEnvElement(sl2_pair_desc(), {ue: 1}), lr_action_mat2()).terms)
+
+
+@functools.cache
+def _pbw_mul(e1, e2) -> dict:
+    pair = sl2_pair_desc()
+    return _integral((UEnvElement(pair, {e1: 1}) * UEnvElement(pair, {e2: 1})).terms)
+
+
+@functools.cache
+def _field_act(j, fe) -> dict:
+    poly = apply_op(lr_action_mat2().fields[j], ExactPoly.monomial(V, fe))
+    out: dict = {}
+    for e, c in _integral(poly.terms).items():
+        m = _nf_y_mono(e)
+        out[m] = out.get(m, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+@functools.cache
+def _push(ue, fe) -> dict:
+    """mu(x^ue) * m_{x^fe} rewritten with the function on the left."""
+    if ue == _U0:
+        return {(_U0, fe): 1}
+    j = next(i for i in range(6) if ue[i])
+    rest = list(ue)
+    rest[j] -= 1
+    unit = tuple(1 if i == j else 0 for i in range(6))
+    out: dict = {}
+    for (w, h), c in _push(tuple(rest), fe).items():
+        for w2, c2 in _pbw_mul(unit, w).items():
+            k = (w2, h)
+            out[k] = out.get(k, 0) + c * c2
+        for h2, c2 in _field_act(j, h).items():
+            k = (w, h2)
+            out[k] = out.get(k, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _u_right(elem: dict, ue) -> dict:
+    if ue == _U0:
+        return elem
+    out: dict = {}
+    for (w, h), c in elem.items():
+        for w2, c2 in _pbw_mul(w, ue).items():
+            k = (w2, h)
+            out[k] = out.get(k, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@functools.cache
+def _mono_mul(e1, e2):
+    """The cone-reduced exponent of x^e1 * x^e2."""
+    return _nf_y_mono(tuple(x + y for x, y in zip(e1, e2)))
+
+
+def _realize(elem: dict) -> dict:
+    """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
+    acc: dict = {}
+    for (ue, fe), cf in elem.items():
+        for (xe, de), c in _mu_of(ue).items():
+            k = (de, _mono_mul(xe, fe))
+            acc[k] = acc.get(k, 0) + cf * c
+    return {k: v for k, v in acc.items() if v}
+
+
+def _block_of(ue, fe):
+    uw = _weight(ue, _GEN_WEIGHTS)
+    fw = _weight(fe, _VAR_WEIGHTS)
+    return (sum(fe), (uw[0] + fw[0], uw[1] + fw[1]))
+
+
+def _dy_generators(delta: dict) -> list[dict]:
     """Delta and D_j = Delta m_{x_j} - m_{x_j} Delta for x_j = a, b, c, d, keyed
     (pbw exp, monomial), from the PBW coefficients `delta` of Delta.
 
@@ -359,13 +326,13 @@ def _dy_generators(ctx: _SmashContext, delta: dict) -> list[dict]:
     for unit in _UNITS:
         out = {(ue, unit): -c for ue, c in delta.items()}
         for ue, c in delta.items():
-            for k, c2 in ctx.push(ue, unit).items():
+            for k, c2 in _push(ue, unit).items():
                 out[k] = out.get(k, 0) + c * c2
         gens.append({k: v for k, v in out.items() if v})
     return gens
 
 
-def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> dict:
+def _dy_kernel_profile(pbw_bound: int, poly_bound: int) -> dict:
     """{block: {d: (columns, rank) of enveloping degree <= d}} for the realization.
 
     Column (u, f) is x^f times the cone-reduced table of mu(u): mu(u) itself
@@ -392,7 +359,7 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
     """
     u_weights = {c[:6]: _weight(c[:6], _GEN_WEIGHTS) for c in compositions(pbw_bound, 7)}
     blocks: dict[tuple, list] = {}
-    for fe in (e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)):
+    for fe in (e for q in range(poly_bound + 1) for e in horocycle_ring().nf_monomials(q)):
         fw0, fw1 = _weight(fe, _VAR_WEIGHTS)
         for ue, (uw0, uw1) in u_weights.items():
             if uw0 + fw0 >= uw1 + fw1:
@@ -407,7 +374,7 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
             keys[hit] = key
         return hit
 
-    cols = {(ue, _F0): {code(k): c for k, c in ctx.realize({(ue, _F0): 1}).items()}
+    cols = {(ue, _F0): {code(k): c for k, c in _realize({(ue, _F0): 1}).items()}
             for ue, (uw0, uw1) in u_weights.items() if uw0 >= uw1}
     shift: list[dict] = [{} for _ in _UNITS]
     mirror: dict = {}
@@ -421,13 +388,13 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
             col = cols.pop((ue, fe), None)
             if col is not None and elim.add(col) and q < poly_bound:
                 for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
-                    child = (ue, ctx.mono_mul(fe, unit))
+                    child = (ue, _mono_mul(fe, unit))
                     if child in cols or w0 + dw0 < w1 + dw1:
                         continue
                     for k in col:
                         if k not in table:
                             de, h = keys[k]
-                            table[k] = code((de, ctx.mono_mul(h, unit)))
+                            table[k] = code((de, _mono_mul(h, unit)))
                     cols[child] = vec = {table[k]: c for k, c in col.items()}
                     if w0 + dw0 == w1 + dw1 and (image := _phi(child)[0]) not in cols:
                         cols[image] = _phi_vector(vec, mirror, keys.__getitem__, code)
@@ -435,7 +402,7 @@ def _dy_kernel_profile(ctx: _SmashContext, pbw_bound: int, poly_bound: int) -> d
     return profile
 
 
-def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_bound: int):
+def _dy_ideal_span(gens: list[dict], build_bound: int, poly_bound: int):
     """({block: IncrementalRank}, coordinates) of the span of x^g g u
     for g in `gens`, deg u <= build_bound - 2 and deg x^g g <= poly_bound.
 
@@ -454,7 +421,7 @@ def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_
     function degree is inserted block by block, largest least coordinate
     first, so a new pivot is seldom held by a stored row: little back-reduction.
     """
-    f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    f_exps = [e for q in range(poly_bound + 1) for e in horocycle_ring().nf_monomials(q)]
     u_exps = [c[:6] for c in compositions(build_bound, 7)]
     tilt = {e: w0 - w1 for exps, table in ((u_exps, _GEN_WEIGHTS), (f_exps, _VAR_WEIGHTS))
             for e in exps for w0, w1 in [_weight(e, table)]}
@@ -465,14 +432,14 @@ def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_
     index = {key: i for i, key in enumerate(coords)}
     shift = []
     for unit in _UNITS:
-        times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
+        times = {fe: _mono_mul(fe, unit) for fe in f_exps}
         shift.append([index.get((ue, times[fe])) for ue, fe in coords])
     blocks: dict[tuple, IncrementalRank] = {}
     levels: list[list] = [[] for _ in range(poly_bound + 1)]
     for n, (g, ue) in enumerate((g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7)):
-        seed = tilt[ue] + sum(map(tilt.get, next(iter(g)))) >= 0 and ctx.u_right(g, ue)
+        seed = tilt[ue] + sum(map(tilt.get, next(iter(g)))) >= 0 and _u_right(g, ue)
         if seed:
-            key = ctx.block_of(*next(iter(seed)))
+            key = _block_of(*next(iter(seed)))
             levels[key[0]].append((key, (n, _F0), {index[k]: c for k, c in seed.items()}))
     seen = set()
     mirror: dict = {}
@@ -483,7 +450,7 @@ def _dy_ideal_span(ctx: _SmashContext, gens: list[dict], build_bound: int, poly_
             if not elim.add(vec) or q == poly_bound:
                 continue
             for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
-                target, sig = (q + 1, (key[1][0] + dw0, key[1][1] + dw1)), (n, ctx.mono_mul(g, unit))
+                target, sig = (q + 1, (key[1][0] + dw0, key[1][1] + dw1)), (n, _mono_mul(g, unit))
                 if sig in seen or target[1][0] < target[1][1]:
                     continue
                 seen.add(sig)
@@ -522,7 +489,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     """
     if pbw_bound < 2:
         raise ValueError("bound too small to see the relation (< 2)")
-    ctx = _SmashContext()
+    act = lr_action_mat2()
     report = CheckReport(
         check="dy",
         parameters={"pbw_bound": pbw_bound, "poly_bound": poly_bound, "margin": _DY_MARGIN},
@@ -532,7 +499,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     cas = casimir_sl2()
     one = UEnvElement.one(d2)
     delta_diff = tensor(cas, one) - tensor(one, cas)
-    diff_op = moment_map(delta_diff, ctx.act)
+    diff_op = moment_map(delta_diff, act)
     report.add(
         "mu(Casimir(x)1 - 1(x)Casimir) vanishes identically",
         "0",
@@ -549,16 +516,16 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     report.add("phi = adjugate (x) factor swap preserves the brackets of sl2 (+) sl2", "True", str(ok), ok)
     det, image = det_poly(), ExactPoly(V, _phi_terms(det_poly().terms))
     report.add("phi preserves det", poly_to_text(det), poly_to_text(image), image == det)
-    fields = [field.terms for field in ctx.act.fields]
+    fields = [field.terms for field in act.fields]
     pushed = " ".join(pair.basis[fields.index(t)] if t in fields else "?" for t in map(_phi_terms, fields))
     want = " ".join(pair.basis[k] for k in swap)
     report.add(f"phi pushes mu({' '.join(pair.basis)}) forward to mu of", want, pushed, pushed == want)
     ok = _phi_terms(delta) == {k: -c for k, c in delta.items()}
     report.add("phi sends Delta to -Delta", "True", str(ok), ok)
 
-    kernel_profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
-    gens = _dy_generators(ctx, delta)
-    span_blocks, ideal_coords = _dy_ideal_span(ctx, gens, pbw_bound + _DY_MARGIN, poly_bound)
+    kernel_profile = _dy_kernel_profile(pbw_bound, poly_bound)
+    gens = _dy_generators(delta)
+    span_blocks, ideal_coords = _dy_ideal_span(gens, pbw_bound + _DY_MARGIN, poly_bound)
 
     def kernel_dim(p: int, q: int) -> int:
         total = 0
@@ -577,7 +544,7 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     def ideal_window_dim(p: int, q: int) -> int:
         return sum(n for (fq, d), n in ideal_pivots.items() if fq <= q and d <= p)
 
-    zero = sum(not ctx.realize(g) for g in gens)
+    zero = sum(not _realize(g) for g in gens)
     name = "the ideal generators Delta, D_a, D_b, D_c, D_d realize to the zero operator"
     report.add(name, str(len(gens)), str(zero), zero == len(gens))
 

@@ -108,12 +108,20 @@ def test_moment_map_cache_is_per_action():
 
 def test_builtin_actions_are_built_once(monkeypatch):
     built = []
-    make = action._make_action
-    monkeypatch.setattr(action, "_ACTIONS", {})
-    monkeypatch.setattr(action, "_make_action", lambda ring: built.append(ring.name) or make(ring))
-    for builder in (lr_action_mat2, lr_action_sl2, lr_action_horocycle):
-        first = builder()
-        assert builder() is first and builder() is first
+
+    class Counting(InfinitesimalAction):
+        def __init__(self, desc, ring, fields):
+            built.append(ring.name)
+            super().__init__(desc, ring, fields)
+
+    action._builtin_action.cache_clear()
+    monkeypatch.setattr(action, "InfinitesimalAction", Counting)
+    try:
+        for builder in (lr_action_mat2, lr_action_sl2, lr_action_horocycle):
+            first = builder()
+            assert builder() is first and builder() is first
+    finally:
+        action._builtin_action.cache_clear()
     assert built == ["O(Mat2)", "O(SL2)", "O(Y)"]
 
 

@@ -10,15 +10,19 @@ from horocycle import vinberg
 from horocycle.linalg import IncrementalRank
 from horocycle.vinberg import (
     _DY_MARGIN,
-    _SmashContext,
+    _block_of,
     _dy_generators,
     _dy_ideal_span,
     _dy_kernel_profile,
     _integral,
+    _mono_mul,
     _nf_y_mono,
     _phi,
     _phi_terms,
     _phi_vector,
+    _push,
+    _realize,
+    _u_right,
     asymp_diagram_check,
     default_pw_samples,
     default_sample_points,
@@ -66,13 +70,13 @@ UNITS = [tuple(int(i == j) for i in range(4)) for j in range(4)]
 F0 = (0, 0, 0, 0)
 
 
-def _f_shift(ctx, fe, elem):
+def _f_shift(fe, elem):
     """x^fe times an element or a realized table, keyed (w, h) with h cone-normal.
 
     Multiplying by a monomial is injective on cone-normal monomials (the
     cone's ring is a domain), so this only re-keys: no two keys meet.
     """
-    return {(w, ctx.mono_mul(h, fe)): c for (w, h), c in elem.items()}
+    return {(w, _mono_mul(h, fe)): c for (w, h), c in elem.items()}
 
 
 def _delta():
@@ -81,87 +85,82 @@ def _delta():
     return _integral((tensor(casimir_sl2(), one) - tensor(one, casimir_sl2())).terms)
 
 
-def _dy_seeds(ctx, f_degree, u_degree):
+def _dy_seeds(f_degree, u_degree):
     """The left multiples u_right(Delta m_f, u) for cone monomials f of degree <= f_degree
     and PBW monomials u of degree <= u_degree; with u_degree 0, the generators Delta m_f
     of the ideal that `_dy_generators` generates with five."""
     delta = _delta()
     seeds = []
     for q in range(f_degree + 1):
-        for fe in ctx.ry.nf_monomials(q):
+        for fe in horocycle_ring().nf_monomials(q):
             base: dict = {}
             for ue, c in delta.items():
-                for k, c2 in ctx.push(ue, fe).items():
+                for k, c2 in _push(ue, fe).items():
                     base[k] = base.get(k, 0) + c * c2
             base = {k: v for k, v in base.items() if v}
             for ue in (c[:6] for c in compositions(u_degree, 7)):
-                seed = ctx.u_right(base, ue)
+                seed = _u_right(base, ue)
                 if seed:
                     seeds.append(seed)
     return seeds
 
 
 def test_dy_kernel_columns_are_shifts_of_the_reduced_table():
-    ctx = _SmashContext()
-    f_exps = [fe for q in range(3) for fe in ctx.ry.nf_monomials(q)]
+    f_exps = [fe for q in range(3) for fe in horocycle_ring().nf_monomials(q)]
     for ue in (c[:6] for c in compositions(2, 7)):
-        table = ctx.realize({(ue, F0): 1})
+        table = _realize({(ue, F0): 1})
         for fe in f_exps:
-            col = ctx.realize({(ue, fe): 1})
-            shifted = _f_shift(ctx, fe, table)
+            col = _realize({(ue, fe): 1})
+            shifted = _f_shift(fe, table)
             assert shifted == col and list(shifted) == list(col), (ue, fe)
 
 
 def test_dy_shifts_commute_and_depend_on_the_cone_monomial():
-    ctx = _SmashContext()
-    seeds = _dy_seeds(ctx, 1, 1)
+    seeds = _dy_seeds(1, 1)
     assert len(seeds) > 20
     a, b, c, d = UNITS
     for v in seeds:
         for j in range(4):
             for k in range(j):
-                jk = _f_shift(ctx, UNITS[j], _f_shift(ctx, UNITS[k], v))
-                assert jk == _f_shift(ctx, UNITS[k], _f_shift(ctx, UNITS[j], v))
+                jk = _f_shift(UNITS[j], _f_shift(UNITS[k], v))
+                assert jk == _f_shift(UNITS[k], _f_shift(UNITS[j], v))
         # ad = bc on the cone, so the signature (seed, cone-normal g) fixes the vector
-        assert _f_shift(ctx, a, _f_shift(ctx, d, v)) == _f_shift(ctx, b, _f_shift(ctx, c, v))
+        assert _f_shift(a, _f_shift(d, v)) == _f_shift(b, _f_shift(c, v))
 
 
 def test_dy_realization_commutes_with_function_shifts():
-    ctx = _SmashContext()
     rng = random.Random(12)
-    seeds = _dy_seeds(ctx, 1, 1)
+    seeds = _dy_seeds(1, 1)
     coords = [(ue, fe) for ue in (c[:6] for c in compositions(2, 7))
-              for q in range(3) for fe in ctx.ry.nf_monomials(q)]
+              for q in range(3) for fe in horocycle_ring().nf_monomials(q)]
     mixes = [{key: rng.choice((-3, -1, 1, 2, 5)) for key in rng.sample(coords, 4)} for _ in range(40)]
-    assert any(ctx.realize(v) for v in mixes)
+    assert any(_realize(v) for v in mixes)
     for v in seeds + mixes:
-        realized = ctx.realize(v)
+        realized = _realize(v)
         for unit in UNITS:
-            assert ctx.realize(_f_shift(ctx, unit, v)) == _f_shift(ctx, unit, realized)
+            assert _realize(_f_shift(unit, v)) == _f_shift(unit, realized)
     # the seeds lie in the kernel, so every shift of them does too
-    assert not any(ctx.realize(v) for v in seeds)
+    assert not any(_realize(v) for v in seeds)
 
 
 def test_dy_generators_have_the_stated_degrees():
-    ctx = _SmashContext()
-    gens = _dy_generators(ctx, _delta())
+    gens = _dy_generators(_delta())
     assert len(gens) == 5
     assert max(sum(ue) for ue, _ in gens[0]) == 2 and {fe for _, fe in gens[0]} == {F0}
     for unit, gen in zip(UNITS, gens[1:]):
         # D_j = Delta m_{x_j} - m_{x_j} Delta: the degree-2 parts cancel, the linear part stays
         assert max(sum(ue) for ue, _ in gen) == 1, unit
         assert {sum(fe) for _, fe in gen} == {1}
-        assert not ctx.realize(gen)
+        assert not _realize(gen)
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (2, 5)])
 def test_dy_five_generators_span_the_ideal_of_every_left_multiple(pbw_bound, poly_bound):
     """Per block, the closure of Delta u and D_j u spans what the closure of
     every Delta m_f u spans (f over all cone monomials of degree <= poly_bound)."""
-    ctx = _SmashContext()
     build = pbw_bound + _DY_MARGIN
-    new, coords = _dy_ideal_span(ctx, _dy_generators(ctx, _delta()), build, poly_bound)
-    old, old_coords = _dy_ideal_span(ctx, _dy_seeds(ctx, poly_bound, 0), build, poly_bound)
+    new, coords = _dy_ideal_span(_dy_generators(_delta()), build, poly_bound)
+    old, old_coords = _dy_ideal_span(_dy_seeds(poly_bound, 0), build, poly_bound)
     assert coords == old_coords
     assert {k for k, elim in new.items() if elim.pivots} == {k for k, elim in old.items() if elim.pivots}
     for key, elim in new.items():
@@ -184,23 +183,22 @@ def _mirror(block):
 def test_phi_is_the_adjugate_substitution_and_an_involution():
     """phi on keys is f(a, b, c, d) -> f(d, -b, -c, a) on functions, the factor
     swap on PBW exponents, and the weight mirror on blocks; phi^2 = 1."""
-    ctx = _SmashContext()
     a, b, c, d = (ExactPoly.variable(MAT2_VARS, name) for name in MAT2_VARS)
     for e in compositions(4, 5):
         e = e[:4]
         assert _phi_terms({e: 1}) == (d ** e[0] * (-b) ** e[1] * (-c) ** e[2] * a ** e[3]).terms
     for ue in (comp[:6] for comp in compositions(2, 7)):
-        for fe in ctx.ry.nf_monomials(2):
+        for fe in horocycle_ring().nf_monomials(2):
             image, sign = _phi((ue, fe))
             assert image == (ue[3:] + ue[:3], _phi(fe)[0]) and sign == _phi(fe)[1]
             assert _phi(image) == ((ue, fe), sign)
-            assert ctx.block_of(*image) == _mirror(ctx.block_of(ue, fe))
+            assert _block_of(*image) == _mirror(_block_of(ue, fe))
 
 
-def _full_plane_ideal_span(ctx, gens, build_bound, poly_bound):
+def _full_plane_ideal_span(gens, build_bound, poly_bound):
     """The ideal closure over every weight block, without the symmetry: the
     oracle of the half-plane closure in `_dy_ideal_span`."""
-    f_exps = [e for q in range(poly_bound + 1) for e in ctx.ry.nf_monomials(q)]
+    f_exps = [e for q in range(poly_bound + 1) for e in horocycle_ring().nf_monomials(q)]
     coords = sorted(
         ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
         key=lambda key: (-sum(key[0]), key[0], key[1]),
@@ -208,7 +206,7 @@ def _full_plane_ideal_span(ctx, gens, build_bound, poly_bound):
     index = {key: i for i, key in enumerate(coords)}
     shift = []
     for unit in UNITS:
-        times = {fe: ctx.mono_mul(fe, unit) for fe in f_exps}
+        times = {fe: _mono_mul(fe, unit) for fe in f_exps}
         shift.append([index.get((ue, times[fe])) for ue, fe in coords])
     blocks: dict = {}
     work: list = []
@@ -220,16 +218,16 @@ def _full_plane_ideal_span(ctx, gens, build_bound, poly_bound):
             basis.append(elem)
             work.append((key, sig, elem))
 
-    seeds = (ctx.u_right(g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7))
+    seeds = (_u_right(g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7))
     for n, seed in enumerate(seeds):
         if seed:
-            insert(ctx.block_of(*next(iter(seed))), (n, F0), {index[k]: c for k, c in seed.items()})
+            insert(_block_of(*next(iter(seed))), (n, F0), {index[k]: c for k, c in seed.items()})
     while work:
         (q, (wt0, wt1)), (n, g), vec = work.pop()
         if q >= poly_bound:
             continue
         for unit, table, (dw0, dw1) in zip(UNITS, shift, vinberg._VAR_WEIGHTS):
-            sig = (n, ctx.mono_mul(g, unit))
+            sig = (n, _mono_mul(g, unit))
             if sig not in seen:
                 seen.add(sig)
                 insert((q + 1, (wt0 + dw0, wt1 + dw1)), sig, {table[i]: c for i, c in vec.items()})
@@ -244,11 +242,10 @@ def test_dy_half_plane_ideal_is_the_full_plane_closure(pbw_bound, poly_bound):
     """On every block with w0 >= w1 the half-plane closure has the oracle's
     pivots and span; the oracle itself is phi-symmetric: phi maps each block's
     basis into the span of its mirror block."""
-    ctx = _SmashContext()
-    gens = _dy_generators(ctx, _delta())
+    gens = _dy_generators(_delta())
     build = pbw_bound + _DY_MARGIN
-    half, coords = _dy_ideal_span(ctx, gens, build, poly_bound)
-    full, full_coords = _full_plane_ideal_span(ctx, gens, build, poly_bound)
+    half, coords = _dy_ideal_span(gens, build, poly_bound)
+    full, full_coords = _full_plane_ideal_span(gens, build, poly_bound)
     half_index = {key: i for i, key in enumerate(coords)}
     full_index = {key: i for i, key in enumerate(full_coords)}
     assert {k for k, elim in half.items() if elim.pivots} == {
@@ -268,19 +265,19 @@ def test_dy_half_plane_ideal_is_the_full_plane_closure(pbw_bound, poly_bound):
         assert not any(mirror.reduce(v) for v in images), key
 
 
-def _every_column_profile(ctx, pbw_bound, poly_bound):
+def _every_column_profile(pbw_bound, poly_bound):
     """The kernel-side profile with every column (u, f) of every block realized and inserted."""
     blocks: dict = {}
     for ue in (c[:6] for c in compositions(pbw_bound, 7)):
         for q in range(poly_bound + 1):
-            for fe in ctx.ry.nf_monomials(q):
-                blocks.setdefault(ctx.block_of(ue, fe), []).append((ue, fe))
+            for fe in horocycle_ring().nf_monomials(q):
+                blocks.setdefault(_block_of(ue, fe), []).append((ue, fe))
     profile = {}
     for key, members in blocks.items():
         elim = IncrementalRank()
         prof = profile[key] = {}
         for count, (ue, fe) in enumerate(sorted(members, key=lambda m: (sum(m[0]), m[0], m[1])), 1):
-            elim.add(ctx.realize({(ue, fe): 1}))
+            elim.add(_realize({(ue, fe): 1}))
             prof[sum(ue)] = (count, len(elim.pivots))
     return profile
 
@@ -304,11 +301,10 @@ def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkey
             calls.append(vec)
             return super().add(vec)
 
-    ctx = _SmashContext()
     monkeypatch.setattr(vinberg, "IncrementalRank", Counting)
-    profile = _dy_kernel_profile(ctx, pbw_bound, poly_bound)
+    profile = _dy_kernel_profile(pbw_bound, poly_bound)
     monkeypatch.undo()
-    every = _every_column_profile(ctx, pbw_bound, poly_bound)
+    every = _every_column_profile(pbw_bound, poly_bound)
     assert all(every[key] == every[_mirror(key)] for key in every)
     assert profile == {key: prof for key, prof in every.items() if _upper(key)}
     assert len(calls) == KERNEL_INSERTS[pbw_bound, poly_bound]
@@ -363,8 +359,8 @@ def test_parabolic_rejects_off_fiber_points():
 
 
 def test_cone_monomial_normal_form_matches_the_quotient_ring():
-    # the closed form that _SmashContext uses on the rank-one cone against the
-    # memoized rewrite of QuotientRing.normal_form, every exponent of degree <= 8
+    # the closed form that dy's smash-product arithmetic uses on the rank-one cone
+    # against the memoized rewrite of QuotientRing.normal_form, every exponent of degree <= 8
     ring = horocycle_ring()
     for deg in range(9):
         for e in compositions(deg, 4):

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import ExactPoly, QuotientRing, horocycle_ring, mat2_ring, sl2_ring
+from .exactalg import ExactPoly, QuotientRing, fmt_coef, horocycle_ring, mat2_ring, sl2_ring
 from .lie import (
     FinDimRep,
     LieAlgebraDesc,
@@ -152,7 +152,7 @@ class RationalPoint:
             raise PointNotOnVariety(f"{self.coords} is not on {ring.name}")
 
     def to_json(self) -> list:
-        return [f"{x.numerator}/{x.denominator}" for x in self.coords]
+        return [fmt_coef(x) for x in self.coords]
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ class CoinvariantsResult:
     def to_json(self) -> dict:
         def fmt(rows, cols):
             dense = ([row.get(j, 0) for j in range(cols)] for row in rows)
-            return [[f"{x.numerator}/{x.denominator}" for x in row] for row in dense]
+            return [[fmt_coef(x) for x in row] for row in dense]
 
         return {
             "dim": self.dimension,

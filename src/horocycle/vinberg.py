@@ -203,18 +203,6 @@ def _phi_terms(terms: dict) -> dict:
     return {image: s * c for k, c in terms.items() for image, s in [_phi(k)]}
 
 
-def _phi_vector(vec: dict, cache: dict, key_of, code_of) -> dict:
-    """phi on a vector over numbered coordinates, k <-> key_of(k), cached per k."""
-    out = {}
-    for k, c in vec.items():
-        hit = cache.get(k)
-        if hit is None:
-            image, s = _phi(key_of(k))
-            hit = cache[k] = (code_of(image), s)
-        out[hit[0]] = hit[1] * c
-    return out
-
-
 def _integral(terms: dict) -> dict:
     """The coefficients of `terms` as ints; ValueError names the first non-integral one."""
     out = {}
@@ -313,57 +301,55 @@ def _block_of(ue, fe):
     return (sum(fe), (uw[0] + fw[0], uw[1] + fw[1]))
 
 
-def _dy_generators(delta: dict) -> list[dict]:
-    """Delta and D_j = Delta m_{x_j} - m_{x_j} Delta for x_j = a, b, c, d, keyed
-    (pbw exp, monomial), from the PBW coefficients `delta` of Delta.
+def _dy_generators(delta: dict) -> dict:
+    """{fe: g_fe}: Delta under the exponent of 1 and D_j = Delta m_{x_j} - m_{x_j}
+    Delta under that of x_j = a, b, c, d, keyed (pbw exp, monomial), from the PBW
+    coefficients `delta` of Delta.
 
     In the smash product Leibniz gives Delta m_f = m_f Delta + Sum_j m_{d_j f} D_j
     + m_{mu(Delta) f}, and mu(Delta) = 0 (the dy report's first item), so these
     five generate the two-sided ideal of Delta as a left O-module under right
-    multiplication by U.  Each D_j has enveloping degree at most 1.
+    multiplication by U.  Each D_j has enveloping degree at most 1.  The names
+    follow phi: phi(g_fe u) = +-g_{phi fe} phi(u), since phi(Delta) = -Delta.
     """
-    gens = [{(ue, _F0): c for ue, c in delta.items()}]
+    gens = {_F0: {(ue, _F0): c for ue, c in delta.items()}}
     for unit in _UNITS:
         out = {(ue, unit): -c for ue, c in delta.items()}
         for ue, c in delta.items():
             for k, c2 in _push(ue, unit).items():
                 out[k] = out.get(k, 0) + c * c2
-        gens.append({k: v for k, v in out.items() if v})
+        gens[unit] = {k: v for k, v in out.items() if v}
     return gens
 
 
-def _dy_kernel_profile(pbw_bound: int, poly_bound: int) -> dict:
-    """{block: {d: (columns, rank) of enveloping degree <= d}} for the realization.
+def _shift_closure(names, seed, poly_bound: int, order):
+    """(blocks, keys, raised): the span, block by block, of the function
+    shifts x^g v of the seeds v = seed(name), name = (u, fe) in `names`, with
+    deg x^g v <= poly_bound, as {block: IncrementalRank} over numbered keys.
 
-    Column (u, f) is x^f times the cone-reduced table of mu(u): mu(u) itself
-    has monomials (ad, bc) that meet on the cone, which a re-keying shift
-    loses.  Blocks go in increasing function degree, members by (deg u, u, f).
-    Each coefficient key (de, h) is coded by an int that orders keys by
-    decreasing differential order |de|, then by reverse first sight, so a
-    row's pivot is a key of its top order.  A column of enveloping degree d
-    has order at most d, and no row of lower degree holds a key of order d,
-    so a new pivot of order d is met only by rows of degree d: back-reduction
-    stays among the rows of one degree unless a column's top-order part
-    reduces to zero.  The key order changes no rank.
-    x_j maps column (u, f) linearly to column (u, x_j f): each code is re-keyed
-    through shift[j], code -> code of (de, nf(h x_j)), exactly, since
-    nf(nf(h) x_j) = nf(h x_j).  A column that does not raise its block's rank,
-    being a combination of rank-raising columns of no higher enveloping degree,
-    has every shift in the span of their shifts: only the shifts of
-    rank-raising columns are inserted, and every rank of the profile is that
-    of all the columns.  Only blocks with w0 >= w1 are built: phi commutes
-    with the realization and maps the columns of block (q, (w0, w1)) to +- those
-    of (q, (w1, w0)), keeping deg u.  A half-plane column has all its parents
-    in the half-plane except the x_d-parent of a diagonal block; there the phi
-    image of each inserted shift is inserted too, for the mirror's x_d-shifts.
+    A seed is a dict over keys (top, h): h a cone-normal monomial that x_j
+    multiplies, and sum(top) the key's enveloping or differential degree,
+    which no shift changes.  `keys` maps each number back to its key.
+    Numbers order keys by decreasing degree of top, then by reverse first
+    sight, so a row's pivot is a key of its top degree.  x_j re-keys a vector
+    through a table, number -> number of (top, nf(h x_j)), exactly, since
+    nf(nf(h) x_j) = nf(h x_j), and moves it from block (q, w) to
+    (q + 1, w + weight(x_j)); the seed named (u, fe) lies in block
+    _block_of(u, fe).  A shift is named (name, nf(g)): shifts commute, so a
+    repeated name is the identical vector, already in the span, and is
+    skipped.  A vector that does not raise its block's rank is a combination
+    of stored rows, so its shifts lie in the span of theirs: only the shifts
+    of rank-raising vectors are inserted.
+    Only blocks with w0 >= w1 are built.  phi maps block (q, (w0, w1)) to
+    (q, (w1, w0)) and the vector named sig to +- the one named phi(sig): the
+    callers' seeds are named so.  Every parent of a half-plane vector lies in
+    the half-plane, except the x_d-parent of a vector in a diagonal block,
+    whose x_d-shift is +- the phi image of the x_a-shift of its mirror; so a
+    diagonal block also gets the phi image of each shift inserted into it.
+    Each function degree is inserted once all shifts into it are known, block
+    by block, in the order of order(sig, vec); a level is dropped once done.
+    `raised` lists (block, sig) of the rank-raising inserts.
     """
-    u_weights = {c[:6]: _weight(c[:6], _GEN_WEIGHTS) for c in compositions(pbw_bound, 7)}
-    blocks: dict[tuple, list] = {}
-    for fe in (e for q in range(poly_bound + 1) for e in horocycle_ring().nf_monomials(q)):
-        fw0, fw1 = _weight(fe, _VAR_WEIGHTS)
-        for ue, (uw0, uw1) in u_weights.items():
-            if uw0 + fw0 >= uw1 + fw1:
-                blocks.setdefault((sum(fe), (uw0 + fw0, uw1 + fw1)), []).append((ue, fe))
     codes: dict = {}
     keys: dict = {}
 
@@ -374,93 +360,103 @@ def _dy_kernel_profile(pbw_bound: int, poly_bound: int) -> dict:
             keys[hit] = key
         return hit
 
-    cols = {(ue, _F0): {code(k): c for k, c in _realize({(ue, _F0): 1}).items()}
-            for ue, (uw0, uw1) in u_weights.items() if uw0 >= uw1}
+    levels: list[list] = [[] for _ in range(poly_bound + 1)]
+    for name in names:
+        block = _block_of(*name)
+        if block[1][0] >= block[1][1] and (vec := seed(name)):
+            levels[block[0]].append((block, (name, _F0), {code(k): c for k, c in vec.items()}))
     shift: list[dict] = [{} for _ in _UNITS]
     mirror: dict = {}
-    profile = {}
-    for key in sorted(blocks):
-        q, (w0, w1) = key
-        elim = IncrementalRank()
-        prof = profile[key] = {}
-        members = sorted(blocks[key], key=lambda m: (sum(m[0]), m[0], m[1]))
-        for count, (ue, fe) in enumerate(members, 1):
-            col = cols.pop((ue, fe), None)
-            if col is not None and elim.add(col) and q < poly_bound:
-                for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
-                    child = (ue, _mono_mul(fe, unit))
-                    if child in cols or w0 + dw0 < w1 + dw1:
-                        continue
-                    for k in col:
-                        if k not in table:
-                            de, h = keys[k]
-                            table[k] = code((de, _mono_mul(h, unit)))
-                    cols[child] = vec = {table[k]: c for k, c in col.items()}
-                    if w0 + dw0 == w1 + dw1 and (image := _phi(child)[0]) not in cols:
-                        cols[image] = _phi_vector(vec, mirror, keys.__getitem__, code)
-            prof[sum(ue)] = (count, len(elim.pivots))
-    return profile
-
-
-def _dy_ideal_span(gens: list[dict], build_bound: int, poly_bound: int):
-    """({block: IncrementalRank}, coordinates) of the span of x^g g u
-    for g in `gens`, deg u <= build_bound - 2 and deg x^g g <= poly_bound.
-
-    Coordinates (u, f) are numbered in pivot order, enveloping degree downward,
-    so each row's pivot is its key of highest enveloping degree; the closure
-    works on these numbers, with x_j acting through shift[j] and moving a
-    vector from block (q, w) to (q + 1, w + weight(x_j)).  A vector is x^g
-    times a seed g u, with signature (seed, g) for the cone-normal g.  Shifts
-    are exact and commute, so a repeated signature is the identical vector,
-    already in the span: skipping it changes no pivot.  Only rank-raising
-    vectors are shifted, since the shifts of the others lie in their span.
-    As on the kernel side only blocks with w0 >= w1 are built; phi maps seeds
-    to +- seeds.  Seeds and shifts below the diagonal are dropped (x_a v for a
-    diagonal v has mirror x_d phi(v), in the span), and a diagonal block also
-    gets the phi image of each shift, signature (-1 - seed, phi g).  Each
-    function degree is inserted block by block, largest least coordinate
-    first, so a new pivot is seldom held by a stored row: little back-reduction.
-    """
-    f_exps = [e for q in range(poly_bound + 1) for e in horocycle_ring().nf_monomials(q)]
-    u_exps = [c[:6] for c in compositions(build_bound, 7)]
-    tilt = {e: w0 - w1 for exps, table in ((u_exps, _GEN_WEIGHTS), (f_exps, _VAR_WEIGHTS))
-            for e in exps for w0, w1 in [_weight(e, table)]}
-    coords = sorted(
-        ((ue, fe) for ue in u_exps for fe in f_exps if tilt[ue] + tilt[fe] >= 0),
-        key=lambda key: (-sum(key[0]), key[0], key[1]),
-    )
-    index = {key: i for i, key in enumerate(coords)}
-    shift = []
-    for unit in _UNITS:
-        times = {fe: _mono_mul(fe, unit) for fe in f_exps}
-        shift.append([index.get((ue, times[fe])) for ue, fe in coords])
-    blocks: dict[tuple, IncrementalRank] = {}
-    levels: list[list] = [[] for _ in range(poly_bound + 1)]
-    for n, (g, ue) in enumerate((g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7)):
-        seed = tilt[ue] + sum(map(tilt.get, next(iter(g)))) >= 0 and _u_right(g, ue)
-        if seed:
-            key = _block_of(*next(iter(seed)))
-            levels[key[0]].append((key, (n, _F0), {index[k]: c for k, c in seed.items()}))
+    blocks: dict = {}
+    raised = []
     seen = set()
-    mirror: dict = {}
     for q, level in enumerate(levels):
-        level.sort(key=lambda item: (item[0], -min(item[2])))
-        for key, (n, g), vec in level:
-            elim = blocks.get(key) or blocks.setdefault(key, IncrementalRank())
-            if not elim.add(vec) or q == poly_bound:
+        level.sort(key=lambda item: (item[0], order(*item[1:])))
+        for block, sig, vec in level:
+            elim = blocks.get(block) or blocks.setdefault(block, IncrementalRank())
+            if not elim.add(vec):
                 continue
+            raised.append((block, sig))
+            if q == poly_bound:
+                continue
+            (name, g), (w0, w1) = sig, block[1]
             for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
-                target, sig = (q + 1, (key[1][0] + dw0, key[1][1] + dw1)), (n, _mono_mul(g, unit))
-                if sig in seen or target[1][0] < target[1][1]:
+                child = (name, _mono_mul(g, unit))
+                if child in seen or w0 + dw0 < w1 + dw1:
                     continue
-                seen.add(sig)
-                child = {table[i]: c for i, c in vec.items()}
-                levels[q + 1].append((target, sig, child))
-                if target[1][0] == target[1][1] and (image := (-1 - n, _phi(sig[1])[0])) not in seen:
+                seen.add(child)
+                for k in vec:
+                    if k not in table:
+                        top, h = keys[k]
+                        table[k] = code((top, _mono_mul(h, unit)))
+                target = (q + 1, (w0 + dw0, w1 + dw1))
+                shifted = {table[k]: c for k, c in vec.items()}
+                levels[q + 1].append((target, child, shifted))
+                if w0 + dw0 == w1 + dw1 and (image := _phi(child)[0]) not in seen:
                     seen.add(image)
-                    child = _phi_vector(child, mirror, coords.__getitem__, index.__getitem__)
-                    levels[q + 1].append((target, image, child))
-    return blocks, coords
+                    out = {}
+                    for k, c in shifted.items():
+                        hit = mirror.get(k)
+                        if hit is None:
+                            key, s = _phi(keys[k])
+                            hit = mirror[k] = (code(key), s)
+                        out[hit[0]] = hit[1] * c
+                    levels[q + 1].append((target, image, out))
+        level.clear()
+    return blocks, keys, raised
+
+
+def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
+    """{(block, d): the columns of enveloping degree d in the block minus the
+    rank they add to those of lower degree}, on the blocks with w0 >= w1.
+
+    Column (u, f) is x^f times the cone-reduced table of mu(u), keyed
+    (de, h): the seed named (u, 1) shifted by x^f.  mu(u) itself has
+    monomials (ad, bc) that meet on the cone, which a re-keying shift loses.
+    Each block's columns go in by (deg u, u, f), so the columns of degree d
+    add the rank that all columns of degree <= d reach over those of lower
+    degree: a column the closure never inserts lies in the span of inserted
+    columns of no higher degree.  A column of enveloping degree d has
+    differential order at most d, and no row of lower degree holds a key of
+    order d, so a new pivot of order d is met only by rows of degree d:
+    back-reduction stays among the rows of one degree unless a column's
+    top-order part reduces to zero.
+    """
+    u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
+    _, _, raised = _shift_closure(
+        ((ue, _F0) for ue in u_exps), lambda name: _realize({name: 1}), poly_bound,
+        lambda sig, vec: (sum(sig[0][0]), sig[0][0], sig[1]),
+    )
+    u_count = Counter((sum(ue), _weight(ue, _GEN_WEIGHTS)) for ue in u_exps)
+    dims: Counter = Counter()
+    for q in range(poly_bound + 1):
+        for fe in horocycle_ring().nf_monomials(q):
+            fw0, fw1 = _weight(fe, _VAR_WEIGHTS)
+            for (d, (uw0, uw1)), n in u_count.items():
+                if uw0 + fw0 >= uw1 + fw1:
+                    dims[(q, (uw0 + fw0, uw1 + fw1)), d] += n
+    dims.subtract((block, sum(sig[0][0])) for block, sig in raised)
+    return dims
+
+
+def _dy_ideal(gens: dict, build_bound: int, poly_bound: int):
+    """The closure of the vectors x^g g_fe u, deg u <= build_bound - 2, named
+    ((u, fe), g) and keyed (u, f) for the element Sum m_f mu(u).
+
+    Each level is inserted block by block, largest least number first, that
+    is lowest top enveloping degree first, so a new pivot is seldom held by
+    a stored row: little back-reduction.
+    """
+    return _shift_closure(
+        ((c[:6], fe) for fe in gens for c in compositions(build_bound - 2, 7)),
+        lambda name: _u_right(gens[name[1]], name[0]), poly_bound, lambda sig, vec: -min(vec),
+    )
+
+
+def _window(dims: Counter, p: int, q: int) -> int:
+    """The sum of `dims` over enveloping degree <= p and function degree <= q,
+    a block with w0 > w1 counted twice, for itself and its phi mirror."""
+    return sum(n * (2 - (w0 == w1)) for ((fq, (w0, w1)), d), n in dims.items() if fq <= q and d <= p)
 
 
 def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
@@ -478,14 +474,17 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     because mu(Delta) = 0 (the first item), so under the same degree bounds
     the function multiples of Delta u and D_j u span it.  The ideal is
     generated with `_DY_MARGIN` extra enveloping degrees so that
-    cancellations landing inside a window are found, then intersected with
-    each window by pivot counting.  On both sides only the function shifts
-    of rank-raising vectors are inserted.  Containment: a generator realizing
-    to zero is det P in normal order, and f det P mu(u) is again det times an
-    operator, so the span realizes to zero and equal windows prove kernel =
-    ideal.  Items certify that phi (`_phi`) is an automorphism with phi(Delta)
-    = -Delta; both sides are built on the blocks with w0 >= w1, each counted
-    with its phi-orbit size: 1 on the diagonal, 2 off it.
+    cancellations landing inside a window are found.  Containment: a
+    generator realizing to zero is det P in normal order, and f det P mu(u)
+    is again det times an operator, so the span realizes to zero and equal
+    windows prove kernel = ideal.  Items certify that phi (`_phi`) is an
+    automorphism with phi(Delta) = -Delta.
+    Both sides are one `_shift_closure` on the blocks with w0 >= w1, each
+    reduced to a count per (block, enveloping degree d): the kernel's columns
+    of degree d minus the rank they add, the ideal's pivots of degree d, a
+    pivot being a key of its row's top degree.  A window is one `_window` sum
+    of such counts, each block counted with its phi-orbit size: 1 on the
+    diagonal, 2 off it.
     """
     if pbw_bound < 2:
         raise ValueError("bound too small to see the relation (< 2)")
@@ -523,35 +522,19 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     ok = _phi_terms(delta) == {k: -c for k, c in delta.items()}
     report.add("phi sends Delta to -Delta", "True", str(ok), ok)
 
-    kernel_profile = _dy_kernel_profile(pbw_bound, poly_bound)
+    kernel = _dy_kernel(pbw_bound, poly_bound)
     gens = _dy_generators(delta)
-    span_blocks, ideal_coords = _dy_ideal_span(gens, pbw_bound + _DY_MARGIN, poly_bound)
+    blocks, keys, _ = _dy_ideal(gens, pbw_bound + _DY_MARGIN, poly_bound)
+    ideal = Counter((block, sum(keys[i][0])) for block, elim in blocks.items() for i in elim.pivots)
 
-    def kernel_dim(p: int, q: int) -> int:
-        total = 0
-        for (fq, (w0, w1)), prof in kernel_profile.items():
-            degs = [deg for deg in prof if deg <= p]
-            if fq <= q and degs:
-                count, rank = prof[max(degs)]
-                total += (count - rank) * (2 - (w0 == w1))
-        return total
-
-    ideal_pivots: Counter = Counter()
-    for (fq, (w0, w1)), elim in span_blocks.items():
-        for i in elim.pivots:
-            ideal_pivots[fq, sum(ideal_coords[i][0])] += 2 - (w0 == w1)
-
-    def ideal_window_dim(p: int, q: int) -> int:
-        return sum(n for (fq, d), n in ideal_pivots.items() if fq <= q and d <= p)
-
-    zero = sum(not _realize(g) for g in gens)
+    zero = sum(not _realize(g) for g in gens.values())
     name = "the ideal generators Delta, D_a, D_b, D_c, D_d realize to the zero operator"
     report.add(name, str(len(gens)), str(zero), zero == len(gens))
 
     for p in range(pbw_bound + 1):
         for q in range(poly_bound + 1):
-            k = kernel_dim(p, q)
-            s = ideal_window_dim(p, q)
+            k = _window(kernel, p, q)
+            s = _window(ideal, p, q)
             report.add(
                 f"bidegree ({p},{q}): realization kernel = Casimir-difference ideal",
                 str(s),

@@ -249,6 +249,13 @@ def test_induced_matrices_well_defined():
     assert len(res.induced) == 2
     json_form = res.to_json()
     assert set(json_form) == {"dim", "projection", "induced"}
+    # integral entries are written as integers, the same as everywhere else in the reports
+    assert json_form["projection"] == [["0", "0", "0", "1"]]
+    assert json_form["induced"] == [[["-1"]], [["1"]]]
+
+
+def test_point_json_writes_integers_without_a_denominator():
+    assert RationalPoint((2, 0, 0, Fraction(1, 2))).to_json() == ["2", "0", "0", "1/2"]
 
 
 def test_subalgebra_validation():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,17 +13,17 @@ from horocycle.vinberg import (
     _DY_MARGIN,
     _block_of,
     _dy_generators,
-    _dy_ideal_span,
-    _dy_kernel_profile,
+    _dy_ideal,
+    _dy_kernel,
     _integral,
     _mono_mul,
     _nf_y_mono,
     _phi,
     _phi_terms,
-    _phi_vector,
     _push,
     _realize,
     _u_right,
+    _window,
     asymp_diagram_check,
     default_pw_samples,
     default_sample_points,
@@ -85,24 +86,25 @@ def _delta():
     return _integral((tensor(casimir_sl2(), one) - tensor(one, casimir_sl2())).terms)
 
 
+def _delta_times(fe):
+    """Delta m_{x^fe}, keyed (pbw exp, monomial)."""
+    out: dict = {}
+    for ue, c in _delta().items():
+        for k, c2 in _push(ue, fe).items():
+            out[k] = out.get(k, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _cone_monomials(f_degree):
+    return [fe for q in range(f_degree + 1) for fe in horocycle_ring().nf_monomials(q)]
+
+
 def _dy_seeds(f_degree, u_degree):
-    """The left multiples u_right(Delta m_f, u) for cone monomials f of degree <= f_degree
-    and PBW monomials u of degree <= u_degree; with u_degree 0, the generators Delta m_f
-    of the ideal that `_dy_generators` generates with five."""
-    delta = _delta()
-    seeds = []
-    for q in range(f_degree + 1):
-        for fe in horocycle_ring().nf_monomials(q):
-            base: dict = {}
-            for ue, c in delta.items():
-                for k, c2 in _push(ue, fe).items():
-                    base[k] = base.get(k, 0) + c * c2
-            base = {k: v for k, v in base.items() if v}
-            for ue in (c[:6] for c in compositions(u_degree, 7)):
-                seed = _u_right(base, ue)
-                if seed:
-                    seeds.append(seed)
-    return seeds
+    """The nonzero left multiples u_right(Delta m_f, u) for cone monomials f of degree
+    <= f_degree and PBW monomials u of degree <= u_degree."""
+    products = [_delta_times(fe) for fe in _cone_monomials(f_degree)]
+    return [seed for base in products for ue in (c[:6] for c in compositions(u_degree, 7))
+            if (seed := _u_right(base, ue))]
 
 
 def test_dy_kernel_columns_are_shifts_of_the_reduced_table():
@@ -145,29 +147,70 @@ def test_dy_realization_commutes_with_function_shifts():
 
 def test_dy_generators_have_the_stated_degrees():
     gens = _dy_generators(_delta())
-    assert len(gens) == 5
-    assert max(sum(ue) for ue, _ in gens[0]) == 2 and {fe for _, fe in gens[0]} == {F0}
-    for unit, gen in zip(UNITS, gens[1:]):
+    assert list(gens) == [F0] + UNITS
+    assert max(sum(ue) for ue, _ in gens[F0]) == 2 and {fe for _, fe in gens[F0]} == {F0}
+    for unit in UNITS:
         # D_j = Delta m_{x_j} - m_{x_j} Delta: the degree-2 parts cancel, the linear part stays
-        assert max(sum(ue) for ue, _ in gen) == 1, unit
-        assert {sum(fe) for _, fe in gen} == {1}
-        assert not _realize(gen)
+        assert max(sum(ue) for ue, _ in gens[unit]) == 1, unit
+        assert {sum(fe) for _, fe in gens[unit]} == {1}
+        assert not _realize(gens[unit])
+
+
+def _signed_equal(x, y):
+    """Whether x = y or x = -y, for nonzero sparse vectors."""
+    return x == y or x == {k: -c for k, c in y.items()}
+
+
+def _names_follow_phi(gens):
+    """Whether phi(g_fe u) = +-g_{phi fe} phi(u) for every name fe and deg u <= 3."""
+    return all(
+        _signed_equal(_phi_terms(_u_right(g, ue)), _u_right(gens[_phi(fe)[0]], _phi(ue)[0]))
+        for ue in (c[:6] for c in compositions(3, 7)) for fe, g in gens.items()
+    )
+
+
+def test_dy_seed_names_follow_phi():
+    """The name phi(sig) that the closure deduplicates against names +- the
+    phi image of the vector named sig, on both sides of dy: phi(g_fe u) =
+    +-g_{phi fe} phi(u) and phi(mu(u)) = +-mu(phi(u)).  Generators listed
+    under each other's names fail it."""
+    gens = _dy_generators(_delta())
+    assert _names_follow_phi(gens)
+    a, b = UNITS[:2]
+    assert not _names_follow_phi({**gens, a: gens[b], b: gens[a]})
+    for ue in (c[:6] for c in compositions(3, 7)):
+        assert _signed_equal(_phi_terms(_realize({(ue, F0): 1})), _realize({(_phi(ue)[0], F0): 1})), ue
+
+
+def _key_space(blocks, keys):
+    """{block: IncrementalRank} of each block's rows over keys (u, f), ordered
+    by (-deg u, u, f), so that the spans and per-degree pivot counts of two
+    closures with different numberings can be compared."""
+    out = {}
+    for block, elim in blocks.items():
+        out[block] = IncrementalRank()
+        for row in elim.pivots.values():
+            out[block].add({(-sum(keys[i][0]),) + keys[i]: c for i, c in row.items()})
+    return out
+
+
+def _same_span(x: IncrementalRank, y: IncrementalRank) -> bool:
+    return (set(x.pivots) == set(y.pivots) and not any(y.reduce(v) for v in x.pivots.values())
+            and not any(x.reduce(v) for v in y.pivots.values()))
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (2, 5)])
 def test_dy_five_generators_span_the_ideal_of_every_left_multiple(pbw_bound, poly_bound):
     """Per block, the closure of Delta u and D_j u spans what the closure of
-    every Delta m_f u spans (f over all cone monomials of degree <= poly_bound)."""
+    every Delta m_f u spans (f over all cone monomials of degree <= poly_bound),
+    with the same pivots in key space."""
     build = pbw_bound + _DY_MARGIN
-    new, coords = _dy_ideal_span(_dy_generators(_delta()), build, poly_bound)
-    old, old_coords = _dy_ideal_span(_dy_seeds(poly_bound, 0), build, poly_bound)
-    assert coords == old_coords
+    new = _key_space(*_dy_ideal(_dy_generators(_delta()), build, poly_bound)[:2])
+    every = {fe: _delta_times(fe) for fe in _cone_monomials(poly_bound)}
+    old = _key_space(*_dy_ideal(every, build, poly_bound)[:2])
     assert {k for k, elim in new.items() if elim.pivots} == {k for k, elim in old.items() if elim.pivots}
     for key, elim in new.items():
-        other = old[key]
-        assert len(elim.pivots) == len(other.pivots), key
-        assert not any(other.reduce(v) for v in elim.pivots.values()), key
-        assert not any(elim.reduce(v) for v in other.pivots.values()), key
+        assert _same_span(elim, old[key]), key
 
 
 def _upper(block):
@@ -196,18 +239,9 @@ def test_phi_is_the_adjugate_substitution_and_an_involution():
 
 
 def _full_plane_ideal_span(gens, build_bound, poly_bound):
-    """The ideal closure over every weight block, without the symmetry: the
-    oracle of the half-plane closure in `_dy_ideal_span`."""
-    f_exps = [e for q in range(poly_bound + 1) for e in horocycle_ring().nf_monomials(q)]
-    coords = sorted(
-        ((ue, fe) for ue in (c[:6] for c in compositions(build_bound, 7)) for fe in f_exps),
-        key=lambda key: (-sum(key[0]), key[0], key[1]),
-    )
-    index = {key: i for i, key in enumerate(coords)}
-    shift = []
-    for unit in UNITS:
-        times = {fe: _mono_mul(fe, unit) for fe in f_exps}
-        shift.append([index.get((ue, times[fe])) for ue, fe in coords])
+    """The ideal closure over every weight block, without the symmetry and over
+    keys (u, f) ordered by (-deg u, u, f): the oracle of the half-plane closure
+    in `_dy_ideal`.  {block: (IncrementalRank, rows inserted)}."""
     blocks: dict = {}
     work: list = []
     seen = set()
@@ -218,68 +252,82 @@ def _full_plane_ideal_span(gens, build_bound, poly_bound):
             basis.append(elem)
             work.append((key, sig, elem))
 
-    seeds = (_u_right(g, c[:6]) for g in gens for c in compositions(build_bound - 2, 7))
-    for n, seed in enumerate(seeds):
-        if seed:
-            insert(_block_of(*next(iter(seed))), (n, F0), {index[k]: c for k, c in seed.items()})
+    for fe, g in gens.items():
+        for ue in (c[:6] for c in compositions(build_bound - 2, 7)):
+            seed = _u_right(g, ue)
+            if seed:
+                insert(_block_of(*next(iter(seed))), ((ue, fe), F0),
+                       {(-sum(u), u, f): c for (u, f), c in seed.items()})
     while work:
-        (q, (wt0, wt1)), (n, g), vec = work.pop()
+        (q, (wt0, wt1)), (name, g), vec = work.pop()
         if q >= poly_bound:
             continue
-        for unit, table, (dw0, dw1) in zip(UNITS, shift, vinberg._VAR_WEIGHTS):
-            sig = (n, _mono_mul(g, unit))
+        for unit, (dw0, dw1) in zip(UNITS, vinberg._VAR_WEIGHTS):
+            sig = (name, _mono_mul(g, unit))
             if sig not in seen:
                 seen.add(sig)
-                insert((q + 1, (wt0 + dw0, wt1 + dw1)), sig, {table[i]: c for i, c in vec.items()})
-    return blocks, coords
+                insert((q + 1, (wt0 + dw0, wt1 + dw1)), sig,
+                       {(d, u, _mono_mul(f, unit)): c for (d, u, f), c in vec.items()})
+    return blocks
 
 
-ORACLE_SIZES = [(3, 3), (2, 5), (4, 2), (4, 4)]
+def _count_inserts(monkeypatch, run):
+    """(run(), the number of IncrementalRank.add calls that run made in vinberg)."""
+    calls = []
+
+    class Counting(IncrementalRank):
+        def add(self, vec):
+            calls.append(vec)
+            return super().add(vec)
+
+    monkeypatch.setattr(vinberg, "IncrementalRank", Counting)
+    out = run()
+    monkeypatch.undo()
+    return out, len(calls)
 
 
-@pytest.mark.parametrize("pbw_bound,poly_bound", ORACLE_SIZES)
-def test_dy_half_plane_ideal_is_the_full_plane_closure(pbw_bound, poly_bound):
+# ideal-side inserts by (pbw_bound, poly_bound): the half-plane seeds plus the
+# distinct shifts of rank-raising vectors and, in a diagonal block, the phi images
+# of those whose name phi(sig) is not inserted yet
+IDEAL_INSERTS = {(3, 3): 1324, (2, 5): 1143, (4, 2): 1602, (4, 4): 7043}
+
+
+@pytest.mark.parametrize("pbw_bound,poly_bound", list(IDEAL_INSERTS))
+def test_dy_half_plane_ideal_is_the_full_plane_closure(monkeypatch, pbw_bound, poly_bound):
     """On every block with w0 >= w1 the half-plane closure has the oracle's
-    pivots and span; the oracle itself is phi-symmetric: phi maps each block's
-    basis into the span of its mirror block."""
+    pivots and span in key space; the oracle itself is phi-symmetric: phi maps
+    each block's basis into the span of its mirror block."""
     gens = _dy_generators(_delta())
     build = pbw_bound + _DY_MARGIN
-    half, coords = _dy_ideal_span(gens, build, poly_bound)
-    full, full_coords = _full_plane_ideal_span(gens, build, poly_bound)
-    half_index = {key: i for i, key in enumerate(coords)}
-    full_index = {key: i for i, key in enumerate(full_coords)}
+    (blocks, keys, _), inserts = _count_inserts(monkeypatch, lambda: _dy_ideal(gens, build, poly_bound))
+    half = _key_space(blocks, keys)
+    full = _full_plane_ideal_span(gens, build, poly_bound)
     assert {k for k, elim in half.items() if elim.pivots} == {
         k for k, (_, basis) in full.items() if basis and _upper(k)
     }
     for key, elim in half.items():
-        other, other_basis = full[key]
-        assert {coords[i] for i in elim.pivots} == {full_coords[i] for i in other.pivots}, key
-        rows = ({full_index[coords[i]]: c for i, c in v.items()} for v in elim.pivots.values())
-        assert not any(other.reduce(v) for v in rows), key
-        assert not any(elim.reduce({half_index[full_coords[i]]: c for i, c in v.items()}) for v in other_basis), key
-    cache: dict = {}
+        assert _same_span(elim, full[key][0]), key
     for key, (elim, basis) in full.items():
         mirror = full[_mirror(key)][0]
         assert len(elim.pivots) == len(mirror.pivots), key
-        images = (_phi_vector(v, cache, full_coords.__getitem__, full_index.__getitem__) for v in basis)
+        images = ({(d,) + image: s * c for (d, *k), c in v.items() for image, s in [_phi(tuple(k))]} for v in basis)
         assert not any(mirror.reduce(v) for v in images), key
+    assert inserts == IDEAL_INSERTS[pbw_bound, poly_bound]
 
 
-def _every_column_profile(pbw_bound, poly_bound):
-    """The kernel-side profile with every column (u, f) of every block realized and inserted."""
+def _every_column_dims(pbw_bound, poly_bound):
+    """The kernel side's {(block, d): columns of degree d minus the rank they
+    add} with every column (u, f) of every block realized and inserted."""
     blocks: dict = {}
     for ue in (c[:6] for c in compositions(pbw_bound, 7)):
-        for q in range(poly_bound + 1):
-            for fe in horocycle_ring().nf_monomials(q):
-                blocks.setdefault(_block_of(ue, fe), []).append((ue, fe))
-    profile = {}
+        for fe in _cone_monomials(poly_bound):
+            blocks.setdefault(_block_of(ue, fe), []).append((ue, fe))
+    dims: Counter = Counter()
     for key, members in blocks.items():
         elim = IncrementalRank()
-        prof = profile[key] = {}
-        for count, (ue, fe) in enumerate(sorted(members, key=lambda m: (sum(m[0]), m[0], m[1])), 1):
-            elim.add(_realize({(ue, fe): 1}))
-            prof[sum(ue)] = (count, len(elim.pivots))
-    return profile
+        for ue, fe in sorted(members, key=lambda m: (sum(m[0]), m[0], m[1])):
+            dims[key, sum(ue)] += not elim.add(_realize({(ue, fe): 1}))
+    return dims
 
 
 # kernel-side inserts by (pbw_bound, poly_bound): the unit columns of the half-plane
@@ -290,25 +338,21 @@ KERNEL_INSERTS = {(3, 3): 1093, (3, 4): 1737, (2, 5): 1016, (4, 2): 1385}
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", list(KERNEL_INSERTS))
 def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkeypatch, pbw_bound, poly_bound):
-    """The half-plane profile equals the every-column one on the blocks with
-    w0 >= w1, the every-column profile is phi-symmetric (a block and its mirror
-    agree), and the insert count shows that no column outside the rank-raising
-    shifts and their phi images is inserted."""
-    calls = []
-
-    class Counting(IncrementalRank):
-        def add(self, vec):
-            calls.append(vec)
-            return super().add(vec)
-
-    monkeypatch.setattr(vinberg, "IncrementalRank", Counting)
-    profile = _dy_kernel_profile(pbw_bound, poly_bound)
-    monkeypatch.undo()
-    every = _every_column_profile(pbw_bound, poly_bound)
-    assert all(every[key] == every[_mirror(key)] for key in every)
-    assert profile == {key: prof for key, prof in every.items() if _upper(key)}
-    assert len(calls) == KERNEL_INSERTS[pbw_bound, poly_bound]
-    assert any(count > rank for prof in profile.values() for count, rank in prof.values())
+    """The half-plane increments equal the every-column ones on the blocks with
+    w0 >= w1, the every-column increments are phi-symmetric (a block and its
+    mirror agree), so each window's orbit-weighted sum is the full plane's,
+    and the insert count shows that no column outside the rank-raising shifts
+    and their phi images is inserted."""
+    dims, inserts = _count_inserts(monkeypatch, lambda: _dy_kernel(pbw_bound, poly_bound))
+    every = _every_column_dims(pbw_bound, poly_bound)
+    assert all(n == every[_mirror(block), d] for (block, d), n in every.items())
+    assert dims == Counter({(block, d): n for (block, d), n in every.items() if _upper(block)})
+    assert inserts == KERNEL_INSERTS[pbw_bound, poly_bound]
+    assert any(n > 0 for n in dims.values())
+    for p in range(pbw_bound + 1):
+        for q in range(poly_bound + 1):
+            full = sum(n for ((fq, _), d), n in every.items() if fq <= q and d <= p)
+            assert _window(dims, p, q) == full, (p, q)
 
 
 def test_dy_rejects_small_bound():

@@ -26,7 +26,7 @@ from .lie import (
     UEnvElement,
     sl2_pair_desc,
 )
-from .linalg import IncrementalRank, frac, nullspace, quotient, sparse_to_int, transpose
+from .linalg import IncrementalRank, frac, nullspace, num, quotient, sparse_to_int, transpose
 from .weyl import WeylOp, commutator, preserves_ideal
 
 
@@ -155,9 +155,21 @@ class RationalPoint:
         return [fmt_coef(x) for x in self.coords]
 
 
+def level_set_action(p: RationalPoint) -> tuple[str, InfinitesimalAction]:
+    """(label, action) of the determinant level set through p: det=1, or det=0
+    off the cone point; PointNotOnVariety when p lies on neither."""
+    for label, act in (("det=1", lr_action_sl2()), ("det=0", lr_action_horocycle())):
+        if p.is_on(act.ring):
+            return label, act
+    raise PointNotOnVariety(
+        f"point {','.join(p.to_json())} lies on neither supported variety (det={p.determinant()})"
+    )
+
+
 @dataclass(frozen=True)
 class LieSubalgebra:
-    """A bracket-closed subspace of the acting algebra, given by basis vectors.
+    """A bracket-closed subspace of the acting algebra, given by basis vectors,
+    each a sparse dict {basis index: coefficient}.
 
     `span` is an eliminator holding the basis: a vector x lies in the
     subspace iff `span.reduce(x) == {}`.
@@ -168,11 +180,11 @@ class LieSubalgebra:
     span: IncrementalRank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vecs = tuple(tuple(frac(x) for x in v) for v in self.vectors)
+        vecs = tuple({i: num(c) for i, c in v.items() if c} for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         span = IncrementalRank()
         object.__setattr__(self, "span", span)
-        if not all(span.add(dict(enumerate(v))) for v in vecs):
+        if not all(span.add(v) for v in vecs):
             raise ValueError("basis vectors are linearly dependent")
         if not self.normalizes(self):
             raise ValueError("subspace is not closed under bracket")
@@ -183,7 +195,7 @@ class LieSubalgebra:
 
     def normalizes(self, other: "LieSubalgebra") -> bool:
         return all(
-            other.span.reduce(dict(enumerate(self.desc.bracket_of_vectors(v, w)))) == {}
+            other.span.reduce(self.desc.bracket_of_vectors(v, w)) == {}
             for v in self.vectors
             for w in other.vectors
         )
@@ -198,8 +210,7 @@ def stabilizer_subalgebra(act: InfinitesimalAction, p: RationalPoint) -> LieSuba
         for de, poly in theta.coefficient_polys().items():
             slot = next(k for k, d in enumerate(de) if d)
             rows[slot][i] = poly.evaluate(p.coords)
-    kernel = nullspace(rows, act.desc.dim)
-    return LieSubalgebra(act.desc, tuple(tuple(v.get(i, 0) for i in range(act.desc.dim)) for v in kernel))
+    return LieSubalgebra(act.desc, tuple(nullspace(rows, act.desc.dim)))
 
 
 @dataclass
@@ -247,12 +258,7 @@ def coinvariants(
     if commuting is not None and not commuting.normalizes(sub):
         raise ValueError("designated subalgebra does not normalize the quotient data")
     # a primitive integer multiple of each vector spans the same line and keeps the rows integral
-    span = [
-        col for v in sub.vectors
-        for col in transpose(rep.act_vector(sparse_to_int(dict(enumerate(v)))), rep.dim)
-    ]
-    acting = [] if commuting is None else [
-        rep.act_vector({i: c for i, c in enumerate(v) if c}) for v in commuting.vectors
-    ]
+    span = [col for v in sub.vectors for col in transpose(rep.act_vector(sparse_to_int(v)), rep.dim)]
+    acting = [] if commuting is None else [rep.act_vector(v) for v in commuting.vectors]
     projection, induced = quotient(span, rep.dim, acting)
     return CoinvariantsResult(rep.dim, projection, induced)

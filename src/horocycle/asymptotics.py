@@ -13,48 +13,41 @@ group-level oracle is item 2 of ROADMAP.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .action import LieSubalgebra, coinvariants
 from .lie import FinDimRep, dual_rep, external_tensor, sym_power_rep
-from .linalg import quotient, transpose
 from .reports import CheckReport
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    """Multiset of (eigenvalue, log power); log power is the block size minus one."""
+def _cartans(rep: FinDimRep, nilpotent, cartan) -> list:
+    """The Cartan elements named `cartan` induced on the coinvariants by the
+    elements named `nilpotent`, which they normalize."""
+    def span(names):
+        return LieSubalgebra(rep.desc, tuple({rep.desc.index(name): 1} for name in names))
 
-    entries: tuple
+    return coinvariants(rep, span(nilpotent), commuting=span(cartan)).induced
 
-    @property
-    def eigenvalues(self) -> set:
-        return {lam for lam, _ in self.entries}
 
-    def max_log_power(self) -> int:
-        return max((m for _, m in self.entries), default=0)
-
-    def to_json(self) -> list:
-        return [[str(lam), m] for lam, m in self.entries]
+def _off_diagonal(matrix) -> list[tuple[int, int]]:
+    return [(i, k) for i, row in enumerate(matrix) for k in row if k != i]
 
 
 def _diagonal(matrix) -> list[Fraction]:
-    """The diagonal entries of a diagonal matrix; ValueError if it is not diagonal.
-
-    In rank one the coinvariants are spanned by weight vectors, so an induced
-    Cartan is diagonal and its eigenvalues are its diagonal entries; being
-    diagonal also certifies that it acts semisimply.
-    """
-    if any(k != i for i, row in enumerate(matrix) for k in row):
-        raise ValueError("induced Cartan is not diagonal")
     return [Fraction(row.get(i, 0)) for i, row in enumerate(matrix)]
 
 
-def exponents_from_coinvariants(rep: FinDimRep) -> ExponentSet:
-    """Eigenvalues of the Cartan H on coinvariants by the image of the raising
-    operator E, each with log power 0; ValueError unless the induced H is diagonal."""
-    _, (induced,) = quotient(transpose(rep.matrix_of("E"), rep.dim), rep.dim, [rep.matrix_of("H")])
-    return ExponentSet(tuple(sorted((lam, 0) for lam in _diagonal(induced))))
+def exponents_from_coinvariants(rep: FinDimRep) -> tuple[list[Fraction], list[tuple[int, int]]]:
+    """(the sorted diagonal of the Cartan H induced on coinvariants by the raising
+    operator E, the positions of its nonzero off-diagonal entries).
+
+    In rank one the coinvariants are spanned by weight vectors, so the induced
+    H is diagonal, which certifies that it acts semisimply, and its diagonal
+    entries are the exponents; an off-diagonal position witnesses that they
+    need not be.
+    """
+    (induced,) = _cartans(rep, ("E",), ("H",))
+    return sorted(_diagonal(induced)), _off_diagonal(induced)
 
 
 def matrix_coefficient_exponents(m: int) -> set:
@@ -73,9 +66,9 @@ def bimodule_exponents(m: int) -> tuple[set, set]:
     """Left and right Cartan eigenvalues on the two-sided nilpotent coinvariants
     of V_m (x) V_m*; an auxiliary consistency view of the same exponents."""
     rep = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(m)))
-    span = transpose(rep.matrix_of("E1"), rep.dim) + transpose(rep.matrix_of("F2"), rep.dim)
-    cartans = [rep.matrix_of(name) for name in ("H1", "H2")]
-    _, (left, right) = quotient(span, rep.dim, cartans)
+    left, right = _cartans(rep, ("E1", "F2"), ("H1", "H2"))
+    if _off_diagonal(left) or _off_diagonal(right):
+        raise ValueError("induced Cartan is not diagonal")
     return set(_diagonal(left)), set(_diagonal(right))
 
 
@@ -85,11 +78,10 @@ def leading_exponent_check(m: int, exps=None, bimodule=None) -> CheckReport:
     if m < 0:
         raise ValueError("m must be non-negative")
     report = CheckReport(check="exponents", parameters={"m": m})
-    if exps is None:
-        exps = exponents_from_coinvariants(sym_power_rep(m))
+    lams, off = exps or exponents_from_coinvariants(sym_power_rep(m))
+    coin = set(lams)
     oracle = matrix_coefficient_exponents(m)
     leading = min(oracle)
-    coin = exps.eigenvalues
     report.add(
         f"Sym^{m}: coinvariant exponents inside the oracle set",
         "subset",
@@ -102,17 +94,12 @@ def leading_exponent_check(m: int, exps=None, bimodule=None) -> CheckReport:
         str(sorted(coin)),
         leading in coin,
     )
+    report.add(f"Sym^{m}: coinvariant dimension", "1", str(len(lams)), len(lams) == 1)
     report.add(
-        f"Sym^{m}: coinvariant dimension",
-        "1",
-        str(len(exps.entries)),
-        len(exps.entries) == 1,
-    )
-    report.add(
-        f"Sym^{m}: Cartan acts semisimply (log powers zero)",
-        "0",
-        str(exps.max_log_power()),
-        exps.max_log_power() == 0,
+        f"Sym^{m}: induced Cartan is diagonal",
+        "diagonal",
+        f"off-diagonal entries at {off}" if off else "diagonal",
+        not off,
     )
     left, right = bimodule or bimodule_exponents(m)
     report.add(

@@ -21,8 +21,7 @@ from .action import (
     RationalPoint,
     LieSubalgebra,
     coinvariants,
-    lr_action_horocycle,
-    lr_action_sl2,
+    level_set_action,
     stabilizer_subalgebra,
 )
 from .asymptotics import (
@@ -152,8 +151,10 @@ def exponents(m, json_path, quiet):
     left, right = bimodule = bimodule_exponents(m)
     report = leading_exponent_check(m, exps, bimodule)
     oracle = sorted(matrix_coefficient_exponents(m))
+    # [exponent, log power]: a diagonal induced Cartan acts semisimply, so every log power is 0
+    coinvariant_exponents = [[str(lam), 0] for lam in exps[0]]
     if not quiet:
-        click.echo(f"coinvariant exponents: {exps.to_json()}")
+        click.echo(f"coinvariant exponents: {coinvariant_exponents}")
         click.echo(f"oracle exponents: {oracle}")
         click.echo(f"leading exponent: {min(oracle)}")
         click.echo(
@@ -165,7 +166,7 @@ def exponents(m, json_path, quiet):
     if json_path:
         _write_report(json_path, "exponents", {
             "m": m,
-            "coinvariant_exponents": exps.to_json(),
+            "coinvariant_exponents": coinvariant_exponents,
             "oracle_exponents": oracle,
             "leading": min(oracle),
             "checks": [report.to_json()],
@@ -191,30 +192,21 @@ def localize(rep_spec, point_spec, json_path, quiet):
         point = RationalPoint.parse(point_spec)
     except (ValueError, ZeroDivisionError):
         raise click.UsageError("--point expects four rationals a,b,c,d")
-    detv = point.determinant()
-    if detv == 1:
-        act = lr_action_sl2()
-        chart = "det=1"
-    elif detv == 0 and any(point.coords):
-        act = lr_action_horocycle()
-        chart = "det=0"
-    else:
-        raise click.UsageError(
-            f"point {point_spec} lies on neither supported variety (det={detv})"
-        )
-    module = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k)))
     try:
-        stab = stabilizer_subalgebra(act, point)
+        chart, act = level_set_action(point)
     except PointNotOnVariety as exc:
         raise click.UsageError(str(exc))
-    cartan = LieSubalgebra(stab.desc, ((0, 1, 0, 0, 0, 0),))
+    module = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k)))
+    stab = stabilizer_subalgebra(act, point)
+    cartan = LieSubalgebra(stab.desc, ({1: 1},))
     commuting = cartan if cartan.normalizes(stab) else None
     result = coinvariants(module, stab, commuting=commuting)
+    basis = [[str(v.get(i, 0)) for i in range(stab.desc.dim)] for v in stab.vectors]
     if not quiet:
         click.echo(f"chart: {chart}")
         click.echo(f"stabilizer dimension: {stab.dim}")
-        for v in stab.vectors:
-            click.echo(f"  basis: {[str(x) for x in v]}")
+        for v in basis:
+            click.echo(f"  basis: {v}")
         click.echo(f"coinvariants dimension: {result.dimension}")
         if commuting is not None and result.induced:
             cartan = [[str(row.get(j, 0)) for j in range(result.dimension)] for row in result.induced[0]]
@@ -227,7 +219,7 @@ def localize(rep_spec, point_spec, json_path, quiet):
             "rep": [m, k],
             "point": point.to_json(),
             "chart": chart,
-            "stabilizer": [[str(x) for x in v] for v in stab.vectors],
+            "stabilizer": basis,
             "result": result.to_json(),
         })
     raise SystemExit(0)

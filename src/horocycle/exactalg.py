@@ -29,21 +29,8 @@ class ArityMismatch(ValueError):
     """Operands defined over different spaces: variable lists or Lie algebras."""
 
 
-class _Bottom:
-    """Level of the zero element: below every lattice point."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BOTTOM"
-
-
-BOTTOM = _Bottom()
+# the level and the degree of zero: below every integer, and -inf - 1 == -inf
+BOTTOM = -math.inf
 
 
 class SparseElement:
@@ -166,11 +153,9 @@ class ExactPoly(SparseElement):
 
     __rmul__ = __mul__
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+    def degree(self):
+        """Total degree; BOTTOM (-inf) for the zero polynomial."""
+        return max((sum(e) for e in self.terms), default=BOTTOM)
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
@@ -375,11 +360,11 @@ def det_poly() -> ExactPoly:
 
 
 def pw_level(f: ExactPoly, ring: QuotientRing):
-    """Least filtration level of a class (its minimal degree); BOTTOM for the zero class.
+    """Least filtration level of a class (its minimal degree); BOTTOM (-inf) for
+    the zero class, so levels add under products and take a max under sums.
 
     Reads `ring.normal_form`, so it may fill the ring's monomial memo (idempotently)."""
-    nf = ring.normal_form(f)
-    return BOTTOM if nf.is_zero() else nf.degree()
+    return ring.normal_form(f).degree()
 
 
 # --- serialization ----------------------------------------------------------

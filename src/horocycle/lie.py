@@ -12,6 +12,7 @@ otherwise, never floats.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -54,18 +55,11 @@ class LieAlgebraDesc:
                 bji = self.bracket_vector(j, i)
                 if any(bij.get(k, 0) + bji.get(k, 0) for k in set(bij) | set(bji)):
                     raise ValueError(f"structure constants not antisymmetric at ({i},{j})")
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc: dict = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_vector(b, c)
-                        for m, coef in inner.items():
-                            outer = self.bracket_vector(a, m)
-                            for t, v in outer.items():
-                                acc[t] = acc.get(t, 0) + coef * v
-                    if any(acc.values()):
-                        raise ValueError(f"Jacobi identity fails at ({i},{j},{k})")
+        br = self.bracket_of_vectors
+        for i, j, k in itertools.combinations(range(n), 3):
+            x, y, z = {i: 1}, {j: 1}, {k: 1}
+            if lincomb((1, br(a, br(b, c))) for a, b, c in ((x, y, z), (y, z, x), (z, x, y))):
+                raise ValueError(f"Jacobi identity fails at ({i},{j},{k})")
 
     @property
     def dim(self) -> int:
@@ -74,18 +68,10 @@ class LieAlgebraDesc:
     def bracket_vector(self, i: int, j: int) -> dict[int, Fraction]:
         return dict(self.brackets.get((i, j), {}))
 
-    def bracket_of_vectors(self, x, y) -> list[Fraction]:
-        """Bracket of two coefficient vectors."""
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in self.bracket_vector(i, j).items():
-                    out[k] += xi * yj * c
-        return out
+    def bracket_of_vectors(self, x: dict, y: dict) -> dict:
+        """Bracket of two sparse vectors {basis index: coefficient}."""
+        table = self.brackets
+        return lincomb((xi * yj, table.get((i, j), {})) for i, xi in x.items() for j, yj in y.items())
 
     def index(self, name: str) -> int:
         return self.basis.index(name)

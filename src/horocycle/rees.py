@@ -39,16 +39,11 @@ from .weyl import WeylOp, apply_op, preserves_ideal, relative_fields
 def derivation_level(theta: WeylOp):
     """Least level n with theta(A_{<=k}) inside A_{<=k+n} on the determinant-one
     ring: the max over the level-one generators of level(theta(x_i)) - 1,
-    BOTTOM when theta kills them."""
+    BOTTOM (-inf) when theta kills them."""
     ring = sl2_ring()
     if not preserves_ideal(theta, ring):
         raise ValueError("derivation does not preserve the relation ideal")
-    offsets = []
-    for name in ring.variables:
-        lev = pw_level(apply_op(theta, ring.var(name)), ring)
-        if lev is not BOTTOM:
-            offsets.append(lev - 1)
-    return max(offsets) if offsets else BOTTOM
+    return max(pw_level(apply_op(theta, ring.var(name)), ring) - 1 for name in ring.variables)
 
 
 # --- the derivation spaces of the built-in rings -----------------------------
@@ -135,7 +130,7 @@ def tau_map(theta: WeylOp) -> WeylOp:
     construction; preserving the presentation ideal is the checked content.
     """
     level = derivation_level(theta)
-    if level is BOTTOM:
+    if level == BOTTOM:
         return WeylOp.zero(REES_VARS)
     ring = sl2_ring()
     coeffs = []

@@ -16,14 +16,13 @@ from .action import (
     RationalPoint,
     LieSubalgebra,
     coinvariants,
+    level_set_action,
     lr_action_horocycle,
     lr_action_mat2,
-    lr_action_sl2,
     moment_map,
     stabilizer_subalgebra,
 )
 from .exactalg import (
-    BOTTOM,
     ExactPoly,
     MAT2_VARS,
     compositions,
@@ -608,21 +607,11 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
         for e in ring.nf_monomials(deg)
     ]
     for name, pairs in samples:
-        expr_level = BOTTOM
+        expr_level = max(pw_level(f, ring) for f, _ in pairs)
         op = WeylOp.zero(ring.variables)
         for f, u in pairs:
-            lev = pw_level(f, ring)
-            if lev is not BOTTOM and (expr_level is BOTTOM or lev > expr_level):
-                expr_level = lev
             op = op + WeylOp.from_poly(f) * moment_map(u, act)
-        action_level = BOTTOM
-        for deg, mono in monos:
-            lev = pw_level(apply_op(op, mono), ring)
-            if lev is BOTTOM:
-                continue
-            shift = lev - deg
-            if action_level is BOTTOM or shift > action_level:
-                action_level = shift
+        action_level = max(pw_level(apply_op(op, mono), ring) - deg for deg, mono in monos)
         report.add(
             f"{name}: expression level = action level",
             repr(expr_level),
@@ -647,7 +636,6 @@ def vfiltration_check(bound: int = 12) -> CheckReport:
             mono = ExactPoly.monomial(V, e)
             pole = k - vanishing_order(mono, detp)
             lev = pw_level(mono, ring)
-            lev = 0 if lev is BOTTOM else lev
             if lev % 2:
                 ok = False
                 mc = "odd class"
@@ -665,7 +653,6 @@ def vfiltration_check(bound: int = 12) -> CheckReport:
     for name, f, k in extras:
         pole = k - vanishing_order(f, detp)
         lev = pw_level(f, ring)
-        lev = 0 if lev is BOTTOM else lev
         ok = lev % 2 == 0 and pole == lev // 2
         report.add(name, str(pole), str(lev // 2), ok)
     return report
@@ -708,28 +695,19 @@ def asymp_diagram_check(rep_bound: int = 3, points=None) -> CheckReport:
     """Relative-localization fibers on matrix space against direct localization
     on each determinant level set, as coinvariant dimensions."""
     actm = lr_action_mat2()
-    act1 = lr_action_sl2()
-    act0 = lr_action_horocycle()
     if points is None:
         det1, det0 = default_sample_points()
         points = det1 + det0
     report = CheckReport(check="asymp-diagram", parameters={"rep_bound": rep_bound, "points": len(points)})
     stabs = {}
     for p in points:
-        detv = p.determinant()
-        if detv == 1:
-            direct = act1
-        elif detv == 0:
-            direct = act0
-        else:
-            raise ValueError(f"sample point {p.coords} lies on neither fiber")
-        stabs[p.coords] = (stabilizer_subalgebra(actm, p), stabilizer_subalgebra(direct, p))
+        fiber, direct = level_set_action(p)
+        stabs[p.coords] = (fiber, stabilizer_subalgebra(actm, p), stabilizer_subalgebra(direct, p))
     for name, module in _rep_family(rep_bound):
         for p in points:
-            rel_stab, dir_stab = stabs[p.coords]
+            fiber, rel_stab, dir_stab = stabs[p.coords]
             rel_dim = coinvariants(module, rel_stab).dimension
             dir_dim = coinvariants(module, dir_stab).dimension
-            fiber = "det=1" if p.determinant() == 1 else "det=0"
             report.add(
                 f"{name} at {tuple(str(x) for x in p.coords)} ({fiber})",
                 str(dir_dim),
@@ -757,14 +735,9 @@ def parabolic_rank1_check(rep_bound: int = 3, points=None) -> CheckReport:
         points = default_torus_fiber_points()
     report = CheckReport(check="parabolic", parameters={"rep_bound": rep_bound, "points": len(points)})
 
-    def unit(i):
-        v = [Fraction(0)] * 6
-        v[i] = Fraction(1)
-        return tuple(v)
-
-    n_sub = LieSubalgebra(pair, (unit(2), unit(3)))  # E on the left, F on the right
-    hh = LieSubalgebra(pair, (tuple(x + y for x, y in zip(unit(1), unit(4))), unit(1)))  # H1 + H2, H1
-    cartan_left = LieSubalgebra(pair, (unit(1),))
+    n_sub = LieSubalgebra(pair, ({2: 1}, {3: 1}))  # E on the left, F on the right
+    hh = LieSubalgebra(pair, ({1: 1, 4: 1}, {1: 1}))  # H1 + H2, H1
+    cartan_left = LieSubalgebra(pair, ({1: 1},))
 
     for p in points:
         if p.coords[1] or p.coords[2] or p.coords[3] or not p.coords[0]:

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from horocycle.asymptotics import (
-    ExponentSet,
     bimodule_exponents,
     exponents_from_coinvariants,
     leading_exponent_check,
@@ -14,9 +13,9 @@ from horocycle.linalg import mat_mul, quotient, transpose
 
 
 def test_coinvariant_exponent_examples():
-    assert exponents_from_coinvariants(sym_power_rep(0)).entries == ((Fraction(0), 0),)
-    assert exponents_from_coinvariants(sym_power_rep(1)).entries == ((Fraction(-1), 0),)
-    assert exponents_from_coinvariants(sym_power_rep(2)).entries == ((Fraction(-2), 0),)
+    assert exponents_from_coinvariants(sym_power_rep(0)) == ([Fraction(0)], [])
+    assert exponents_from_coinvariants(sym_power_rep(1)) == ([Fraction(-1)], [])
+    assert exponents_from_coinvariants(sym_power_rep(2)) == ([Fraction(-2)], [])
 
 
 def test_oracle_exponents():
@@ -31,34 +30,38 @@ def test_leading_exponent_checks_through_eight():
     for m in range(9):
         rep = leading_exponent_check(m)
         assert rep.passed, rep.failures()
-        exps = exponents_from_coinvariants(sym_power_rep(m))
+        exps, off_diagonal = exponents_from_coinvariants(sym_power_rep(m))
         oracle = matrix_coefficient_exponents(m)
-        assert exps.eigenvalues <= oracle
-        assert min(oracle) in exps.eigenvalues
-        assert len(exps.entries) == 1
-        assert exps.max_log_power() == 0
+        assert set(exps) <= oracle
+        assert min(oracle) in exps
+        assert len(exps) == 1
+        assert off_diagonal == []
+
+
+def conjugated_v0_plus_v2():
+    """V0 (+) V2 conjugated by S = I + E_03: the coinvariant basis the quotient
+    picks is no longer one of weight vectors, so the induced H is triangular."""
+    s, s_inv = [{0: 1, 3: 1}, {1: 1}, {2: 1}, {3: 1}], [{0: 1, 3: -1}, {1: 1}, {2: 1}, {3: 1}]
+    padded = ([{}] + [{k + 1: x for k, x in row.items()} for row in m] for m in sym_power_rep(2).matrices)
+    return FinDimRep(sl2_desc(), 4, tuple(mat_mul(mat_mul(s, m), s_inv) for m in padded))
 
 
 def test_non_diagonal_induced_cartan_is_rejected():
-    # V0 (+) V2 conjugated by S = I + E_03: the coinvariant basis the quotient
-    # picks is no longer one of weight vectors, so the induced H is triangular
-    s, s_inv = [{0: 1, 3: 1}, {1: 1}, {2: 1}, {3: 1}], [{0: 1, 3: -1}, {1: 1}, {2: 1}, {3: 1}]
-    padded = ([{}] + [{k + 1: x for k, x in row.items()} for row in m] for m in sym_power_rep(2).matrices)
-    rep = FinDimRep(sl2_desc(), 4, tuple(mat_mul(mat_mul(s, m), s_inv) for m in padded))
+    rep = conjugated_v0_plus_v2()
     _, (induced,) = quotient(transpose(rep.matrix_of("E"), 4), 4, [rep.matrix_of("H")])
     assert induced == [{1: -2}, {1: -2}]
-    with pytest.raises(ValueError, match="not diagonal"):
-        exponents_from_coinvariants(rep)
-
-
-def test_exponent_set_json():
-    s = ExponentSet(((Fraction(-2), 0),))
-    assert s.to_json() == [["-2", 0]]
+    # the diagonal of a non-diagonal induced H is read, not raised on, and the report fails
+    exps = exponents_from_coinvariants(rep)
+    assert exps == ([Fraction(-2), Fraction(0)], [(0, 1)])
+    item = leading_exponent_check(2, exps).items[3]
+    assert (item.name, item.got, item.passed) == (
+        "Sym^2: induced Cartan is diagonal", "off-diagonal entries at [(0, 1)]", False
+    )
 
 
 def test_bimodule_consistency():
     for m in range(4):
         left, right = bimodule_exponents(m)
-        single = exponents_from_coinvariants(sym_power_rep(m)).eigenvalues
+        single = set(exponents_from_coinvariants(sym_power_rep(m))[0])
         assert left == single
         assert right == {-lam for lam in single}

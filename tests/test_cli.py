@@ -9,8 +9,9 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from horocycle import asymptotics
+from horocycle import asymptotics, cli
 from horocycle.cli import main
+from test_asymptotics import conjugated_v0_plus_v2
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -59,6 +60,22 @@ def test_exponents_computes_each_part_once(monkeypatch):
     result = invoke(["exponents", "--m", "6"])
     assert result.exit_code == 0, result.output
     assert calls == {name: 1 for name in names}
+
+
+def test_exponents_fails_on_a_non_diagonal_induced_cartan(monkeypatch, tmp_path):
+    # the one-sided coinvariants of a module whose induced H is triangular: a failed item, exit 1
+    monkeypatch.setattr(cli, "sym_power_rep", lambda m: conjugated_v0_plus_v2())
+    out = tmp_path / "exponents.json"
+    result = invoke(["exponents", "--m", "2", "--json", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "overall: FAIL" in result.output
+    items = json.loads(out.read_text())["checks"][0]["items"]
+    assert {
+        "name": "Sym^2: induced Cartan is diagonal",
+        "expected": "diagonal",
+        "got": "off-diagonal entries at [(0, 1)]",
+        "pass": False,
+    } in items
 
 
 def test_exponents_rejects_negative_m():

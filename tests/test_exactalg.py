@@ -137,7 +137,7 @@ def test_pw_level_examples():
     assert pw_level(a, R) == 1
     assert pw_level(ExactPoly.constant(V, 1), R) == 0
     assert pw_level(a * d, R) == 2
-    assert pw_level(ExactPoly.zero(V), R) is BOTTOM
+    assert pw_level(ExactPoly.zero(V), R) == BOTTOM == -math.inf
     # plain degree on the graded rings
     assert pw_level(a * d, horocycle_ring()) == 2
     assert pw_level(a * b, mat2_ring()) == 2
@@ -160,18 +160,15 @@ def test_pw_level_matches_oracle():
 def test_pw_level_subadditive():
     rng = random.Random(11)
     R = sl2_ring()
+    zero = ExactPoly.zero(V)
+    zeros = 0
     for _ in range(30):
-        f, g = rand_poly(rng, degree=3), rand_poly(rng, degree=3)
+        f, g = (rng.choice([zero, rand_poly(rng, degree=3)]) for _ in range(2))
+        zeros += f.is_zero() or g.is_zero()
         lf, lg = pw_level(f, R), pw_level(g, R)
-        lfg = pw_level(R.normal_form(f * g), R)
-        if BOTTOM in (lf, lg):
-            assert lfg is BOTTOM
-            continue
-        if lfg is not BOTTOM:
-            assert lfg <= lf + lg
-        lsum = pw_level(f + g, R)
-        if lsum is not BOTTOM:
-            assert lsum <= max(lf, lg)
+        assert pw_level(f * g, R) <= lf + lg
+        assert pw_level(f + g, R) <= max(lf, lg)
+    assert zeros >= 5
 
 
 def test_vanishing_order():

@@ -8,6 +8,7 @@ writes no files.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from horocycle.exactalg import (
     poly_try_divide,
     sl2_ring,
 )
-from horocycle.lie import UEnvElement, sl2_desc, sl2_pair_desc
+from horocycle.lie import LieAlgebraDesc, UEnvElement, sl2_desc, sl2_pair_desc
 from horocycle.rees import REES_RING, rees_fiber
 from horocycle.weyl import WeylOp, apply_op
 
@@ -114,3 +115,80 @@ def test_pbw_generators_satisfy_the_axioms():
             assert gens[j] * gens[i] - gens[i] * gens[j] == bracket, (j, i)
         for i, j, k in itertools.product(range(desc.dim), repeat=3):
             assert (gens[i] * gens[j]) * gens[k] == gens[i] * (gens[j] * gens[k]), (i, j, k)
+
+
+# --- sparse Lie vectors against the dense forms they replaced ----------------
+
+
+def dense_bracket(desc, x, y):
+    """Bracket of two dense coefficient lists, by the double loop over their entries."""
+    out = [Fraction(0)] * desc.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            for k, c in desc.bracket_vector(i, j).items():
+                out[k] += xi * yj * c
+    return out
+
+
+def first_jacobi_failure(brackets, n):
+    """The first (i, j, k), i < j < k, where the cyclic sum of [x_a, [x_b, x_c]]
+    is nonzero, by the triple loop over structure constants; None if there is none."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc: dict = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, coef in brackets.get((b, c), {}).items():
+                        for t, v in brackets.get((a, m), {}).items():
+                            acc[t] = acc.get(t, 0) + coef * v
+                if any(acc.values()):
+                    return i, j, k
+    return None
+
+
+@st.composite
+def lie_vector_pairs(draw):
+    desc = draw(st.sampled_from([sl2_desc(), PAIR]))
+    vec = st.dictionaries(st.integers(0, desc.dim - 1), coefs, max_size=desc.dim)
+    return desc, draw(vec), draw(vec)
+
+
+@PROPERTY
+@given(lie_vector_pairs())
+def test_sparse_bracket_matches_the_dense_bracket(case):
+    desc, x, y = case
+    dense = [[v.get(i, 0) for i in range(desc.dim)] for v in (x, y)]
+    expected = {k: c for k, c in enumerate(dense_bracket(desc, *dense)) if c}
+    assert desc.bracket_of_vectors(x, y) == expected
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    """Structure constants on 3 or 4 basis elements, antisymmetric by construction;
+    sparse, so that some satisfy the Jacobi identity and some do not."""
+    n = draw(st.integers(3, 4))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = {k: c for k in range(n) if (c := draw(entry))}
+            table[(i, j)] = vec
+            table[(j, i)] = {k: -c for k, c in vec.items()}
+    return n, table
+
+
+@PROPERTY
+@given(antisymmetric_tables())
+def test_jacobi_validation_matches_the_triple_loop(case):
+    n, table = case
+    basis = tuple(f"x{i}" for i in range(n))
+    failure = first_jacobi_failure(table, n)
+    if failure is None:
+        LieAlgebraDesc(basis, table)
+    else:
+        with pytest.raises(ValueError, match=r"Jacobi identity fails at \(%d,%d,%d\)" % failure):
+            LieAlgebraDesc(basis, table)

@@ -322,9 +322,9 @@ def _dy_generators(delta: dict) -> dict:
 
 
 def _shift_closure(names, seed, poly_bound: int, order):
-    """(blocks, keys, raised): the span, block by block, of the function
+    """(pivots, keys, raised): the span, block by block, of the function
     shifts x^g v of the seeds v = seed(name), name = (u, fe) in `names`, with
-    deg x^g v <= poly_bound, as {block: IncrementalRank} over numbered keys.
+    deg x^g v <= poly_bound, as the Counter {(block, d): its pivots of top degree d}.
 
     A seed is a dict over keys (top, h): h a cone-normal monomial that x_j
     multiplies, and sum(top) the key's enveloping or differential degree,
@@ -346,7 +346,8 @@ def _shift_closure(names, seed, poly_bound: int, order):
     whose x_d-shift is +- the phi image of the x_a-shift of its mirror; so a
     diagonal block also gets the phi image of each shift inserted into it.
     Each function degree is inserted once all shifts into it are known, block
-    by block, in the order of order(sig, vec); a level is dropped once done.
+    by block, in the order of order(sig, vec); no later level inserts into a
+    done one, so its eliminators are counted then and dropped.
     `raised` lists (block, sig) of the rank-raising inserts.
     """
     codes: dict = {}
@@ -366,11 +367,12 @@ def _shift_closure(names, seed, poly_bound: int, order):
             levels[block[0]].append((block, (name, _F0), {code(k): c for k, c in vec.items()}))
     shift: list[dict] = [{} for _ in _UNITS]
     mirror: dict = {}
-    blocks: dict = {}
+    pivots: Counter = Counter()
     raised = []
     seen = set()
     for q, level in enumerate(levels):
         level.sort(key=lambda item: (item[0], order(*item[1:])))
+        blocks: dict = {}
         for block, sig, vec in level:
             elim = blocks.get(block) or blocks.setdefault(block, IncrementalRank())
             if not elim.add(vec):
@@ -402,7 +404,8 @@ def _shift_closure(names, seed, poly_bound: int, order):
                         out[hit[0]] = hit[1] * c
                     levels[q + 1].append((target, image, out))
         level.clear()
-    return blocks, keys, raised
+        pivots.update((block, sum(keys[k][0])) for block, elim in blocks.items() for k in elim.pivots)
+    return pivots, keys, raised
 
 
 def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
@@ -452,6 +455,16 @@ def _dy_ideal(gens: dict, build_bound: int, poly_bound: int):
     )
 
 
+def _dy_kernel_worker(sender, pbw_bound: int, poly_bound: int) -> None:
+    """Send `_dy_kernel(pbw_bound, poly_bound)`, or (the exception it raised, its traceback)."""
+    try:
+        sender.send(_dy_kernel(pbw_bound, poly_bound))
+    except Exception as exc:
+        import traceback
+
+        sender.send((exc, traceback.format_exc()))
+
+
 def _window(dims: Counter, p: int, q: int) -> int:
     """The sum of `dims` over enveloping degree <= p and function degree <= q,
     a block with w0 > w1 counted twice, for itself and its phi mirror."""
@@ -484,6 +497,12 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     pivot being a key of its row's top degree.  A window is one `_window` sum
     of such counts, each block counted with its phi-orbit size: 1 on the
     diagonal, 2 off it.
+    The kernel closure runs in one worker process while this one builds the
+    generators, the ideal closure and the generator certificate: the sides
+    share no state and meet only in the window sums, which read the kernel's
+    Counter as this process would compute it, so no report byte depends on
+    where a side runs.  An error on either side reaches the caller after the
+    worker is joined, or killed and joined.
     """
     if pbw_bound < 2:
         raise ValueError("bound too small to see the relation (< 2)")
@@ -493,17 +512,10 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
         parameters={"pbw_bound": pbw_bound, "poly_bound": poly_bound, "margin": _DY_MARGIN},
     )
 
-    d2 = sl2_desc()
-    cas = casimir_sl2()
-    one = UEnvElement.one(d2)
+    cas, one = casimir_sl2(), UEnvElement.one(sl2_desc())
     delta_diff = tensor(cas, one) - tensor(one, cas)
     diff_op = moment_map(delta_diff, act)
-    report.add(
-        "mu(Casimir(x)1 - 1(x)Casimir) vanishes identically",
-        "0",
-        op_to_text(diff_op),
-        diff_op.is_zero(),
-    )
+    report.add("mu(Casimir(x)1 - 1(x)Casimir) vanishes identically", "0", op_to_text(diff_op), diff_op.is_zero())
 
     pair, delta = sl2_pair_desc(), _integral(delta_diff.terms)
     # phi on the basis F1 H1 E1 F2 H2 E2, read off the unit PBW exponents
@@ -521,25 +533,33 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     ok = _phi_terms(delta) == {k: -c for k, c in delta.items()}
     report.add("phi sends Delta to -Delta", "True", str(ok), ok)
 
-    kernel = _dy_kernel(pbw_bound, poly_bound)
-    gens = _dy_generators(delta)
-    blocks, keys, _ = _dy_ideal(gens, pbw_bound + _DY_MARGIN, poly_bound)
-    ideal = Counter((block, sum(keys[i][0])) for block, elim in blocks.items() for i in elim.pivots)
+    import multiprocessing
 
-    zero = sum(not _realize(g) for g in gens.values())
+    results, sender = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(target=_dy_kernel_worker, args=(sender, pbw_bound, poly_bound))
+    worker.start()
+    sender.close()  # the worker holds the only sending end: its death ends recv() in EOFError
+    try:
+        gens = _dy_generators(delta)
+        ideal = _dy_ideal(gens, pbw_bound + _DY_MARGIN, poly_bound)[0]
+        zero = sum(not _realize(g) for g in gens.values())
+        kernel = results.recv()
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        worker.join()
+        results.close()
+    if isinstance(kernel, tuple):
+        raise kernel[0] from RuntimeError(f"in the dy kernel worker:\n{kernel[1]}")
+
     name = "the ideal generators Delta, D_a, D_b, D_c, D_d realize to the zero operator"
     report.add(name, str(len(gens)), str(zero), zero == len(gens))
 
     for p in range(pbw_bound + 1):
         for q in range(poly_bound + 1):
-            k = _window(kernel, p, q)
-            s = _window(ideal, p, q)
-            report.add(
-                f"bidegree ({p},{q}): realization kernel = Casimir-difference ideal",
-                str(s),
-                str(k),
-                k == s,
-            )
+            k, s = _window(kernel, p, q), _window(ideal, p, q)
+            report.add(f"bidegree ({p},{q}): realization kernel = Casimir-difference ideal", str(s), str(k), k == s)
     return report
 
 

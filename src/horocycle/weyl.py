@@ -11,6 +11,7 @@ int when integral and a Fraction otherwise, never a float.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, fmt_coef
 from .linalg import nullspace, num
@@ -131,26 +132,19 @@ def _accumulate_term_product(out, xe1, de1, xe2, de2, coef):
     """Normal-order (x^xe1 D^de1)(x^xe2 D^de2) into out.
 
     D^m x^p = sum_k C(m,k) * p!/(p-k)! * x^(p-k) D^(m-k), variable by variable.
+    Only the variables with both m and p nonzero expand beyond k = 0; terms
+    reach `out` by decreasing k, the first variable most significant.
     """
-    n = len(xe1)
-    expansions = [None] * n
-    for i in range(n):
-        m, p = de1[i], xe2[i]
-        top = min(m, p)
-        expansions[i] = [
-            (k, math.comb(m, k) * math.perm(p, k)) for k in range(top + 1)
-        ]
-    stack = [(0, (), 1)]
-    while stack:
-        i, ks, mult = stack.pop()
-        if i == n:
-            xe = tuple(xe1[j] + xe2[j] - ks[j] for j in range(n))
-            de = tuple(de1[j] + de2[j] - ks[j] for j in range(n))
-            key = (xe, de)
-            out[key] = out.get(key, 0) + coef * mult
-            continue
-        for k, w in expansions[i]:
-            stack.append((i + 1, ks + (k,), mult * w))
+    terms = [(tuple(map(add, xe1, xe2)), tuple(map(add, de1, de2)), coef)]
+    for i, (m, p) in enumerate(zip(de1, xe2)):
+        if m and p:
+            terms = [
+                (xe[:i] + (xe[i] - k,) + xe[i + 1:], de[:i] + (de[i] - k,) + de[i + 1:],
+                 c * math.comb(m, k) * math.perm(p, k))
+                for xe, de, c in terms for k in range(min(m, p), -1, -1)
+            ]
+    for xe, de, c in terms:
+        out[xe, de] = out.get((xe, de), 0) + c
 
 
 def commutator(p: WeylOp, q: WeylOp) -> WeylOp:

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from collections import Counter
 from fractions import Fraction
@@ -199,15 +200,50 @@ def _same_span(x: IncrementalRank, y: IncrementalRank) -> bool:
             and not any(x.reduce(v) for v in y.pivots.values()))
 
 
+def _record(monkeypatch, run):
+    """(run(), every IncrementalRank that run made in vinberg, the number of
+    their add calls).  The recorded eliminators keep their rows after the
+    closure has counted and dropped them."""
+    made, calls = [], []
+
+    class Recording(IncrementalRank):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def add(self, vec):
+            calls.append(vec)
+            return super().add(vec)
+
+    monkeypatch.setattr(vinberg, "IncrementalRank", Recording)
+    out = run()
+    monkeypatch.undo()
+    return out, made, len(calls)
+
+
+def _ideal_blocks(monkeypatch, gens, build_bound, poly_bound):
+    """({block: IncrementalRank}, keys, add calls) of `_dy_ideal`: each recorded
+    eliminator with rows is mapped to the one block of its rows' keys, and the
+    Counter the closure returns must count their pivots by top degree."""
+    (pivots, keys, _), made, inserts = _record(monkeypatch, lambda: _dy_ideal(gens, build_bound, poly_bound))
+    blocks = {}
+    for elim in (e for e in made if e.pivots):
+        [block] = {_block_of(*keys[k]) for row in elim.pivots.values() for k in row}
+        assert block not in blocks
+        blocks[block] = elim
+    assert pivots == Counter((block, sum(keys[k][0])) for block, elim in blocks.items() for k in elim.pivots)
+    return blocks, keys, inserts
+
+
 @pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (2, 5)])
-def test_dy_five_generators_span_the_ideal_of_every_left_multiple(pbw_bound, poly_bound):
+def test_dy_five_generators_span_the_ideal_of_every_left_multiple(monkeypatch, pbw_bound, poly_bound):
     """Per block, the closure of Delta u and D_j u spans what the closure of
     every Delta m_f u spans (f over all cone monomials of degree <= poly_bound),
     with the same pivots in key space."""
     build = pbw_bound + _DY_MARGIN
-    new = _key_space(*_dy_ideal(_dy_generators(_delta()), build, poly_bound)[:2])
+    new = _key_space(*_ideal_blocks(monkeypatch, _dy_generators(_delta()), build, poly_bound)[:2])
     every = {fe: _delta_times(fe) for fe in _cone_monomials(poly_bound)}
-    old = _key_space(*_dy_ideal(every, build, poly_bound)[:2])
+    old = _key_space(*_ideal_blocks(monkeypatch, every, build, poly_bound)[:2])
     assert {k for k, elim in new.items() if elim.pivots} == {k for k, elim in old.items() if elim.pivots}
     for key, elim in new.items():
         assert _same_span(elim, old[key]), key
@@ -271,21 +307,6 @@ def _full_plane_ideal_span(gens, build_bound, poly_bound):
     return blocks
 
 
-def _count_inserts(monkeypatch, run):
-    """(run(), the number of IncrementalRank.add calls that run made in vinberg)."""
-    calls = []
-
-    class Counting(IncrementalRank):
-        def add(self, vec):
-            calls.append(vec)
-            return super().add(vec)
-
-    monkeypatch.setattr(vinberg, "IncrementalRank", Counting)
-    out = run()
-    monkeypatch.undo()
-    return out, len(calls)
-
-
 # ideal-side inserts by (pbw_bound, poly_bound): the half-plane seeds plus the
 # distinct shifts of rank-raising vectors and, in a diagonal block, the phi images
 # of those whose name phi(sig) is not inserted yet
@@ -299,7 +320,7 @@ def test_dy_half_plane_ideal_is_the_full_plane_closure(monkeypatch, pbw_bound, p
     each block's basis into the span of its mirror block."""
     gens = _dy_generators(_delta())
     build = pbw_bound + _DY_MARGIN
-    (blocks, keys, _), inserts = _count_inserts(monkeypatch, lambda: _dy_ideal(gens, build, poly_bound))
+    blocks, keys, inserts = _ideal_blocks(monkeypatch, gens, build, poly_bound)
     half = _key_space(blocks, keys)
     full = _full_plane_ideal_span(gens, build, poly_bound)
     assert {k for k, elim in half.items() if elim.pivots} == {
@@ -343,7 +364,7 @@ def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkey
     mirror agree), so each window's orbit-weighted sum is the full plane's,
     and the insert count shows that no column outside the rank-raising shifts
     and their phi images is inserted."""
-    dims, inserts = _count_inserts(monkeypatch, lambda: _dy_kernel(pbw_bound, poly_bound))
+    dims, _, inserts = _record(monkeypatch, lambda: _dy_kernel(pbw_bound, poly_bound))
     every = _every_column_dims(pbw_bound, poly_bound)
     assert all(n == every[_mirror(block), d] for (block, d), n in every.items())
     assert dims == Counter({(block, d): n for (block, d), n in every.items() if _upper(block)})
@@ -410,3 +431,45 @@ def test_cone_monomial_normal_form_matches_the_quotient_ring():
         for e in compositions(deg, 4):
             nf = ring.normal_form(ExactPoly.monomial(MAT2_VARS, e))
             assert nf.terms == {_nf_y_mono(e): 1}, e
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes started while a test runs; none may be left alive after it."""
+    out = []
+
+    def start(self, start=multiprocessing.Process.start):
+        out.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    yield out
+    assert not multiprocessing.active_children()
+
+
+def test_dy_runs_the_kernel_in_one_worker_that_ends_with_the_call(started):
+    assert verify_dy_relation(2, 2).passed
+    assert len(started) == 1 and not multiprocessing.active_children()
+    assert started[0].exitcode == 0
+
+
+def test_dy_error_on_the_ideal_side_reaches_the_caller_and_ends_the_worker(started, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("ideal side")
+
+    monkeypatch.setattr(vinberg, "_dy_ideal", fail)
+    with pytest.raises(RuntimeError, match="ideal side"):
+        verify_dy_relation(2, 2)
+    assert len(started) == 1 and not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="only a forked worker runs the patched kernel")
+def test_dy_error_in_the_worker_reaches_the_caller(started, monkeypatch):
+    def fail(*args):
+        raise ZeroDivisionError("kernel side")
+
+    monkeypatch.setattr(vinberg, "_dy_kernel", fail)
+    with pytest.raises(ZeroDivisionError, match="kernel side") as raised:
+        verify_dy_relation(2, 2)
+    assert "in _dy_kernel_worker" in str(raised.value.__cause__)  # the worker's traceback
+    assert len(started) == 1 and not multiprocessing.active_children()

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocycle.exactalg import (
     ExactPoly,
@@ -15,6 +18,7 @@ from horocycle.exactalg import (
 from horocycle.linalg import IncrementalRank
 from horocycle.weyl import (
     WeylOp,
+    _accumulate_term_product,
     apply_op,
     commutator,
     euler_op,
@@ -207,3 +211,37 @@ def test_vector_field_recognition():
     assert theta.is_vector_field()
     assert not WeylOp.one(V).is_vector_field()
     assert max(sum(de) for _, de in (theta * theta).terms) == 2
+
+
+def stack_term_product(out, xe1, de1, xe2, de2, coef):
+    """The product `_accumulate_term_product` replaced, kept as its oracle: every
+    variable expanded, k = 0 included, depth first over a stack."""
+    n = len(xe1)
+    expansions = [[(k, math.comb(m, k) * math.perm(p, k)) for k in range(min(m, p) + 1)]
+                  for m, p in zip(de1, xe2)]
+    stack = [(0, (), 1)]
+    while stack:
+        i, ks, mult = stack.pop()
+        if i == n:
+            xe = tuple(xe1[j] + xe2[j] - ks[j] for j in range(n))
+            de = tuple(de1[j] + de2[j] - ks[j] for j in range(n))
+            key = (xe, de)
+            out[key] = out.get(key, 0) + coef * mult
+            continue
+        for k, w in expansions[i]:
+            stack.append((i + 1, ks + (k,), mult * w))
+
+
+EXP4 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(EXP4, EXP4, EXP4, EXP4, st.integers(-5, 5)), min_size=1, max_size=4))
+def test_term_product_matches_the_stack_oracle(pairs):
+    """On term pairs of arity 4 with exponents <= 3, accumulated into one table,
+    the product gives the oracle's table, in the oracle's key order."""
+    fast, slow = {}, {}
+    for args in pairs:
+        _accumulate_term_product(fast, *args)
+        stack_term_product(slow, *args)
+    assert list(fast.items()) == list(slow.items())

@@ -1,13 +1,10 @@
 """Infinitesimal group actions, the quantum moment map, stabilizers and coinvariants.
 
-The built-in action is the two-sided multiplication action of sl2 x sl2 on
-2x2 matrix space and on the determinant level sets.  Its vector-field table is
-hard-coded (left column / right column):
-
-    E1 -> -c Da - d Db        E2 -> a Db + c Dd
-    F1 -> -a Dc - b Dd        F2 -> b Da + d Dc
-    H1 -> -a Da - b Db + c Dc + d Dd
-    H2 ->  a Da - b Db + c Dc - d Dd
+A linear action is built from a representation whose basis vectors are the
+ring's variables (`linear_action`).  The built-in action is the two-sided
+multiplication action of sl2 x sl2 on 2x2 matrix space End(V1) = V1 (x) V1*
+and on the determinant level sets: on a matrix g, the left factor gives
+-X.g and the right factor g.X.
 
 Bracket compatibility with the structure constants is validated whenever an
 action is constructed, rather than re-derived from a group-level convention.
@@ -19,13 +16,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import ExactPoly, QuotientRing, fmt_coef, horocycle_ring, mat2_ring, sl2_ring
-from .lie import (
-    FinDimRep,
-    LieAlgebraDesc,
-    UEnvElement,
-    sl2_pair_desc,
-)
+from .exactalg import ExactPoly, QuotientRing, det_poly, fmt_coef, horocycle_ring, mat2_ring, sl2_ring
+from .lie import FinDimRep, LieAlgebraDesc, UEnvElement, dual_rep, external_tensor, sym_power_rep
 from .linalg import IncrementalRank, frac, nullspace, num, quotient, sparse_to_int, transpose
 from .weyl import WeylOp, commutator, preserves_ideal
 
@@ -64,21 +56,18 @@ class InfinitesimalAction:
                 yield i, j, commutator(self.fields[i], self.fields[j]) - rhs
 
 
-def _mu_fields(variables) -> tuple[WeylOp, ...]:
-    a = ExactPoly.variable(variables, "a")
-    b = ExactPoly.variable(variables, "b")
-    c = ExactPoly.variable(variables, "c")
-    d = ExactPoly.variable(variables, "d")
-    zero = ExactPoly.zero(variables)
-    vf = WeylOp.vector_field
-    return (
-        vf([zero, zero, -a, -b]),          # F1
-        vf([-a, -b, c, d]),                # H1
-        vf([-c, -d, zero, zero]),          # E1
-        vf([b, zero, d, zero]),            # F2
-        vf([a, -b, c, -d]),                # H2
-        vf([zero, a, zero, c]),            # E2
+def linear_action(ring: QuotientRing, rep: FinDimRep) -> InfinitesimalAction:
+    """The action of rep's algebra on the ring whose variables are the coordinates
+    of rep's basis: basis element X acts by the linear field x -> -rho(X) x."""
+    if rep.dim != len(ring.variables):
+        raise ValueError("one variable per basis vector of the representation required")
+    xs = [ring.var(v) for v in ring.variables]
+    zero = ExactPoly.zero(ring.variables)
+    fields = (
+        WeylOp.vector_field([sum((-c * xs[j] for j, c in row.items()), zero) for row in m])
+        for m in rep.matrices
     )
+    return InfinitesimalAction(rep.desc, ring, fields)
 
 
 def lr_action_mat2() -> InfinitesimalAction:
@@ -96,7 +85,7 @@ def lr_action_horocycle() -> InfinitesimalAction:
 @functools.cache
 def _builtin_action(ring: QuotientRing) -> InfinitesimalAction:
     """The left-right action on a built-in ring, built and validated once."""
-    return InfinitesimalAction(sl2_pair_desc(), ring, _mu_fields(ring.variables))
+    return linear_action(ring, external_tensor(sym_power_rep(1), dual_rep(sym_power_rep(1))))
 
 
 def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
@@ -134,10 +123,6 @@ class RationalPoint:
     def parse(cls, text: str) -> "RationalPoint":
         return cls(tuple(Fraction(p.strip()) for p in text.split(",")))
 
-    def determinant(self) -> Fraction:
-        a, b, c, d = self.coords
-        return a * d - b * c
-
     def is_on(self, ring: QuotientRing) -> bool:
         if ring.relation is None:
             return True
@@ -161,9 +146,8 @@ def level_set_action(p: RationalPoint) -> tuple[str, InfinitesimalAction]:
     for label, act in (("det=1", lr_action_sl2()), ("det=0", lr_action_horocycle())):
         if p.is_on(act.ring):
             return label, act
-    raise PointNotOnVariety(
-        f"point {','.join(p.to_json())} lies on neither supported variety (det={p.determinant()})"
-    )
+    det = det_poly().evaluate(p.coords)
+    raise PointNotOnVariety(f"point {','.join(p.to_json())} lies on neither supported variety (det={det})")
 
 
 @dataclass(frozen=True)

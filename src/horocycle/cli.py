@@ -148,7 +148,7 @@ def verify(suite, bound, json_path, quiet):
 def exponents(m, json_path, quiet):
     """Asymptotic exponents of Sym^m: coinvariants against the symbolic oracle."""
     exps = exponents_from_coinvariants(sym_power_rep(m))
-    left, right = bimodule = bimodule_exponents(m)
+    left, right, _ = bimodule = bimodule_exponents(m)
     report = leading_exponent_check(m, exps, bimodule)
     oracle = sorted(matrix_coefficient_exponents(m))
     # [exponent, log power]: a diagonal induced Cartan acts semisimply, so every log power is 0

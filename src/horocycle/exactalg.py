@@ -322,8 +322,9 @@ def compositions(total: int, parts: int):
 MAT2_VARS = ("a", "b", "c", "d")
 
 
-def _det_poly(variables=MAT2_VARS) -> ExactPoly:
-    return ExactPoly(variables, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+def det_poly() -> ExactPoly:
+    """The determinant a*d - b*c on matrix-space coordinates."""
+    return ExactPoly(MAT2_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
 
 
 def mat2_ring() -> QuotientRing:
@@ -339,13 +340,8 @@ def horocycle_ring() -> QuotientRing:
 
 
 _MAT2 = QuotientRing(MAT2_VARS, None, name="O(Mat2)")
-_SL2 = QuotientRing(MAT2_VARS, _det_poly() - 1, name="O(SL2)")
-_HOROCYCLE = QuotientRing(MAT2_VARS, _det_poly(), name="O(Y)")
-
-
-def det_poly() -> ExactPoly:
-    """The determinant a*d - b*c on matrix-space coordinates."""
-    return _det_poly()
+_SL2 = QuotientRing(MAT2_VARS, det_poly() - 1, name="O(SL2)")
+_HOROCYCLE = QuotientRing(MAT2_VARS, det_poly(), name="O(Y)")
 
 
 # --- Peter-Weyl levels ------------------------------------------------------

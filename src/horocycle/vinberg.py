@@ -51,17 +51,6 @@ from .weyl import WeylOp, apply_op, euler_op, is_relative, op_to_text, relative_
 V = MAT2_VARS
 
 
-def _mu_basis(act: InfinitesimalAction) -> dict[str, WeylOp]:
-    d2 = sl2_desc()
-    one = UEnvElement.one(d2)
-    out = {}
-    for name in ("E", "F", "H"):
-        g = UEnvElement.generator(d2, d2.index(name))
-        out[name + "1"] = moment_map(tensor(g, one), act)
-        out[name + "2"] = moment_map(tensor(one, g), act)
-    return out
-
-
 def casimir_operator_identity_rhs() -> WeylOp:
     """Euler-squared minus four times det times the mixed second-order term.
 
@@ -93,7 +82,7 @@ def verify_sl2_identities() -> CheckReport:
     """The operator identity table: cross relations, Casimir images, bracket
     compatibility and the span of relative fields with linear coefficients."""
     act = lr_action_mat2()
-    mu = _mu_basis(act)
+    mu = dict(zip(act.desc.basis, act.fields))
     detw = WeylOp.from_poly(det_poly())
     d2 = sl2_desc()
     cas = casimir_sl2()
@@ -155,7 +144,7 @@ def verify_dsl2_presentation() -> CheckReport:
     """Each presentation relation exhibited with its explicit cofactor in the
     left ideal generated by det - 1."""
     act = lr_action_mat2()
-    mu = _mu_basis(act)
+    mu = dict(zip(act.desc.basis, act.fields))
     relp = WeylOp.from_poly(det_poly() - 1)
     report = CheckReport(check="presentation", parameters={})
     for x, _, rhs in _cross_relations(mu):
@@ -179,11 +168,6 @@ _DY_MARGIN = 1
 def _weight(e, table):
     """Torus weight of the monomial with exponents e, given the weight of each factor."""
     return (sum(k * w[0] for k, w in zip(e, table)), sum(k * w[1] for k, w in zip(e, table)))
-
-
-def _nf_y_mono(e):
-    t = min(e[0], e[3])
-    return (e[0] - t, e[1] + t, e[2] + t, e[3] - t)
 
 
 def _phi(key):
@@ -217,12 +201,13 @@ _U0 = (0,) * 6  # the PBW exponent of 1
 _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c d
 
 # The smash-product arithmetic of dy: an element Sum m_f mu(u) is a dict keyed
-# (pbw exp, monomial), with functions kept reduced on the rank-one cone.  All
-# products preserve both the function degree and the torus biweight, so
-# elements stay inside one homogeneity block.  Every coefficient is an int:
-# moment maps of PBW monomials, PBW products and field actions are integral,
-# and each cached table passes through `_integral`, which raises on a
-# non-integral entry.  Callers do not mutate a cached table.
+# (pbw exp, monomial), with functions kept in `horocycle_ring()` normal form,
+# where the normal form of a monomial is one monomial (ad -> bc).  All products
+# preserve both the function degree and the torus biweight, so elements stay
+# inside one homogeneity block.  Every coefficient is an int: moment maps of
+# PBW monomials, PBW products and field actions are integral, and each cached
+# table passes through `_integral`, which raises on a non-integral entry.
+# Callers do not mutate a cached table.
 
 
 @functools.cache
@@ -240,11 +225,7 @@ def _pbw_mul(e1, e2) -> dict:
 @functools.cache
 def _field_act(j, fe) -> dict:
     poly = apply_op(lr_action_mat2().fields[j], ExactPoly.monomial(V, fe))
-    out: dict = {}
-    for e, c in _integral(poly.terms).items():
-        m = _nf_y_mono(e)
-        out[m] = out.get(m, 0) + c
-    return {k: v for k, v in out.items() if v}
+    return _integral(horocycle_ring().normal_form(poly).terms)
 
 
 @functools.cache
@@ -281,7 +262,9 @@ def _u_right(elem: dict, ue) -> dict:
 @functools.cache
 def _mono_mul(e1, e2):
     """The cone-reduced exponent of x^e1 * x^e2."""
-    return _nf_y_mono(tuple(x + y for x, y in zip(e1, e2)))
+    e = tuple(x + y for x, y in zip(e1, e2))
+    (nf,) = horocycle_ring().normal_form(ExactPoly.monomial(V, e)).terms
+    return nf
 
 
 def _realize(elem: dict) -> dict:

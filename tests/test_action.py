@@ -10,14 +10,16 @@ from horocycle.action import (
     RationalPoint,
     LieSubalgebra,
     coinvariants,
+    linear_action,
     lr_action_horocycle,
     lr_action_mat2,
     lr_action_sl2,
     moment_map,
     stabilizer_subalgebra,
 )
-from horocycle.exactalg import ExactPoly, MAT2_VARS, det_poly, mat2_ring
+from horocycle.exactalg import ExactPoly, MAT2_VARS, QuotientRing, det_poly, mat2_ring
 from horocycle.lie import (
+    FinDimRep,
     UEnvElement,
     casimir_sl2,
     dual_rep,
@@ -28,7 +30,7 @@ from horocycle.lie import (
     tensor,
 )
 from horocycle.linalg import mat_mul
-from horocycle.weyl import WeylOp, euler_op
+from horocycle.weyl import WeylOp, apply_op, euler_op
 from matrices import rank
 
 V = MAT2_VARS
@@ -69,6 +71,46 @@ def test_builtin_table_is_the_expected_one():
     }
     for name, op in expected.items():
         assert field_of(act, name) == op, name
+
+
+def test_linear_action_on_the_doubled_plane():
+    # V1 on (v1, v2) under the left factor and V1* on (w1, w2) under the right, as one
+    # block-sum module: the fields are -X.v and X^T.w
+    v, w = sym_power_rep(1), dual_rep(sym_power_rep(1))
+    mats = tuple(m + [{}, {}] for m in v.matrices) + tuple(
+        [{}, {}] + [{k + 2: x for k, x in row.items()} for row in m] for m in w.matrices
+    )
+    ring = QuotientRing(("v1", "v2", "w1", "w2"))
+    act = linear_action(ring, FinDimRep(sl2_pair_desc(), 4, mats))
+    v1, v2, w1, w2 = (ring.var(x) for x in ring.variables)
+    z = ExactPoly.zero(ring.variables)
+    vf = WeylOp.vector_field
+    expected = {
+        "F1": vf([z, -v1, z, z]),
+        "H1": vf([-v1, v2, z, z]),
+        "E1": vf([-v2, z, z, z]),
+        "F2": vf([z, z, w2, z]),
+        "H2": vf([z, z, w1, -w2]),
+        "E2": vf([z, z, z, w1]),
+    }
+    for name, op in expected.items():
+        assert field_of(act, name) == op, name
+    # pi(v, w) = v w^T pulls the built-in fields on a, b, c, d back to these
+    pulled = [v1 * w1, v1 * w2, v2 * w1, v2 * w2]
+    for theta, builtin in zip(act.fields, lr_action_mat2().fields):
+        for x, image in zip(pulled, (apply_op(builtin, ExactPoly.variable(V, n)) for n in V)):
+            assert apply_op(theta, x) == sum((c * pulled[e.index(1)] for e, c in image.terms.items()), z)
+
+
+def test_linear_action_on_binary_quadratics_kills_the_discriminant():
+    ring = QuotientRing(("u0", "u1", "u2"))
+    act = linear_action(ring, sym_power_rep(2))
+    u0, u1, u2 = (ring.var(x) for x in ring.variables)
+    disc = u1 * u1 - 4 * u0 * u2
+    assert not any(theta.is_zero() for theta in act.fields)
+    assert all(apply_op(theta, disc).is_zero() for theta in act.fields)
+    with pytest.raises(ValueError):
+        linear_action(mat2_ring(), sym_power_rep(2))
 
 
 def test_action_constructions_validate():

@@ -61,7 +61,8 @@ def test_non_diagonal_induced_cartan_is_rejected():
 
 def test_bimodule_consistency():
     for m in range(4):
-        left, right = bimodule_exponents(m)
+        left, right, off_diagonal = bimodule_exponents(m)
+        assert off_diagonal == []
         single = set(exponents_from_coinvariants(sym_power_rep(m))[0])
         assert left == single
         assert right == {-lam for lam in single}

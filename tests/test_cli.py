@@ -78,6 +78,24 @@ def test_exponents_fails_on_a_non_diagonal_induced_cartan(monkeypatch, tmp_path)
     } in items
 
 
+def test_exponents_fails_on_a_non_diagonal_two_sided_cartan(monkeypatch, tmp_path):
+    # the two-sided coinvariants of a module whose induced H1 and H2 are triangular: the
+    # left-exponent item fails with the off-diagonal positions as its witness, exit 1
+    monkeypatch.setattr(asymptotics, "sym_power_rep", lambda m: conjugated_v0_plus_v2())
+    out = tmp_path / "exponents.json"
+    result = invoke(["exponents", "--m", "2", "--json", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "exponents: FAIL (5 items, 1 failures)" in result.output
+    assert "overall: FAIL" in result.output
+    items = json.loads(out.read_text())["checks"][0]["items"]
+    assert [item for item in items if not item["pass"]] == [{
+        "name": "Sym^2: two-sided coinvariant left exponents match",
+        "expected": "[Fraction(-2, 1)]",
+        "got": "off-diagonal entries at [('H1', 0, 2), ('H1', 1, 3), ('H2', 1, 0), ('H2', 3, 2)]",
+        "pass": False,
+    }]
+
+
 def test_exponents_rejects_negative_m():
     result = invoke(["exponents", "--m", "-1"])
     assert result.exit_code == 2

@@ -5,20 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from horocycle.action import RationalPoint
+from horocycle.action import RationalPoint, lr_action_mat2
 from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
 from horocycle import vinberg
 from horocycle.linalg import IncrementalRank
+from horocycle.weyl import apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
     _block_of,
     _dy_generators,
     _dy_ideal,
     _dy_kernel,
+    _field_act,
     _integral,
     _mono_mul,
-    _nf_y_mono,
     _phi,
     _phi_terms,
     _push,
@@ -424,13 +425,30 @@ def test_parabolic_rejects_off_fiber_points():
 
 
 def test_cone_monomial_normal_form_matches_the_quotient_ring():
-    # the closed form that dy's smash-product arithmetic uses on the rank-one cone
-    # against the memoized rewrite of QuotientRing.normal_form, every exponent of degree <= 8
+    # the closed form a^t d^t -> b^t c^t of a monomial's normal form on the rank-one cone,
+    # against the memoized rewrite of QuotientRing.normal_form (every exponent of degree <= 8)
+    # and against the cached tables of dy's smash-product arithmetic that read it
+    def closed(e):
+        t = min(e[0], e[3])
+        return (e[0] - t, e[1] + t, e[2] + t, e[3] - t)
+
     ring = horocycle_ring()
     for deg in range(9):
         for e in compositions(deg, 4):
             nf = ring.normal_form(ExactPoly.monomial(MAT2_VARS, e))
-            assert nf.terms == {_nf_y_mono(e): 1}, e
+            assert nf.terms == {closed(e): 1}, e
+    monos = [e for deg in range(5) for e in compositions(deg, 4)]
+    for e1 in monos:
+        for e2 in monos:
+            assert _mono_mul(e1, e2) == closed(tuple(x + y for x, y in zip(e1, e2))), (e1, e2)
+    for fe in monos:
+        if sum(fe) > 3:
+            continue
+        for j, theta in enumerate(lr_action_mat2().fields):
+            expected = Counter()
+            for e, c in apply_op(theta, ExactPoly.monomial(MAT2_VARS, fe)).terms.items():
+                expected[closed(e)] += c
+            assert _field_act(j, fe) == {k: c for k, c in expected.items() if c}, (j, fe)
 
 
 @pytest.fixture

@@ -264,10 +264,6 @@ class FinDimRep:
                     if lincomb(terms + [(c, m[r]) for c, m in bracket]):
                         raise ValueError(f"bracket relation fails at ({i},{j})")
 
-    def matrix_of(self, name: str) -> list[dict]:
-        """The stored matrix of a basis element; callers do not mutate it."""
-        return self.matrices[self.desc.index(name)]
-
     def act_vector(self, coeffs: dict) -> list[dict]:
         """Matrix of the Lie algebra element with coefficients {basis index: c}."""
         mats = self.matrices

@@ -3,10 +3,11 @@ determinant-one locus and the rank-one cone.
 
 The filtered algebra is the function ring of the determinant-one locus,
 filtered by minimal representative degree (`exactalg.pw_level`), with every
-generator at level one.  Its Rees presentation has four level-one variables
-A, B, C, D and one lattice variable z with the single relation A*D - B*C = z;
-setting z = 1 recovers the original ring and z = 0 its associated graded, the
-rank-one cone.
+generator at level one.  Its Rees algebra C[A, B, C, D, z]/(AD - BC - z), with
+z of weight two, is O(Mat2) graded by degree: z -> det is an isomorphism.  So
+the Rees family is the Vinberg semigroup of SL2, Mat2 -> A^1, g -> det g, whose
+fiber at z = 1 is the original ring and at z = 0 its associated graded, the
+rank-one cone (`rees_fiber`).  `homogenize` lifts a filtered element into it.
 
 All isomorphism-style statements are certified degreewise: each check computes
 both sides of a dimension table by independent exact kernel or rank
@@ -24,10 +25,10 @@ from .exactalg import (
     BOTTOM,
     ExactPoly,
     QuotientRing,
-    compositions,
     det_poly,
     horocycle_ring,
     MAT2_VARS,
+    mat2_ring,
     pw_level,
     sl2_ring,
 )
@@ -60,94 +61,50 @@ def sl2_derivation_space(cap: int, parity: int) -> tuple:
     return tuple(relative_fields(ring, det_poly(), monos))
 
 
-# --- Rees presentation --------------------------------------------------------
-
-REES_VARS = ("A", "B", "C", "D", "z")
-
-# the Rees presentation of the determinant-one ring: A*D - B*C = z
-REES_RING = QuotientRing(
-    REES_VARS,
-    ExactPoly(REES_VARS, {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1, (0, 0, 0, 0, 1): -1}),
-    name="Rees(O(SL2))",
-)
-
-
-def rees_graded_monomials(weight: int) -> list:
-    """Normal-form monomials of the presentation of weight `weight` (z has weight 2)."""
-    out = []
-    for zk in range(weight // 2 + 1):
-        for e in compositions(weight - 2 * zk, 4):
-            if e[0] and e[3]:
-                continue  # reduced away by the rewrite
-            out.append(e + (zk,))
-    return out
-
+# --- the Rees algebra: O(Mat2) graded by degree --------------------------------
 
 def rees_fiber(p) -> QuotientRing:
-    """Specialize the lattice variable: nonzero p gives the original ring, 0 its graded."""
+    """Specialize z = det: nonzero p gives the original ring, 0 its graded."""
     p = frac(p)
     relation = det_poly() - ExactPoly.constant(MAT2_VARS, p)
     return QuotientRing(MAT2_VARS, relation, name=f"O(det={p})")
 
 
-def homogenize_presentation(g: ExactPoly, level: int) -> ExactPoly:
-    """Lift a normal-form function to the weight-`level` graded piece, using z."""
-    terms = {}
-    for e, c in g.terms.items():
-        k = sum(e)
-        if (level - k) % 2 or k > level:
-            raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
-        terms[e + ((level - k) // 2,)] = c
-    return ExactPoly(REES_VARS, terms)
-
-
-FREE_VARS = ("A", "B", "C", "D")
-_DET_FREE = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
-
-
 @functools.cache
-def _det_free_power(k: int) -> ExactPoly:
-    return _DET_FREE**k
+def _det_power(k: int) -> ExactPoly:
+    return det_poly() ** k
 
 
-def homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
-    """Same lift with the lattice variable eliminated against A*D - B*C."""
+def homogenize(g: ExactPoly, level: int) -> ExactPoly:
+    """Lift a normal-form function to the degree-`level` piece of O(Mat2): each
+    monomial of degree k is multiplied by det^((level - k)/2)."""
     out: dict = {}
     for e, c in g.terms.items():
         k = sum(e)
         if (level - k) % 2 or k > level:
             raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
-        for pe, pc in _det_free_power((level - k) // 2).terms.items():
+        for pe, pc in _det_power((level - k) // 2).terms.items():
             ne = tuple(x + y for x, y in zip(e, pe))
             out[ne] = out.get(ne, 0) + c * pc
-    return ExactPoly(FREE_VARS, out)
+    return ExactPoly(MAT2_VARS, out)
 
 
 def tau_map(theta: WeylOp) -> WeylOp:
-    """Lift a filtered derivation of the determinant-one ring to the Rees presentation.
-
-    The image has no derivative in the lattice direction, so it kills z by
-    construction; preserving the presentation ideal is the checked content.
-    """
+    """Lift a filtered derivation of the determinant-one ring to the Rees algebra,
+    as the field on Mat2 whose coefficients are the homogenized generator images."""
     level = derivation_level(theta)
     if level == BOTTOM:
-        return WeylOp.zero(REES_VARS)
+        return WeylOp.zero(MAT2_VARS)
     ring = sl2_ring()
-    coeffs = []
-    for name in ring.variables:
-        image = ring.normal_form(apply_op(theta, ring.var(name)))
-        if image.is_zero():
-            coeffs.append(ExactPoly.zero(REES_VARS))
-        else:
-            coeffs.append(homogenize_presentation(image, 1 + level))
-    coeffs.append(ExactPoly.zero(REES_VARS))  # no d/dz component
-    return WeylOp.vector_field(coeffs)
+    return WeylOp.vector_field(
+        [homogenize(ring.normal_form(apply_op(theta, ring.var(name))), 1 + level) for name in ring.variables]
+    )
 
 
 def _free_relative_kernel_dim(coef_degree: int) -> int:
-    """Relative fields on the free four-variable ring, per homogeneous degree k.
+    """Relative fields on Mat2 with homogeneous coefficients of degree k.
 
-    theta -> theta(AD - BC) = P*D - Q*C - R*B + S*A maps the four slots of
+    theta -> theta(ad - bc) = P*d - Q*c - R*b + S*a maps the four slots of
     degree-k coefficients onto the degree-(k+1) polynomials (every monomial
     of positive degree is a multiple of some variable), so the kernel has
     dimension 4*C(k+3, 3) - C(k+4, 3).
@@ -156,7 +113,7 @@ def _free_relative_kernel_dim(coef_degree: int) -> int:
 
 
 def _free_coords(polys):
-    """Coordinate vector of a 4-tuple of homogeneous free polynomials."""
+    """Coordinate vector of a 4-tuple of homogeneous polynomials on Mat2."""
     vec = {}
     for slot, poly in enumerate(polys):
         for e, c in poly.terms.items():
@@ -167,12 +124,12 @@ def _free_coords(polys):
 def tau_check(level_bound: int = 4) -> CheckReport:
     """Degreewise certification that filtered derivations match relative fields.
 
-    For each level the lifted images must kill the lattice coordinate and
-    preserve the presentation ideal exactly, be linearly independent, and fill
-    a space of the same dimension as the strict relative-field kernel on the
-    free ring.
+    For each level the lifted images must kill det, be linearly independent,
+    and fill a space of the same dimension as the relative-field kernel on Mat2
+    in that coefficient degree.
     """
     report = CheckReport(check="tau", parameters={"level_bound": level_bound})
+    detp = det_poly()
     for level in range(level_bound + 1):
         basis = sl2_derivation_space(1 + level, (1 + level) % 2)
         dim_lhs = len(basis)
@@ -180,10 +137,10 @@ def tau_check(level_bound: int = 4) -> CheckReport:
         elim = IncrementalRank()
         independent = 0
         for coeffs in basis:
-            frees = [homogenize_free(g, 1 + level) for g in coeffs]
-            if not apply_op(WeylOp.vector_field(frees), _DET_FREE).is_zero():
+            lifts = [homogenize(g, 1 + level) for g in coeffs]
+            if not apply_op(WeylOp.vector_field(lifts), detp).is_zero():
                 all_relative = False
-            if elim.add(_free_coords(frees)):
+            if elim.add(_free_coords(lifts)):
                 independent += 1
         dim_rhs = _free_relative_kernel_dim(1 + level)
         report.add(
@@ -192,7 +149,7 @@ def tau_check(level_bound: int = 4) -> CheckReport:
             f"dim {dim_lhs}, independent {independent}, relative {all_relative}",
             all_relative and independent == dim_lhs and dim_lhs == dim_rhs,
         )
-    # spot checks on the presentation ring itself
+    # spot checks of tau_map on two level-zero fields
     ring = sl2_ring()
     a, b, c, d = (ring.var(v) for v in ring.variables)
     spots = [
@@ -200,13 +157,14 @@ def tau_check(level_bound: int = 4) -> CheckReport:
         ("-c Da - d Db", WeylOp.vector_field([-c, -d, ExactPoly.zero(ring.variables), ExactPoly.zero(ring.variables)])),
     ]
     for name, theta in spots:
-        lifted = tau_map(theta)
-        kills_z = all(de[4] == 0 for _, de in lifted.terms)
+        # On Mat2 = Spec of the Rees algebra, z is det and the relation AD - BC - z
+        # is zero, so every field preserves it; killing z is the checked content.
+        kills_z = apply_op(tau_map(theta), detp).is_zero()
         report.add(
             f"tau({name}) is relative on the presentation",
             "kills z and preserves the relation",
             f"kills z: {kills_z}",
-            kills_z and preserves_ideal(lifted, REES_RING),
+            kills_z,
         )
     return report
 
@@ -260,14 +218,14 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
 
 
 def rees_dimension_check(bound: int = 6) -> CheckReport:
-    """Graded/filtered dimension tables of the presentation and its two fibers."""
+    """Graded/filtered dimension tables of the Rees algebra O(Mat2) and its two fibers."""
     fiber1 = rees_fiber(1)
     fiber0 = rees_fiber(0)
     report = CheckReport(check="rees", parameters={"bound": bound})
     t_rees = {}
     counts = [len(fiber1.nf_monomials(k)) for k in range(bound + 1)]
     for lam in range(bound + 1):
-        t_rees[lam] = len(rees_graded_monomials(lam))
+        t_rees[lam] = len(mat2_ring().nf_monomials(lam))
         filt = sum(counts[lam % 2 : lam + 1 : 2])
         report.add(
             f"weight {lam}: presentation piece = filtered piece at z=1", filt, t_rees[lam], t_rees[lam] == filt

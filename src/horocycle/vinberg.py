@@ -633,31 +633,22 @@ def vfiltration_check(bound: int = 12) -> CheckReport:
     ring = sl2_ring()
     detp = det_poly()
     report = CheckReport(check="vfilt", parameters={"bound": bound})
-    for deg in range(0, bound + 1, 2):  # even homogeneous monomials
-        k = deg // 2
-        for e in compositions(deg, 4):
-            mono = ExactPoly.monomial(V, e)
-            pole = k - vanishing_order(mono, detp)
-            lev = pw_level(mono, ring)
-            if lev % 2:
-                ok = False
-                mc = "odd class"
-            else:
-                mc = lev // 2
-                ok = pole == mc
-            name = f"[{poly_to_text(mono)}] / det^{k}"
-            report.add(name, str(pole), str(mc), ok)
-    extras = [
-        ("det/det", detp, 1),
-        ("det*ab/det^2", detp * ExactPoly.monomial(V, (1, 1, 0, 0)), 2),
-        ("det^2*bc/det^3", detp * detp * ExactPoly.monomial(V, (0, 1, 1, 0)), 3),
-        ("det^3/det^3", detp * detp * detp, 3),
-    ]
-    for name, f, k in extras:
+
+    def cases():
+        for deg in range(0, bound + 1, 2):  # even homogeneous monomials
+            for e in compositions(deg, 4):
+                mono = ExactPoly.monomial(V, e)
+                yield f"[{poly_to_text(mono)}] / det^{deg // 2}", mono, deg // 2
+        yield "det/det", detp, 1
+        yield "det*ab/det^2", detp * ExactPoly.monomial(V, (1, 1, 0, 0)), 2
+        yield "det^2*bc/det^3", detp * detp * ExactPoly.monomial(V, (0, 1, 1, 0)), 3
+        yield "det^3/det^3", detp * detp * detp, 3
+
+    for name, f, k in cases():
         pole = k - vanishing_order(f, detp)
         lev = pw_level(f, ring)
-        ok = lev % 2 == 0 and pole == lev // 2
-        report.add(name, str(pole), str(lev // 2), ok)
+        mc = "odd class" if lev % 2 else lev // 2
+        report.add(name, str(pole), str(mc), pole == mc)
     return report
 
 

@@ -48,7 +48,8 @@ def conjugated_v0_plus_v2():
 
 def test_non_diagonal_induced_cartan_is_rejected():
     rep = conjugated_v0_plus_v2()
-    _, (induced,) = quotient(transpose(rep.matrix_of("E"), 4), 4, [rep.matrix_of("H")])
+    e, h = (rep.matrices[rep.desc.index(name)] for name in ("E", "H"))
+    _, (induced,) = quotient(transpose(e, 4), 4, [h])
     assert induced == [{1: -2}, {1: -2}]
     # the diagonal of a non-diagonal induced H is read, not raised on, and the report fails
     exps = exponents_from_coinvariants(rep)

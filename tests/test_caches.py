@@ -1,8 +1,9 @@
-"""Every memo of the package is a `functools.cache`, and a warm cache changes no report.
+"""Every memo of the package is a `functools.cache`, apart from the rings'
+normal-form memos, and a warm cache changes no report.
 
 A caller that mutated a shared cached table would make a later run differ
 from a cold one, so each report is compared with its golden file after all
-caches are cleared and again with every cache warm.
+caches and normal-form memos are cleared and again with every cache warm.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 
 import horocycle
 from horocycle.cli import main
+from horocycle.exactalg import horocycle_ring, sl2_ring
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,7 +22,7 @@ EXPECTED = {
     "action._builtin_action",
     "action._moment_monomial",
     "lie._word_normal_form",
-    "rees._det_free_power",
+    "rees._det_power",
     "rees._graded_span_dim",
     "rees.sl2_derivation_space",
     "vinberg._field_act",
@@ -29,6 +31,9 @@ EXPECTED = {
     "vinberg._pbw_mul",
     "vinberg._push",
 }
+
+# the rings whose normal forms the suites memoize (`QuotientRing._nf_memo`)
+MEMO_RINGS = (sl2_ring(), horocycle_ring())
 
 CASES = [
     (["verify", "dy", "--bound", "3"], "verify_dy_bound3.json"),
@@ -52,6 +57,8 @@ def package_caches() -> dict:
 def clear_all_caches():
     for fn in package_caches().values():
         fn.cache_clear()
+    for ring in MEMO_RINGS:
+        ring._nf_memo.clear()
 
 
 def test_the_package_memoizes_through_functools_cache():
@@ -62,6 +69,7 @@ def test_cold_and_warm_caches_give_the_golden_reports(tmp_path):
     clear_all_caches()
     caches = package_caches().values()
     assert not any(fn.cache_info().currsize for fn in caches)
+    assert not any(ring._nf_memo for ring in MEMO_RINGS)
     for run in ("cold", "warm"):
         for args, name in CASES:
             out = tmp_path / f"{run}-{name}"

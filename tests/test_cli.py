@@ -9,9 +9,10 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from horocycle import asymptotics, cli
+from horocycle import action, asymptotics, cli
 from horocycle.cli import main
 from test_asymptotics import conjugated_v0_plus_v2
+from test_caches import clear_all_caches
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -24,6 +25,27 @@ def test_verify_identities_passes():
     result = invoke(["verify", "identities", "--quiet"])
     assert result.exit_code == 0
     assert "overall: PASS" in result.output
+
+
+def test_verify_identities_fails_on_negated_fields(monkeypatch, tmp_path):
+    # x -> +rho(X) x is not a Lie algebra map: the same-factor brackets (and the
+    # Casimir, whose linear term changes sign) fail as items, exit 1, no traceback
+    builtin = action._builtin_action
+
+    def negated(ring):
+        act = builtin(ring)
+        return action.InfinitesimalAction(act.desc, ring, [theta * -1 for theta in act.fields])
+
+    clear_all_caches()
+    monkeypatch.setattr(action, "_builtin_action", negated)
+    out = tmp_path / "identities.json"
+    result = invoke(["verify", "identities", "--json", str(out)])
+    clear_all_caches()
+    assert result.exit_code == 1, result.output
+    assert "overall: FAIL" in result.output
+    failed = {item["name"] for item in json.loads(out.read_text())["checks"][0]["items"] if not item["pass"]}
+    same_factor = {f"bracket [{x}{i}, {y}{i}]" for i in (1, 2) for x, y in (("F", "H"), ("F", "E"), ("H", "E"))}
+    assert {name for name in failed if name.startswith("bracket")} == same_factor
 
 
 def test_verify_unknown_suite_is_usage_error():

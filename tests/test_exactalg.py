@@ -26,7 +26,7 @@ from horocycle.exactalg import (
 )
 from horocycle.lie import UEnvElement, sl2_desc, sl2_pair_desc
 from horocycle.linalg import IncrementalRank, frac, num
-from horocycle.rees import REES_RING, rees_fiber
+from horocycle.rees import rees_fiber
 from horocycle.weyl import WeylOp, apply_op
 from matrices import rank, sparse
 
@@ -404,6 +404,13 @@ def leading_term_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
 # 3ad - 2bc + 5: non-monic, so its rewrite rule ad -> (2bc - 5)/3 has Fraction coefficients
 NON_MONIC = QuotientRing(V, ExactPoly(V, {(1, 0, 0, 1): 3, (0, 1, 1, 0): -2, (0, 0, 0, 0): 5}), name="3ad-2bc+5")
 B_SQUARED = QuotientRing(V, ExactPoly(V, {(1, 0, 0, 0): 1, (0, 2, 0, 0): -1}), name="a-b^2")
+# the Rees presentation C[A, B, C, D, z]/(AD - BC - z) of O(SL2): a relation with a
+# degree-one term; z -> det maps it onto O(Mat2) (tests/test_rees.py)
+REES_RING = QuotientRing(
+    ("A", "B", "C", "D", "z"),
+    ExactPoly(("A", "B", "C", "D", "z"), {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1, (0, 0, 0, 0, 1): -1}),
+    name="Rees(O(SL2))",
+)
 ORACLE_RINGS = [mat2_ring(), sl2_ring(), horocycle_ring(), rees_fiber(2), REES_RING, NON_MONIC, B_SQUARED]
 
 

@@ -25,7 +25,7 @@ def identity(n):
 
 
 def dense_of(rep, name):
-    return dense(rep.matrix_of(name), rep.dim)
+    return dense(rep.matrices[rep.desc.index(name)], rep.dim)
 
 
 def basis_matrix(rep, i):

@@ -21,8 +21,9 @@ from horocycle.exactalg import (
     sl2_ring,
 )
 from horocycle.lie import LieAlgebraDesc, UEnvElement, sl2_desc, sl2_pair_desc
-from horocycle.rees import REES_RING, rees_fiber
+from horocycle.rees import rees_fiber
 from horocycle.weyl import WeylOp, apply_op
+from test_exactalg import REES_RING
 
 V = MAT2_VARS
 RINGS = [

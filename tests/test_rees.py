@@ -5,6 +5,7 @@ import pytest
 
 from math import comb
 
+from horocycle import rees
 from horocycle.exactalg import (
     BOTTOM,
     ExactPoly,
@@ -16,14 +17,11 @@ from horocycle.exactalg import (
     pw_level,
     sl2_ring,
 )
+from horocycle.linalg import IncrementalRank
 from horocycle.rees import (
-    FREE_VARS,
-    REES_RING,
-    REES_VARS,
     derivation_level,
     gr_derivations_check,
-    homogenize_free,
-    homogenize_presentation,
+    homogenize,
     rees_dimension_check,
     rees_fiber,
     sl2_derivation_space,
@@ -31,7 +29,8 @@ from horocycle.rees import (
     tau_map,
     _free_relative_kernel_dim,
 )
-from horocycle.weyl import WeylOp, apply_op, preserves_ideal, relative_fields
+from horocycle.weyl import WeylOp, apply_op, relative_fields
+from test_exactalg import REES_RING
 
 V = MAT2_VARS
 a = ExactPoly.variable(V, "a")
@@ -67,34 +66,53 @@ def test_free_relative_kernel_closed_form(k):
 
 
 def test_rees_ring_and_fibers():
-    assert REES_RING.variables == REES_VARS
     fiber1 = rees_fiber(1)
     fiber0 = rees_fiber(0)
     assert fiber1.key == sl2_ring().key
     assert fiber0.key == horocycle_ring().key
     generic = rees_fiber(Fraction(3, 2))
+    assert generic.variables == mat2_ring().variables
     assert generic.relation.evaluate((1, 0, 0, Fraction(3, 2))) == 0
+
+
+@pytest.mark.parametrize("weight", range(11))
+def test_z_to_det_maps_the_presentation_onto_mat2(weight):
+    # C[A,B,C,D,z]/(AD - BC - z) with z of weight 2: its normal monomials of one
+    # weight go under z -> det to independent polynomials on Mat2, as many as the
+    # degree-`weight` monomials, so z -> det is an isomorphism of graded rings
+    detp = det_poly()
+    images = []
+    for zk in range(weight // 2 + 1):
+        for e in compositions(weight - 2 * zk, 4):
+            mono = ExactPoly.monomial(REES_RING.variables, e + (zk,))
+            if REES_RING.normal_form(mono) == mono:
+                images.append(ExactPoly.monomial(V, e) * detp**zk)
+    elim = IncrementalRank()
+    assert all(elim.add(dict(image.terms)) for image in images)
+    assert len(images) == comb(weight + 3, 3)
 
 
 def test_homogenize():
     nf = sl2_ring().normal_form(a * d)  # bc + 1
-    lifted = homogenize_presentation(nf, 2)
-    assert lifted.terms == {(0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 1): 1}
-    free = homogenize_free(nf, 2)
-    # bc + (AD - BC) = AD
-    assert free == ExactPoly.monomial(FREE_VARS, (1, 0, 0, 1))
+    # bc + (ad - bc) = ad
+    assert homogenize(nf, 2) == a * d
+    assert homogenize(nf, 4) == b * c * det_poly() + det_poly() ** 2
     with pytest.raises(ValueError):
-        homogenize_presentation(nf, 3)
+        homogenize(nf, 3)
 
 
 def test_tau_map_spot():
     theta = WeylOp.vector_field([a, zero, zero, -d])
-    lifted = tau_map(theta)
-    # A DA - D DD on the presentation, no z-derivative
-    assert all(de[4] == 0 for _, de in lifted.terms)
-    assert preserves_ideal(lifted, REES_RING)
-    rel = REES_RING.relation
-    assert REES_RING.normal_form(apply_op(lifted, rel)).is_zero()
+    # a Da - d Dd has level 0 and lifts to itself on Mat2
+    assert tau_map(theta) == theta
+    # ad (a Da - d Dd) reads abc + a, -bcd - d on det = 1, at level 2; the lift
+    # multiplies the degree-one terms by det and returns the field on Mat2
+    wide = WeylOp.from_poly(a * d) * theta
+    assert derivation_level(wide) == 2
+    assert tau_map(wide) == wide
+    for lifted in (tau_map(theta), tau_map(wide)):
+        assert apply_op(lifted, det_poly()).is_zero()
+    assert tau_map(WeylOp.zero(V)) == WeylOp.zero(V)
 
 
 def test_tau_check_small():
@@ -102,6 +120,15 @@ def test_tau_check_small():
     assert rep.passed
     level0 = next(it for it in rep.items if it.name.startswith("level 0"))
     assert "dim 6" in level0.got
+
+
+def test_tau_check_fails_on_a_wrong_det_power(monkeypatch):
+    # lifting with (-det)^k breaks every level whose lift multiplies by det, and
+    # only those: level 0 lifts without det, and the spot fields have level 0
+    monkeypatch.setattr(rees, "_det_power", lambda k: (-det_poly()) ** k)
+    rep = tau_check(4)
+    failed = [it.name for it in rep.items if not it.passed]
+    assert failed == [f"level {n}: lifted derivations = relative fields" for n in range(1, 5)]
 
 
 def test_gr_derivations_small():
@@ -132,19 +159,18 @@ def test_level_certificate_fails_below():
         assert any(pw_level(apply_op(theta, ring.var(name)), ring) == level + 1 for name in ring.variables)
 
 
-def power_sum_homogenize_free(g: ExactPoly, level: int) -> ExactPoly:
-    """Oracle for homogenize_free: the sum of mono * det_free ** k, one ExactPoly per term."""
-    det_free = ExactPoly(FREE_VARS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
-    out = ExactPoly.zero(FREE_VARS)
+def power_sum_homogenize(g: ExactPoly, level: int) -> ExactPoly:
+    """Oracle for homogenize: the sum of mono * det ** k, one ExactPoly per term."""
+    out = ExactPoly.zero(V)
     for e, c in g.terms.items():
         k = sum(e)
         if (level - k) % 2 or k > level:
             raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
-        out = out + ExactPoly.monomial(FREE_VARS, e, c) * det_free ** ((level - k) // 2)
+        out = out + ExactPoly.monomial(V, e, c) * det_poly() ** ((level - k) // 2)
     return out
 
 
-def test_homogenize_free_matches_power_sum_oracle():
+def test_homogenize_matches_power_sum_oracle():
     rng = random.Random(31)
     ring = sl2_ring()
     for i in range(200):
@@ -155,9 +181,9 @@ def test_homogenize_free_matches_power_sum_oracle():
             e = rng.choice(ring.nf_monomials(rng.choice(degrees)))
             terms[e] = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-7, 7), rng.randint(1, 4))))
         g = ExactPoly(V, terms)
-        assert homogenize_free(g, level) == power_sum_homogenize_free(g, level)
+        assert homogenize(g, level) == power_sum_homogenize(g, level)
     for g, level in ((a, 2), (a * b, 1), (a * b * c, 4), (a, 0), (a * b + c, 2)):
         with pytest.raises(ValueError):
-            homogenize_free(g, level)
+            homogenize(g, level)
         with pytest.raises(ValueError):
-            power_sum_homogenize_free(g, level)
+            power_sum_homogenize(g, level)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import ExactPoly, QuotientRing, det_poly, fmt_coef, horocycle_ring, mat2_ring, sl2_ring
-from .lie import FinDimRep, LieAlgebraDesc, UEnvElement, dual_rep, external_tensor, sym_power_rep
+from .lie import FinDimRep, LieAlgebraDesc, UEnvElement, tensor_dual_rep
 from .linalg import IncrementalRank, frac, nullspace, num, quotient, sparse_to_int, transpose
 from .weyl import WeylOp, commutator, preserves_ideal
 
@@ -86,7 +86,7 @@ def lr_action_horocycle() -> InfinitesimalAction:
 @functools.cache
 def _builtin_action(ring: QuotientRing) -> InfinitesimalAction:
     """The left-right action on a built-in ring, built and validated once."""
-    return linear_action(ring, external_tensor(sym_power_rep(1), dual_rep(sym_power_rep(1))))
+    return linear_action(ring, tensor_dual_rep(1, 1))
 
 
 def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
@@ -236,14 +236,16 @@ def coinvariants(
 
     The projection is a full-row-rank matrix Y whose kernel is exactly the
     span, so Y * generator-action = 0 holds exactly and the induced matrices T
-    satisfy T Y = Y * action.
+    satisfy T Y = Y * action.  The span is the columns x.e_j of each x in
+    `sub`, which `act_columns` builds directly; the acting matrices are the
+    transposes of the same column form.
     """
     if sub.desc.key != rep.desc.key:
         raise ValueError("subalgebra does not live in the module's acting algebra")
     if commuting is not None and not commuting.normalizes(sub):
         raise ValueError("designated subalgebra does not normalize the quotient data")
     # a primitive integer multiple of each vector spans the same line and keeps the rows integral
-    span = [col for v in sub.vectors for col in transpose(rep.act_vector(sparse_to_int(v)), rep.dim)]
-    acting = [] if commuting is None else [rep.act_vector(v) for v in commuting.vectors]
+    span = [col for v in sub.vectors for col in rep.act_columns(sparse_to_int(v))]
+    acting = [] if commuting is None else [transpose(rep.act_columns(v), rep.dim) for v in commuting.vectors]
     projection, induced = quotient(span, rep.dim, acting)
     return CoinvariantsResult(rep.dim, projection, induced)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .action import LieSubalgebra, coinvariants
-from .lie import FinDimRep, dual_rep, external_tensor, sym_power_rep
+from .lie import FinDimRep, sym_power_rep, tensor_dual_rep
 from .reports import CheckReport
 
 
@@ -67,7 +67,7 @@ def bimodule_exponents(m: int) -> tuple[set, set, list]:
     two-sided nilpotent coinvariants of V_m (x) V_m*, and the positions
     (name, row, column) of their nonzero off-diagonal entries; an auxiliary
     consistency view of the same exponents."""
-    rep = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(m)))
+    rep = tensor_dual_rep(m, m)
     left, right = _cartans(rep, ("E1", "F2"), ("H1", "H2"))
     off = [(name, i, k) for name, h in (("H1", left), ("H2", right)) for i, k in _off_diagonal(h)]
     return set(_diagonal(left)), set(_diagonal(right)), off

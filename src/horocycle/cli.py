@@ -30,7 +30,7 @@ from .asymptotics import (
     leading_exponent_check,
     matrix_coefficient_exponents,
 )
-from .lie import dual_rep, external_tensor, sym_power_rep
+from .lie import sym_power_rep, tensor_dual_rep
 from .rees import (
     gr_derivations_check,
     rees_dimension_check,
@@ -196,7 +196,7 @@ def localize(rep_spec, point_spec, json_path, quiet):
         chart, act = level_set_action(point)
     except PointNotOnVariety as exc:
         raise click.UsageError(str(exc))
-    module = external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k)))
+    module = tensor_dual_rep(m, k)
     stab = stabilizer_subalgebra(act, point)
     cartan = LieSubalgebra(stab.desc, ({1: 1},))
     commuting = cartan if cartan.normalizes(stab) else None

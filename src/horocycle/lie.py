@@ -240,7 +240,8 @@ def tensor(u: UEnvElement, v: UEnvElement) -> UEnvElement:
 class FinDimRep:
     """Matrices for each basis element, satisfying the bracket relations.
 
-    Each matrix is a list of `dim` sparse rows {column: coefficient}.
+    Each matrix is a list of `dim` sparse rows {column: coefficient}: every
+    column key is an int in range(dim) and every coefficient is nonzero.
     """
 
     desc: LieAlgebraDesc
@@ -248,9 +249,13 @@ class FinDimRep:
     matrices: tuple
 
     def __post_init__(self):
-        mats = self.matrices
-        if len(mats) != self.desc.dim or any(
-            len(m) != self.dim or not all(isinstance(row, dict) for row in m) for m in mats
+        mats, cols = self.matrices, range(self.dim)
+        rows = [row for m in mats for row in m]
+        if (
+            len(mats) != self.desc.dim
+            or any(len(m) != self.dim for m in mats)
+            or not all(isinstance(row, dict) for row in rows)
+            or not all(type(c) is int and c in cols and x for row in rows for c, x in row.items())
         ):
             raise ValueError("one matrix of dim sparse rows per basis element required")
         # row by row, [M_i, M_j] - sum_k c_k M_k = 0; antisymmetry of the structure constants
@@ -264,10 +269,16 @@ class FinDimRep:
                     if lincomb(terms + [(c, m[r]) for c, m in bracket]):
                         raise ValueError(f"bracket relation fails at ({i},{j})")
 
-    def act_vector(self, coeffs: dict) -> list[dict]:
-        """Matrix of the Lie algebra element with coefficients {basis index: c}."""
-        mats = self.matrices
-        return [lincomb((c, mats[i][r]) for i, c in coeffs.items()) for r in range(self.dim)]
+    def act_columns(self, coeffs: dict) -> list[dict]:
+        """Columns x.e_j of the element x with coefficients {basis index: c}, as sparse
+        dicts {row: coefficient}, built in one pass over the basis matrices' entries."""
+        cols: list[dict] = [{} for _ in range(self.dim)]
+        for i, c in coeffs.items():
+            for r, row in enumerate(self.matrices[i]):
+                for j, x in row.items():
+                    col = cols[j]
+                    col[r] = col.get(r, 0) + c * x
+        return [{r: x for r, x in col.items() if x} for col in cols]
 
 
 def sym_power_rep(m: int) -> FinDimRep:
@@ -305,3 +316,10 @@ def external_tensor(v: FinDimRep, w: FinDimRep) -> FinDimRep:
         [{i * k + c: x for c, x in row.items()} for i in range(v.dim) for row in b] for b in w.matrices
     )
     return FinDimRep(pair, v.dim * k, left + right)
+
+
+@functools.cache
+def tensor_dual_rep(m: int, k: int) -> FinDimRep:
+    """V_m (x) V_k* over sl2 (+) sl2, built and validated once per (m, k); every
+    caller shares the one module, so none may change its matrices."""
+    return external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k)))

@@ -13,7 +13,8 @@ There is one eliminator, `IncrementalRank`, fraction-free in the manner of
 Bareiss (Math. Comp. 22, 1968): it keeps mutually reduced primitive integer
 rows, clears denominators once per insert, and reduces a new vector against
 every pivot it hits in one pass, scaled once so that each hit cancels
-exactly, then takes its content once.  `rref` feeds it the rows and reads the
+exactly, then takes its content once.  `rref` feeds it the rows, stopping
+once the rank reaches the column count when it is given one, and reads the
 reduced echelon form off its pivot rows, so `nullspace` and `quotient` avoid
 per-operation rational normalisation too.
 """
@@ -60,16 +61,19 @@ def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
     return [lincomb((x, b[k]) for k, x in row.items()) for row in a]
 
 
-def rref(mat: list[dict]) -> tuple[list[dict], list[int]]:
+def rref(mat: list[dict], cols: int | None = None) -> tuple[list[dict], list[int]]:
     """(the nonzero rows of the reduced row echelon form, their pivot columns).
 
     The rows go through one IncrementalRank; its mutually reduced rows, each
     divided by its pivot entry, are the nonzero rows of the reduced form,
-    since a row space has exactly one reduced echelon form.
+    since a row space has exactly one reduced echelon form.  Given the column
+    count `cols`, no row is added once the rank equals it: the rows then span
+    Q^cols, whose reduced form is the identity whatever rows follow.
     """
     elim = IncrementalRank()
     for row in mat:
-        elim.add(row)
+        if elim.add(row) and len(elim.pivots) == cols:
+            break
     pivots = sorted(elim.pivots)
     out = []
     for c in pivots:
@@ -83,8 +87,9 @@ def _kernel(rows: list[dict], n: int) -> tuple[list[dict], list[int]]:
 
     Basis vector k is 1 at the k-th free column and 0 at the other free
     columns, so the basis restricted to the free columns is the identity.
+    `rref` is told n, so it stops at the first rows that span Q^n.
     """
-    r, pivots = rref(rows)
+    r, pivots = rref(rows, n)
     free = sorted(set(range(n)) - set(pivots))
     basis = []
     for fc in free:
@@ -209,6 +214,8 @@ class IncrementalRank:
         v = vec if all(type(x) is int for x in vec.values()) else sparse_to_int(vec)
         pivots = self.pivots
         hits = [k for k, x in v.items() if x and k in pivots]
+        if not hits:
+            return _primitive({k: x for k, x in v.items() if x})
         m, sign = 1, 1
         for k in hits:
             p = pivots[k][k]

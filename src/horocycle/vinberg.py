@@ -37,12 +37,10 @@ from .exactalg import (
 from .lie import (
     UEnvElement,
     casimir_sl2,
-    dual_rep,
-    external_tensor,
     sl2_desc,
     sl2_pair_desc,
-    sym_power_rep,
     tensor,
+    tensor_dual_rep,
 )
 from .linalg import IncrementalRank, char_poly, quotient, transpose
 from .reports import CheckReport
@@ -673,16 +671,8 @@ def default_sample_points():
 
 
 def _rep_family(rep_bound: int):
-    out = []
-    for m in range(rep_bound + 1):
-        for k in range(rep_bound + 1):
-            out.append(
-                (
-                    f"V{m} (x) V{k}*",
-                    external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k))),
-                )
-            )
-    return out
+    ms = range(rep_bound + 1)
+    return [(f"V{m} (x) V{k}*", tensor_dual_rep(m, k)) for m in ms for k in ms]
 
 
 def asymp_diagram_check(rep_bound: int = 3, points=None) -> CheckReport:

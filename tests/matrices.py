@@ -6,7 +6,7 @@ and the rank of a list of sparse rows.
 
 from fractions import Fraction
 
-from horocycle.linalg import mat_mul, rref
+from horocycle.linalg import lincomb, mat_mul, rref
 
 
 def sparse(mat):
@@ -27,3 +27,10 @@ def dense_mul(a, b):
 def rank(rows):
     """The rank of a list of sparse rows."""
     return len(rref(rows)[1])
+
+
+def act_rows(rep, coeffs):
+    """The sparse rows of the matrix of the element with coefficients
+    {basis index: c} on a representation, a `lincomb` of the basis matrices'
+    rows."""
+    return [lincomb((c, rep.matrices[i][r]) for i, c in coeffs.items()) for r in range(rep.dim)]

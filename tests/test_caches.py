@@ -22,6 +22,7 @@ EXPECTED = {
     "action._builtin_action",
     "action._moment_monomial",
     "lie._word_normal_form",
+    "lie.tensor_dual_rep",
     "rees._det_power",
     "rees._graded_span_dim",
     "rees.sl2_derivation_space",
@@ -36,6 +37,8 @@ EXPECTED = {
 MEMO_RINGS = (sl2_ring(), horocycle_ring())
 
 CASES = [
+    (["verify", "asymp-diagram"], "verify_asymp-diagram.json"),
+    (["verify", "parabolic"], "verify_parabolic.json"),
     (["verify", "dy", "--bound", "3"], "verify_dy_bound3.json"),
     (["verify", "tau"], "verify_tau.json"),
     (["verify", "grderv"], "verify_grderv.json"),

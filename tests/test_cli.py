@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from horocycle import action, asymptotics, cli
+from horocycle import action, asymptotics, cli, lie
 from horocycle.cli import main
 from test_asymptotics import conjugated_v0_plus_v2
 from test_caches import clear_all_caches
@@ -69,8 +69,9 @@ def test_exponents_computes_each_part_once(monkeypatch):
     # the check and the echo share one result; every binding in the package is counted
     calls = Counter()
     names = ("leading_exponent_check", "exponents_from_coinvariants", "bimodule_exponents", "external_tensor")
+    lie.tensor_dual_rep.cache_clear()  # V6 (x) V6* is built by this command, not by an earlier test
     for name in names:
-        original = getattr(asymptotics, name)
+        original = getattr(lie if name == "external_tensor" else asymptotics, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -103,7 +104,8 @@ def test_exponents_fails_on_a_non_diagonal_induced_cartan(monkeypatch, tmp_path)
 def test_exponents_fails_on_a_non_diagonal_two_sided_cartan(monkeypatch, tmp_path):
     # the two-sided coinvariants of a module whose induced H1 and H2 are triangular: the
     # left-exponent item fails with the off-diagonal positions as its witness, exit 1
-    monkeypatch.setattr(asymptotics, "sym_power_rep", lambda m: conjugated_v0_plus_v2())
+    bimodule = lie.external_tensor(conjugated_v0_plus_v2(), lie.dual_rep(conjugated_v0_plus_v2()))
+    monkeypatch.setattr(asymptotics, "tensor_dual_rep", lambda m, k: bimodule)
     out = tmp_path / "exponents.json"
     result = invoke(["exponents", "--m", "2", "--json", str(out)])
     assert result.exit_code == 1, result.output

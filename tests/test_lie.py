@@ -15,8 +15,9 @@ from horocycle.lie import (
     sl2_pair_desc,
     sym_power_rep,
     tensor,
+    tensor_dual_rep,
 )
-from matrices import dense, dense_mul, sparse
+from matrices import act_rows, dense, dense_mul, sparse
 from pbw_oracle import random_pbw_normal_form, word_product
 
 
@@ -124,6 +125,42 @@ def test_rep_takes_only_sparse_rows_of_the_right_shape():
         FinDimRep(rep.desc, 2, rep.matrices[:2])  # a matrix missing
     with pytest.raises(ValueError, match="sparse rows"):
         FinDimRep(rep.desc, 3, rep.matrices)  # rows missing
+
+
+def test_rep_rows_take_only_nonzero_entries_at_columns_of_the_module():
+    # a negative, a too-large or a non-int column key, or an explicit zero, is a
+    # malformed row and not a matrix the quotient could read
+    line = LieAlgebraDesc(("x",), {})
+    for row in ({-1: 1}, {2: 1}, {5: 1}, {0: 0}, {1: Fraction(0)}, {1.0: 1}, {True: 1}):
+        with pytest.raises(ValueError, match="sparse rows"):
+            FinDimRep(line, 2, ([row, {}],))
+    assert FinDimRep(line, 2, ([{1: 1}, {}],)).dim == 2
+    rep = sym_power_rep(1)
+    F, H, E = rep.matrices
+    for bad in ([{2: 1}, {}], [{}, {-3: 1}], [{0: 0}, {}]):
+        with pytest.raises(ValueError, match="sparse rows"):
+            FinDimRep(rep.desc, 2, (F, H, bad))
+
+
+def test_action_columns_are_the_columns_of_the_rows():
+    # the one-pass column form against rows built from the basis matrices by
+    # lincomb, at every basis element and at seeded rational combinations
+    rng = random.Random(24)
+    for m in range(4):
+        for k in range(4):
+            rep = tensor_dual_rep(m, k)
+            assert rep is tensor_dual_rep(m, k)
+            assert rep.matrices == external_tensor(sym_power_rep(m), dual_rep(sym_power_rep(k))).matrices
+            elements = [{i: 1} for i in range(rep.desc.dim)]
+            for _ in range(6):
+                picked = rng.sample(range(rep.desc.dim), rng.randint(1, rep.desc.dim))
+                elements.append({i: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for i in picked})
+            elements.append({0: 1, 4: 2, 1: -2})  # F1 + 2 H2 - 2 H1: cancels on some entries
+            for v in elements:
+                cols = rep.act_columns(v)
+                rows = dense(act_rows(rep, v), rep.dim)
+                assert dense(cols, rep.dim) == [list(col) for col in zip(*rows)], (m, k, v)
+                assert all(x for col in cols for x in col.values())
 
 
 def test_rep_validation_rejects_one_changed_entry():

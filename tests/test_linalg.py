@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from horocycle import linalg
 from horocycle.linalg import (
     IncrementalRank,
     char_poly,
@@ -346,3 +347,68 @@ def test_quotient_induced_actions():
         quotient(span, 3, [moves])
     assert quotient([], 2) == (sparse(identity(2)), [])
     assert quotient(sparse(identity(2)), 2, [sparse(identity(2))] * 2) == ([], [[], []])
+
+
+def _dense_kernel(mat, n):
+    """Kernel basis of a dense matrix read off `dense_rref`: for each free column
+    fc, e_fc minus the fc entries of the reduced rows at their pivots."""
+    red, pivots = dense_rref(mat) if mat else ([], [])
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def test_elimination_stops_once_the_rows_span_the_space(monkeypatch):
+    # rows are combinations of the first k columns of an invertible S, so they span
+    # Q^n early when k = n and never when k < n; A = S U S^-1 with U block upper
+    # triangular preserves their span.  rref, nullspace and quotient match the dense
+    # references, and no row after the one that fills Q^n reaches the eliminator.
+    inserted = []
+
+    class Recording(IncrementalRank):
+        def add(self, vec):
+            inserted.append(vec)
+            return super().add(vec)
+
+    monkeypatch.setattr(linalg, "IncrementalRank", Recording)
+    rng = random.Random(24)
+    early = never = 0
+    while early < 30 or never < 30:
+        n = rng.randint(1, 6)
+        s = rand_matrix(rng, n, n, density=0.8)
+        if rank(sparse(s)) < n:
+            continue
+        k = n if rng.random() < 0.5 else rng.randint(0, n - 1)
+        cols = [list(col) for col in zip(*s)][:k]
+        coefs = [[rng.randint(-3, 3) for _ in cols] for _ in range(k + rng.randint(1, 4))]
+        mat = [[sum((c * col[i] for c, col in zip(cs, cols)), Fraction(0)) for i in range(n)] for cs in coefs]
+        rows = sparse(mat)
+        if rank(rows) < k:
+            continue
+        filled = next((i for i in range(len(mat)) if rank(rows[: i + 1]) == n), None)
+        if filled is not None and filled < len(mat) - 1:
+            early += 1
+        elif k < n:
+            never += 1
+        else:
+            continue
+        expected, pivots = dense_rref(mat)
+        inserted.clear()
+        red, got = rref(rows, n)
+        assert (dense(red, n), got) == (expected[: len(pivots)], pivots)
+        assert inserted == rows[: len(mat) if filled is None else filled + 1]
+        assert rref(rows) == (red, got)
+        assert dense(nullspace(rows, n), n) == _dense_kernel(mat, n)
+        u = rand_matrix(rng, n, n)
+        for i in range(k, n):
+            for j in range(k):
+                u[i][j] = Fraction(0)
+        a = sparse(dense_mul(dense_mul(s, u), _inverse(s)))
+        y, (t,) = quotient(rows, n, [a])
+        assert dense(y, n) == _dense_kernel(mat, n)
+        assert len(y) == n - k and (t == [] if filled is not None else mat_mul(t, y) == mat_mul(y, a))

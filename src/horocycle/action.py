@@ -17,9 +17,9 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import ExactPoly, QuotientRing, det_poly, fmt_coef, horocycle_ring, mat2_ring, sl2_ring
+from .exactalg import ExactPoly, QuotientRing, det_poly, horocycle_ring, mat2_ring, sl2_ring
 from .lie import FinDimRep, LieAlgebraDesc, UEnvElement, tensor_dual_rep
-from .linalg import IncrementalRank, frac, nullspace, num, quotient, sparse_to_int, transpose
+from .linalg import IncrementalRank, frac, nullspace, num, quotient, transpose
 from .weyl import WeylOp, commutator, preserves_ideal
 
 
@@ -138,7 +138,7 @@ class RationalPoint:
             raise PointNotOnVariety(f"{self.coords} is not on {ring.name}")
 
     def to_json(self) -> list:
-        return [fmt_coef(x) for x in self.coords]
+        return [str(x) for x in self.coords]
 
 
 def level_set_action(p: RationalPoint) -> tuple[str, InfinitesimalAction]:
@@ -218,7 +218,7 @@ class CoinvariantsResult:
     def to_json(self) -> dict:
         def fmt(rows, cols):
             dense = ([row.get(j, 0) for j in range(cols)] for row in rows)
-            return [[fmt_coef(x) for x in row] for row in dense]
+            return [[str(x) for x in row] for row in dense]
 
         return {
             "dim": self.dimension,
@@ -244,8 +244,8 @@ def coinvariants(
         raise ValueError("subalgebra does not live in the module's acting algebra")
     if commuting is not None and not commuting.normalizes(sub):
         raise ValueError("designated subalgebra does not normalize the quotient data")
-    # a primitive integer multiple of each vector spans the same line and keeps the rows integral
-    span = [col for v in sub.vectors for col in rep.act_columns(sparse_to_int(v))]
+    # the eliminator's primitive integer rows span the subalgebra and keep the span integral
+    span = [col for v in sub.span.pivots.values() for col in rep.act_columns(v)]
     acting = [] if commuting is None else [transpose(rep.act_columns(v), rep.dim) for v in commuting.vectors]
     projection, induced = quotient(span, rep.dim, acting)
     return CoinvariantsResult(rep.dim, projection, induced)

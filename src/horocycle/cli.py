@@ -49,32 +49,30 @@ from .vinberg import (
 
 BOUND_ENV = "HOROCYCLE_BOUND"
 
-# suite name -> (runner taking the effective bound, suite-specific default bound)
+# suite name -> (runner taking the effective bound, suite-specific default bound,
+# least bound the suite accepts).  The least bound is above zero where a lower
+# one leaves nothing substantive: the dy relation has PBW degree 2; at bound 0
+# pwfilt sees only constants, which every sample kills, grderv compares only
+# empty spaces, and asymp-diagram and parabolic check only V0 (x) V0*.  vfilt
+# needs no minimum: at every bound it checks the constant class and four fixed
+# det-power quotients, which exercise vanishing_order and pw_level, so its 5
+# items at bounds 0 and 1 can fail.
 _SUITES = {
-    "identities": (lambda bound: verify_sl2_identities(), None),
-    "presentation": (lambda bound: verify_dsl2_presentation(), None),
-    "dy": (lambda bound: verify_dy_relation(bound, bound), 4),
-    "rees": (lambda bound: rees_dimension_check(bound), 6),
-    "tau": (lambda bound: tau_check(bound), 4),
-    "grderv": (lambda bound: gr_derivations_check(bound, bound), 4),
-    "pwfilt": (lambda bound: pw_vs_derivations_check(bound=bound), 6),
-    "vfilt": (lambda bound: vfiltration_check(bound), 12),
-    "asymp-diagram": (lambda bound: asymp_diagram_check(rep_bound=bound), 3),
-    "parabolic": (lambda bound: parabolic_rank1_check(rep_bound=bound), 3),
+    "identities": (lambda bound: verify_sl2_identities(), None, 0),
+    "presentation": (lambda bound: verify_dsl2_presentation(), None, 0),
+    "dy": (lambda bound: verify_dy_relation(bound, bound), 4, 2),
+    "rees": (lambda bound: rees_dimension_check(bound), 6, 0),
+    "tau": (lambda bound: tau_check(bound), 4, 0),
+    "grderv": (lambda bound: gr_derivations_check(bound, bound), 4, 1),
+    "pwfilt": (lambda bound: pw_vs_derivations_check(bound=bound), 6, 1),
+    "vfilt": (lambda bound: vfiltration_check(bound), 12, 0),
+    "asymp-diagram": (lambda bound: asymp_diagram_check(rep_bound=bound), 3, 1),
+    "parabolic": (lambda bound: parabolic_rank1_check(rep_bound=bound), 3, 1),
 }
 
 
-# least bound a suite accepts, where it is above zero: the dy relation has PBW
-# degree 2; at bound 0 pwfilt sees only constants, which every sample kills,
-# grderv compares only empty spaces, and asymp-diagram and parabolic check only
-# V0 (x) V0*.  vfilt needs no minimum: at every bound it checks the constant
-# class and four fixed det-power quotients, which exercise vanishing_order
-# and pw_level, so its 5 items at bounds 0 and 1 can fail.
-_MIN_BOUND = {"dy": 2, "grderv": 1, "pwfilt": 1, "asymp-diagram": 1, "parabolic": 1}
-
-
 def _effective_bound(suite: str, bound: int | None) -> int | None:
-    default = _SUITES[suite][1]
+    _, default, least = _SUITES[suite]
     if default is None:
         return None
     if bound is None:
@@ -85,8 +83,8 @@ def _effective_bound(suite: str, bound: int | None) -> int | None:
             raise click.UsageError(f"{BOUND_ENV} must be an integer, got {env!r}")
     if bound < 0:
         raise click.UsageError("bound must be non-negative")
-    if bound < _MIN_BOUND.get(suite, 0):
-        raise click.UsageError(f"suite {suite} needs a bound of at least {_MIN_BOUND[suite]}")
+    if bound < least:
+        raise click.UsageError(f"suite {suite} needs a bound of at least {least}")
     return bound
 
 

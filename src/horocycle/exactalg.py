@@ -364,20 +364,18 @@ def pw_level(f: ExactPoly, ring: QuotientRing):
 
 
 # --- serialization ----------------------------------------------------------
+#
+# An exact value, an int or a Fraction, is written by `str`: "n" or "n/d".
 
 
-def fmt_coef(c) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
+def monomial_text(names, exponents, prefix: str = "") -> str:
+    """The factors prefix+x^k of a monomial, written prefix+x when k = 1, joined by
+    spaces; "" for the unit."""
+    return " ".join(f"{prefix}{x}^{k}" if k != 1 else prefix + x for x, k in zip(names, exponents) if k)
 
 
 def poly_to_text(f: ExactPoly) -> str:
     if not f.terms:
         return "0"
-    parts = []
-    for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
-        c = f.terms[e]
-        mono = " ".join(
-            f"{v}^{k}" if k != 1 else v for v, k in zip(f.variables, e) if k
-        )
-        parts.append(f"{fmt_coef(c)} * {mono}" if mono else fmt_coef(c))
-    return " + ".join(parts)
+    order = sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
+    return " + ".join(" * ".join(filter(None, (str(f.terms[e]), monomial_text(f.variables, e)))) for e in order)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .exactalg import SparseElement
+from .exactalg import SparseElement, monomial_text
 from .linalg import lincomb, num, transpose
 
 Exp = tuple[int, ...]
@@ -174,12 +174,8 @@ class UEnvElement(SparseElement):
     def __repr__(self):
         if not self.terms:
             return "UEnvElement(0)"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = " ".join(
-                f"{n}^{k}" if k > 1 else n for n, k in zip(self.desc.basis, e) if k
-            )
-            parts.append(f"{self.terms[e]}*{mono or '1'}")
+        order = sorted(self.terms, key=lambda e: (sum(e), e))
+        parts = (f"{self.terms[e]}*{monomial_text(self.desc.basis, e) or '1'}" for e in order)
         return "UEnvElement(" + " + ".join(parts) + ")"
 
 

@@ -11,12 +11,15 @@ and functions return fresh objects.
 
 There is one eliminator, `IncrementalRank`, fraction-free in the manner of
 Bareiss (Math. Comp. 22, 1968): it keeps mutually reduced primitive integer
-rows, clears denominators once per insert, and reduces a new vector against
-every pivot it hits in one pass, scaled once so that each hit cancels
-exactly, then takes its content once.  `rref` feeds it the rows, stopping
-once the rank reaches the column count when it is given one, and reads the
-reduced echelon form off its pivot rows, so `nullspace` and `quotient` avoid
-per-operation rational normalisation too.
+rows, clears denominators once per insert, and has one elimination routine,
+which reduces a vector against every pivot it hits in one pass, scaled once
+so that each hit cancels exactly, then takes its content once; the
+back-reduction of the stored rows against a new pivot is the same routine
+with a single hit.  No sign of a stored row is fixed.  `rref` feeds it the
+rows, stopping once the rank reaches the column count when it is given one,
+and reads the reduced echelon form off its pivot rows, dividing by each
+pivot entry, so `nullspace` and `quotient` avoid per-operation rational
+normalisation too.
 """
 
 from __future__ import annotations
@@ -166,23 +169,29 @@ def sparse_to_int(vec: dict) -> dict:
     return _primitive({k: (v * den).numerator for k, v in vec.items() if v})
 
 
-def _reduce_once(v: dict, key, row: dict) -> dict:
-    """v with its `key` entry eliminated by the pivot row, content removed."""
-    c = v.get(key)
-    if not c:
-        return v
-    p = row[key]
-    g = gcd(p, c)
-    p //= g
-    c //= g
-    new = {k: x * p for k, x in v.items()} if p != 1 else dict(v)
-    for k, x in row.items():
-        y = new.get(k, 0) - c * x
-        if y:
-            new[k] = y
-        else:
-            del new[k]
-    return _primitive(new)
+def _eliminate(v: dict, hits, pivots: dict) -> dict:
+    """m v - Sum (m v[k] / p_k) row_k over the hit keys k, made primitive: v is
+    an int vector without zero entries, the rows {k: row_k} are zero at each
+    other's keys, p_k = row_k[k], and m, the lcm of the p_k / gcd(p_k, v[k])
+    times the signs of the p_k, makes each hit cancel exactly."""
+    m, sign = 1, 1
+    for k in hits:
+        p = pivots[k][k]
+        m = lcm(m, p // gcd(p, v[k]))
+        sign = -sign if p < 0 else sign
+    m *= sign
+    out = dict(v) if m == 1 else {k: m * x for k, x in v.items()}
+    get = out.get
+    for k in hits:
+        row = pivots[k]
+        c = m * v[k] // row[k]
+        for j, x in row.items():
+            y = get(j, 0) - c * x
+            if y:
+                out[j] = y
+            else:
+                del out[j]
+    return _primitive(out)
 
 
 class IncrementalRank:
@@ -190,11 +199,12 @@ class IncrementalRank:
 
     Vectors are dicts key -> coefficient.  Rows are kept as primitive integer
     vectors and mutually reduced: each row is zero at every other row's pivot,
-    so no hit row changes a vector's entry at another hit.  `reduce` forms
-    m v - Sum (m v[k] / p_k) row_k over the hit pivots k in one pass, m the lcm
-    of the p_k / gcd(p_k, v[k]) times the signs of the pivot entries p_k, then
-    takes the content: the primitive vector that eliminating hit by hit gives.
-    Adding a pivot touches only the rows that contain its key.
+    so no hit row changes a vector's entry at another hit.  One routine,
+    `_eliminate`, does all elimination: `reduce` applies it to a vector with
+    all the pivots it hits, in one pass, and `add` applies it to each stored
+    row that contains the new pivot's key, with that one hit.  The sign of a
+    stored row is not fixed: `rref` divides by the pivot entry, and the other
+    readers count pivots or test `reduce(x) == {}`.
 
     Each pivot is the least key of its row in the keys' own order, and each
     stored row has its support entirely at-or-after its pivot, so counting
@@ -208,28 +218,11 @@ class IncrementalRank:
     def reduce(self, vec: dict) -> dict:
         """vec fully reduced against the pivots, as integers; {} iff vec lies in their span.
 
-        An all-int vec is reduced as given: scaling it changes only the
-        content, which the last step removes.
+        An all-int vec without zero entries is reduced as given: scaling it
+        changes only the content, which the last step removes.
         """
-        v = vec if all(type(x) is int for x in vec.values()) else sparse_to_int(vec)
-        pivots = self.pivots
-        hits = [k for k, x in v.items() if x and k in pivots]
-        if not hits:
-            return _primitive({k: x for k, x in v.items() if x})
-        m, sign = 1, 1
-        for k in hits:
-            p = pivots[k][k]
-            m = lcm(m, p // gcd(p, v[k]))
-            sign = -sign if p < 0 else sign
-        m *= sign
-        out = {k: m * x for k, x in v.items()}
-        get = out.get
-        for k in hits:
-            row = pivots[k]
-            c = m * v[k] // row[k]
-            for j, x in row.items():
-                out[j] = get(j, 0) - c * x
-        return _primitive({k: x for k, x in out.items() if x})
+        v = vec if all(type(x) is int and x for x in vec.values()) else sparse_to_int(vec)
+        return _eliminate(v, [k for k in v if k in self.pivots], self.pivots)
 
     def add(self, vec: dict) -> bool:
         """Reduce vec against current pivots; returns True if rank grew."""
@@ -237,8 +230,9 @@ class IncrementalRank:
         if not v:
             return False
         key = min(v)
+        new = {key: v}
         for pkey, row in self.pivots.items():
             if key in row:
-                self.pivots[pkey] = _reduce_once(row, key, v)
+                self.pivots[pkey] = _eliminate(row, (key,), new)
         self.pivots[key] = v
         return True

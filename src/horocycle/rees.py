@@ -112,15 +112,6 @@ def _free_relative_kernel_dim(coef_degree: int) -> int:
     return 4 * comb(coef_degree + 3, 3) - comb(coef_degree + 4, 3)
 
 
-def _free_coords(polys):
-    """Coordinate vector of a 4-tuple of homogeneous polynomials on Mat2."""
-    vec = {}
-    for slot, poly in enumerate(polys):
-        for e, c in poly.terms.items():
-            vec[(slot, e)] = c
-    return vec
-
-
 def tau_check(level_bound: int = 4) -> CheckReport:
     """Degreewise certification that filtered derivations match relative fields.
 
@@ -133,15 +124,11 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     for level in range(level_bound + 1):
         basis = sl2_derivation_space(1 + level, (1 + level) % 2)
         dim_lhs = len(basis)
-        all_relative = True
+        lifts = [WeylOp.vector_field([homogenize(g, 1 + level) for g in coeffs]) for coeffs in basis]
+        all_relative = all(apply_op(lift, detp).is_zero() for lift in lifts)
+        # a field's terms, keyed (monomial, unit D-exponent), are its coordinates
         elim = IncrementalRank()
-        independent = 0
-        for coeffs in basis:
-            lifts = [homogenize(g, 1 + level) for g in coeffs]
-            if not apply_op(WeylOp.vector_field(lifts), detp).is_zero():
-                all_relative = False
-            if elim.add(_free_coords(lifts)):
-                independent += 1
+        independent = sum(elim.add(lift.terms) for lift in lifts)
         dim_rhs = _free_relative_kernel_dim(1 + level)
         report.add(
             f"level {level}: lifted derivations = relative fields",

@@ -3,7 +3,7 @@
 Serialized shape, for every check:
     {"check": str, "parameters": {...}, "items": [{"name", "expected", "got", "pass"}], "pass": bool}
 Item fields are strings so reports are stable and diffable; a report passes
-iff every item passes.
+iff it has an item and every item passes, so an empty report never passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(item.passed for item in self.items)
+        return bool(self.items) and all(item.passed for item in self.items)
 
     def add(self, name: str, expected, got, passed: bool):
         self.items.append(ReportItem(name, str(expected), str(got), passed))

@@ -128,14 +128,12 @@ def _linear_relative_field_span(act: InfinitesimalAction):
     """Dimension of the relative fields with linear coefficients, whether the
     action's fields are such fields, and the rank of their span."""
     dim = len(relative_fields(mat2_ring(), det_poly(), compositions(1, 4)))
+    contains_all = all(
+        theta.is_vector_field() and all(sum(xe) == 1 for xe, _ in theta.terms) and is_relative(theta, det_poly())
+        for theta in act.fields
+    )
     span = IncrementalRank()
-    contains_all = True
-    for theta in act.fields:
-        linear = theta.is_vector_field() and all(sum(xe) == 1 for xe, _ in theta.terms)
-        if not (linear and is_relative(theta, det_poly())):
-            contains_all = False
-        span.add({(de, xe): cf for (xe, de), cf in theta.terms.items()})
-    return dim, contains_all, len(span.pivots)
+    return dim, contains_all, sum(span.add(theta.terms) for theta in act.fields)
 
 
 def verify_dsl2_presentation() -> CheckReport:
@@ -320,6 +318,7 @@ def _shift_closure(names, seed, poly_bound: int, order):
     skipped.  A vector that does not raise its block's rank is a combination
     of stored rows, so its shifts lie in the span of theirs: only the shifts
     of rank-raising vectors are inserted.
+    A seed whose block lies above poly_bound is skipped.
     Only blocks with w0 >= w1 are built.  phi maps block (q, (w0, w1)) to
     (q, (w1, w0)) and the vector named sig to +- the one named phi(sig): the
     callers' seeds are named so.  Every parent of a half-plane vector lies in
@@ -344,7 +343,7 @@ def _shift_closure(names, seed, poly_bound: int, order):
     levels: list[list] = [[] for _ in range(poly_bound + 1)]
     for name in names:
         block = _block_of(*name)
-        if block[1][0] >= block[1][1] and (vec := seed(name)):
+        if block[0] <= poly_bound and block[1][0] >= block[1][1] and (vec := seed(name)):
             levels[block[0]].append((block, (name, _F0), {code(k): c for k, c in vec.items()}))
     shift: list[dict] = [{} for _ in _UNITS]
     mirror: dict = {}
@@ -487,6 +486,8 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     """
     if pbw_bound < 2:
         raise ValueError("bound too small to see the relation (< 2)")
+    if poly_bound < 0:
+        raise ValueError("negative function degree bound")
     act = lr_action_mat2()
     report = CheckReport(
         check="dy",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, fmt_coef
+from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, monomial_text
 from .linalg import nullspace, num
 
 Exp = tuple[int, ...]
@@ -234,17 +234,6 @@ def euler_op(variables) -> WeylOp:
 def op_to_text(p: WeylOp) -> str:
     if not p.terms:
         return "0"
-    parts = []
-    for xe, de in sorted(p.terms, key=lambda k: (sum(k[1]), k[1], sum(k[0]), k[0]), reverse=True):
-        c = p.terms[(xe, de)]
-        xmono = " ".join(f"{v}^{k}" if k != 1 else v for v, k in zip(p.variables, xe) if k)
-        dmono = " ".join(
-            f"D{v}^{k}" if k != 1 else f"D{v}" for v, k in zip(p.variables, de) if k
-        )
-        piece = fmt_coef(c)
-        if xmono:
-            piece += f" * {xmono}"
-        if dmono:
-            piece += f" * {dmono}"
-        parts.append(piece)
-    return " + ".join(parts)
+    order = sorted(p.terms, key=lambda k: (sum(k[1]), k[1], sum(k[0]), k[0]), reverse=True)
+    texts = ((str(p.terms[k]), monomial_text(p.variables, k[0]), monomial_text(p.variables, k[1], "D")) for k in order)
+    return " + ".join(" * ".join(filter(None, t)) for t in texts)

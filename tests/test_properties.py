@@ -7,6 +7,7 @@ writes no files.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,17 @@ from horocycle.exactalg import (
     ExactPoly,
     QuotientRing,
     horocycle_ring,
+    poly_to_text,
     poly_try_divide,
     sl2_ring,
 )
 from horocycle.lie import LieAlgebraDesc, UEnvElement, sl2_desc, sl2_pair_desc
+from horocycle.linalg import IncrementalRank, _primitive, rref, sparse_to_int
 from horocycle.rees import rees_fiber
-from horocycle.weyl import WeylOp, apply_op
+from horocycle.weyl import WeylOp, apply_op, op_to_text
+from matrices import dense
 from test_exactalg import REES_RING
+from test_linalg import dense_rref
 
 V = MAT2_VARS
 RINGS = [
@@ -193,3 +198,143 @@ def test_jacobi_validation_matches_the_triple_loop(case):
     else:
         with pytest.raises(ValueError, match=r"Jacobi identity fails at \(%d,%d,%d\)" % failure):
             LieAlgebraDesc(basis, table)
+
+
+# --- the one elimination routine against hit-by-hit elimination --------------
+
+
+def _reduce_once(v, key, row):
+    """v with its `key` entry eliminated by the pivot row, content removed: the
+    single-hit step that both reduction and back-reduction once used."""
+    c = v.get(key)
+    if not c:
+        return v
+    p = row[key]
+    g = gcd(p, c)
+    p //= g
+    c //= g
+    new = {k: x * p for k, x in v.items()} if p != 1 else dict(v)
+    for k, x in row.items():
+        y = new.get(k, 0) - c * x
+        if y:
+            new[k] = y
+        else:
+            del new[k]
+    return _primitive(new)
+
+
+def _hit_by_hit_add(pivots, vec):
+    """Insert vec into {pivot key: row} by eliminating one hit at a time, then
+    back-reduce the rows holding the new pivot's key; True iff the rank grew."""
+    v = sparse_to_int(vec)
+    for k in [k for k in v if k in pivots]:
+        v = _reduce_once(v, k, pivots[k])
+    if not v:
+        return False
+    key = min(v)
+    for pkey, row in pivots.items():
+        if key in row:
+            pivots[pkey] = _reduce_once(row, key, v)
+    pivots[key] = v
+    return True
+
+
+def int_or_fraction_vectors(n: int):
+    """Sparse vectors on keys 0..n-1, all-int or all-Fraction, with negative entries
+    and explicit zeros."""
+    ints = st.dictionaries(st.integers(0, n - 1), st.integers(-12, 12), max_size=n)
+    fracs = st.dictionaries(
+        st.integers(0, n - 1), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)), max_size=n
+    )
+    return st.one_of(ints, fracs)
+
+
+@PROPERTY
+@given(st.data())
+def test_incremental_rank_keeps_its_row_invariants(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    vecs = data.draw(st.lists(int_or_fraction_vectors(n), max_size=9), label="vecs")
+    elim, reference = IncrementalRank(), {}
+    for vec in vecs:
+        assert elim.add(vec) == _hit_by_hit_add(reference, vec)
+        assert elim.pivots == reference
+        for key, row in elim.pivots.items():
+            assert all(type(x) is int and x for x in row.values())
+            g = 0
+            for x in row.values():
+                g = gcd(g, x)
+            assert g == 1  # primitive
+            assert key == min(row)
+            assert not any(other in row for other in elim.pivots if other != key)
+    mat = [[v.get(j, 0) for j in range(n)] for v in vecs]
+    red, pivots = rref(vecs)
+    expected, expected_pivots = dense_rref(mat) if mat else ([], [])
+    assert (dense(red, n), pivots) == (expected[: len(expected_pivots)], expected_pivots)
+    assert len(elim.pivots) == len(pivots)
+
+
+def test_back_reduction_against_a_negative_pivot_matches_hit_by_hit():
+    # the new vector's least entry is negative and row 0 holds its key, so the
+    # back-reduction scales row 0 by a negative factor: its pivot entry turns negative
+    elim = IncrementalRank()
+    elim.add({0: 1, 1: 2})
+    elim.add({1: -3, 2: 1})
+    assert elim.pivots == {0: {0: -3, 2: -2}, 1: {1: -3, 2: 1}}
+    reference: dict = {}
+    for vec in ({0: 1, 1: 2}, {1: -3, 2: 1}):
+        _hit_by_hit_add(reference, vec)
+    assert elim.pivots == reference
+
+
+# --- the one monomial printer against the printers it replaced ---------------
+
+
+def _old_fmt_coef(c) -> str:
+    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
+
+
+def _old_poly_to_text(f):
+    if not f.terms:
+        return "0"
+    parts = []
+    for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
+        c = f.terms[e]
+        mono = " ".join(f"{v}^{k}" if k != 1 else v for v, k in zip(f.variables, e) if k)
+        parts.append(f"{_old_fmt_coef(c)} * {mono}" if mono else _old_fmt_coef(c))
+    return " + ".join(parts)
+
+
+def _old_op_to_text(p):
+    if not p.terms:
+        return "0"
+    parts = []
+    for xe, de in sorted(p.terms, key=lambda k: (sum(k[1]), k[1], sum(k[0]), k[0]), reverse=True):
+        c = p.terms[(xe, de)]
+        xmono = " ".join(f"{v}^{k}" if k != 1 else v for v, k in zip(p.variables, xe) if k)
+        dmono = " ".join(f"D{v}^{k}" if k != 1 else f"D{v}" for v, k in zip(p.variables, de) if k)
+        piece = _old_fmt_coef(c)
+        if xmono:
+            piece += f" * {xmono}"
+        if dmono:
+            piece += f" * {dmono}"
+        parts.append(piece)
+    return " + ".join(parts)
+
+
+def _old_uenv_repr(u):
+    if not u.terms:
+        return "UEnvElement(0)"
+    parts = []
+    for e in sorted(u.terms, key=lambda e: (sum(e), e)):
+        mono = " ".join(f"{n}^{k}" if k > 1 else n for n, k in zip(u.desc.basis, e) if k)
+        parts.append(f"{u.terms[e]}*{mono or '1'}")
+    return "UEnvElement(" + " + ".join(parts) + ")"
+
+
+@PROPERTY
+@given(polys(V), polys(REES_RING.variables), ops(V), pbw_elements())
+def test_text_forms_match_the_printers_they_replaced(f, g, p, u):
+    assert poly_to_text(f) == _old_poly_to_text(f)
+    assert poly_to_text(g) == _old_poly_to_text(g)
+    assert op_to_text(p) == _old_op_to_text(p)
+    assert repr(u) == _old_uenv_repr(u)

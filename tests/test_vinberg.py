@@ -1,7 +1,10 @@
+import json
 import multiprocessing
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +383,35 @@ def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkey
 def test_dy_rejects_small_bound():
     with pytest.raises(ValueError):
         verify_dy_relation(1, 1)
+    with pytest.raises(ValueError, match="negative function degree bound"):
+        verify_dy_relation(2, -1)
+
+
+@pytest.mark.parametrize("pbw_bound", [2, 3, 4])
+def test_dy_low_function_degree_windows_match_the_golden(pbw_bound):
+    # at function degree 0 every D_j seed (function degree 1) lies above the
+    # bound; the windows are those of the bound-4 report, whose q = 0 column
+    # reads C(p + 4, 6) for p >= 2
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_dy.json").read_text())
+    expected = {it["name"]: it["got"] for it in golden["checks"][0]["items"] if it["name"].startswith("bidegree")}
+    for poly_bound in (0, 1):
+        rep = verify_dy_relation(pbw_bound, poly_bound)
+        windows = {it.name: it.got for it in rep.items if it.name.startswith("bidegree")}
+        assert rep.passed and len(windows) == (pbw_bound + 1) * (poly_bound + 1)
+        assert windows == {name: expected[name] for name in windows}
+    assert windows[f"bidegree ({pbw_bound},0): realization kernel = Casimir-difference ideal"] == str(
+        comb(pbw_bound + 4, 6)
+    )
+
+
+def test_empty_reports_do_not_pass():
+    for report in (
+        asymp_diagram_check(1, []),
+        parabolic_rank1_check(1, []),
+        pw_vs_derivations_check([], 3),
+        asymp_diagram_check(-1),
+    ):
+        assert report.items == [] and not report.passed
 
 
 def test_pw_filtration_samples():

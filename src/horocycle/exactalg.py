@@ -12,6 +12,8 @@ except that a ring memoizes the normal forms of rewritten monomials; that memo
 is keyed by the exponent on an immutable ring and filled idempotently, so
 concurrent use is still safe.  A stored coefficient is an int when it is
 integral and a fractions.Fraction otherwise (`linalg.num`), never a float.
+The constructors of `ExactPoly`, `weyl.WeylOp` and `lie.UEnvElement` all
+normalise in `SparseElement._normalise`, one pass over the given terms.
 """
 
 from __future__ import annotations
@@ -39,12 +41,32 @@ class SparseElement:
 
     Subclasses supply `_space` (what two operands must share), `_new(terms)`
     (an element of the same space) and `_one()` (its unit).  Operands of
-    another type enter sums as multiples of the unit.  Each subclass keeps its
-    own product.
+    another type enter sums as multiples of the unit, and leave the sum to the
+    other operand when that multiple is not of this type.  Each subclass keeps
+    its own product.
     """
 
     __slots__ = ("terms",)
     __hash__ = None
+
+    def _normalise(self, items, arity: int) -> None:
+        """Set `terms` from (key, coefficient) pairs in one pass: a key that is not
+        a tuple of length `arity` is converted by `tuple` (ArityMismatch if its
+        length is wrong), colliding keys are summed, and `num` normalises each
+        coefficient that is not an int (TypeError on a float, zero included)."""
+        out: dict = {}
+        for k, c in items:
+            if k.__class__ is not tuple or len(k) != arity:
+                k = tuple(k)
+                if len(k) != arity:
+                    raise ArityMismatch(f"key {k} has wrong arity for {self._space}")
+            if c.__class__ is not int:
+                c = num(c)
+            if k in out:
+                c = num(out.pop(k) + c)
+            if c:
+                out[k] = c
+        self.terms = out
 
     def _check(self, other):
         if self._space != other._space:
@@ -53,6 +75,8 @@ class SparseElement:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             other = self._one() * other
+            if not isinstance(other, type(self)):
+                return NotImplemented
         self._check(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
@@ -98,17 +122,7 @@ class ExactPoly(SparseElement):
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
-        n = len(self.variables)
-        clean = {}
-        for e, c in terms.items():
-            e = tuple(e)
-            if len(e) != n:
-                raise ArityMismatch(f"exponent {e} has wrong arity for {self.variables}")
-            if c:
-                clean[e] = clean.get(e, 0) + c
-            else:
-                num(c)  # TypeError on a float zero
-        self.terms = {e: num(c) for e, c in clean.items() if c}
+        self._normalise(terms.items(), len(self.variables))
 
     @property
     def _space(self):
@@ -142,6 +156,8 @@ class ExactPoly(SparseElement):
 
     def __mul__(self, other):
         if not isinstance(other, ExactPoly):
+            if isinstance(other, SparseElement):
+                return NotImplemented
             return ExactPoly(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         t: dict = {}
@@ -207,7 +223,9 @@ def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
         if not _divides(lead, e):
             return None
         qe = _exp_sub(e, lead)
-        qc = q[qe] = num(Fraction(rem.pop(e), lc))
+        r = rem.pop(e)
+        exact = type(r) is int and type(lc) is int and not r % lc
+        qc = q[qe] = r // lc if exact else num(Fraction(r, lc))
         for re, rc in rest:
             ne = tuple(map(operator.add, qe, re))
             c = rem.get(ne, 0) - qc * rc
@@ -219,7 +237,9 @@ def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
 
 
 def vanishing_order(f: ExactPoly, d: ExactPoly):
-    """Largest m with d^m dividing f exactly; math.inf for f = 0."""
+    """Largest m with d^m dividing f exactly; math.inf for f = 0, ValueError for a constant d."""
+    if d.degree() == 0:
+        raise ValueError("vanishing order along a constant divisor")
     if f.is_zero():
         return math.inf
     order = 0
@@ -276,9 +296,16 @@ class QuotientRing:
             raise ArityMismatch(f"{f.variables} vs {self.variables}")
         if self.relation is None:
             return f
+        memo, lead = self._nf_memo, self.lead_exp
         out: dict = {}
         for e, c in f.terms.items():
-            for ne, nc in self._monomial_nf(e):
+            nf = memo.get(e)
+            if nf is None:
+                if not all(map(operator.le, lead, e)):
+                    out[e] = out.get(e, 0) + c
+                    continue
+                nf = self._monomial_nf(e)
+            for ne, nc in nf:
                 out[ne] = out.get(ne, 0) + c * nc
         return ExactPoly(self.variables, out)
 

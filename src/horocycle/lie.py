@@ -124,17 +124,7 @@ class UEnvElement(SparseElement):
 
     def __init__(self, desc: LieAlgebraDesc, terms: dict[Exp, Fraction]):
         self.desc = desc
-        n = desc.dim
-        clean: dict = {}
-        for e, c in terms.items():
-            e = tuple(e)
-            if len(e) != n:
-                raise ValueError("PBW exponent arity mismatch")
-            if c:
-                clean[e] = clean.get(e, 0) + c
-            else:
-                num(c)  # TypeError on a float zero
-        self.terms = {e: num(c) for e, c in clean.items() if c}
+        self._normalise(terms.items(), desc.dim)
 
     @property
     def _space(self):

@@ -55,6 +55,7 @@ def sl2_derivation_space(cap: int, parity: int) -> tuple:
     are spanned by normal-form monomials of degree <= cap, degree == parity mod 2.
 
     Returned as 4-tuples of coefficient polynomials (images of a, b, c, d).
+    A cap of the other parity names the same space as cap - 1 (same monomials).
     """
     ring = sl2_ring()
     monos = [e for d in range(parity % 2, cap + 1, 2) for e in ring.nf_monomials(d)]
@@ -192,6 +193,7 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
     report.add("level BOTTOM", 0, 0, True)
 
     def lhs_dim(cap: int, parity: int) -> int:
+        cap -= (cap - parity) % 2
         return len(sl2_derivation_space(cap, parity)) if cap >= 0 else 0
 
     for n in range(-level_bound, level_bound + 1):

@@ -5,40 +5,39 @@ derivative factor; this normal order is a basis, so equality of operators is
 equality of coefficient tables.  The product is computed term by term from the
 single reordering rule D_x x = x D_x + 1, extended to powers by the usual
 binomial/falling-factorial expansion.  As in `exactalg`, a coefficient is an
-int when integral and a Fraction otherwise, never a float.
+int when integral and a Fraction otherwise, never a float.  At an operator's
+first application `apply_op` stores its apply plan (`WeylOp._plan`): per term
+c x^xe D^de, the shift xe - de and the (slot, order) pairs with nonzero order.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
+from operator import add, sub
 
 from .exactalg import ArityMismatch, ExactPoly, QuotientRing, SparseElement, monomial_text
-from .linalg import nullspace, num
+from .linalg import nullspace
 
 Exp = tuple[int, ...]
-Key = tuple[Exp, Exp]
+
+
+def _exp(e, n: int) -> Exp:
+    e = tuple(e)
+    if len(e) != n:
+        raise ArityMismatch(f"exponent {e} has wrong arity {n}")
+    return e
 
 
 class WeylOp(SparseElement):
     """Finite sum of (coordinate monomial)*(derivative monomial) terms."""
 
-    __slots__ = ("variables",)
+    __slots__ = ("variables", "_plan")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
         n = len(self.variables)
-        clean: dict = {}
-        for (xe, de), c in terms.items():
-            xe, de = tuple(xe), tuple(de)
-            if len(xe) != n or len(de) != n:
-                raise ArityMismatch("exponent arity mismatch")
-            if c:
-                k = (xe, de)
-                clean[k] = clean.get(k, 0) + c
-            else:
-                num(c)  # TypeError on a float zero
-        self.terms = {k: num(c) for k, c in clean.items() if c}
+        self._normalise((((_exp(xe, n), _exp(de, n)), c) for (xe, de), c in terms.items()), 2)
+        self._plan = None
 
     @property
     def _space(self):
@@ -88,9 +87,7 @@ class WeylOp(SparseElement):
             de = [0] * n
             de[i] = 1
             de = tuple(de)
-            for e, c in f.terms.items():
-                k = (e, de)
-                terms[k] = terms.get(k, 0) + c
+            terms.update(((e, de), c) for e, c in f.terms.items())
         return cls(variables, terms)
 
     # --- structure ---
@@ -155,19 +152,21 @@ def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
     """Act on a polynomial; apply(PQ, f) = apply(P, apply(Q, f))."""
     if p.variables != f.variables:
         raise ArityMismatch(f"{p.variables} vs {f.variables}")
-    n = len(p.variables)
+    if p._plan is None:
+        p._plan = [(tuple(map(sub, xe, de)), [(i, k) for i, k in enumerate(de) if k], c)
+                   for (xe, de), c in p.terms.items()]
     out: dict = {}
-    for (xe, de), c in p.terms.items():
+    get = out.get
+    for shift, slots, c in p._plan:
         for fe, fc in f.terms.items():
             mult = c * fc
-            for i in range(n):
-                if de[i]:
-                    if fe[i] < de[i]:
-                        break
-                    mult *= math.perm(fe[i], de[i])
+            for i, k in slots:
+                if fe[i] < k:
+                    break
+                mult *= math.perm(fe[i], k)
             else:
-                e = tuple(fe[i] - de[i] + xe[i] for i in range(n))
-                out[e] = out.get(e, 0) + mult
+                e = tuple(map(add, fe, shift))
+                out[e] = get(e, 0) + mult
     return ExactPoly(p.variables, out)
 
 

@@ -1,5 +1,7 @@
 """Every memo of the package is a `functools.cache`, apart from the rings'
-normal-form memos, and a warm cache changes no report.
+normal-form memos (`QuotientRing._nf_memo`) and each operator's apply plan
+(`WeylOp._plan`, which lives and dies with its operator, so clearing the
+caches that hold operators drops it), and a warm cache changes no report.
 
 A caller that mutated a shared cached table would make a later run differ
 from a cold one, so each report is compared with its golden file after all

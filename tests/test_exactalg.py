@@ -179,6 +179,13 @@ def test_vanishing_order():
     assert vanishing_order(ExactPoly.zero(V), dp) == math.inf
 
 
+def test_vanishing_order_rejects_a_constant_divisor():
+    # a nonzero constant divides every polynomial to every order
+    for f in (a, ExactPoly.zero(V)):
+        with pytest.raises(ValueError):
+            vanishing_order(f, ExactPoly.constant(V, 2))
+
+
 def test_vanishing_order_additive():
     rng = random.Random(23)
     dp = det_poly()
@@ -338,6 +345,22 @@ def test_float_coefficients_are_rejected():
         num(0.5)
     assert num(Fraction(4, 2)) == 2 and type(num(Fraction(4, 2))) is int
     assert num(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_constructors_convert_keys_and_sum_collisions():
+    # range(4) is not a tuple, so it is a separate input key until converted
+    half = Fraction(1, 2)
+    for make, key, same, short in (
+        (lambda t: ExactPoly(V, t), range(4), (0, 1, 2, 3), (0, 1)),
+        (lambda t: UEnvElement(sl2_desc(), t), range(3), (0, 1, 2), (0, 1)),
+        (lambda t: WeylOp(V, t), (range(4), (0,) * 4), ((0, 1, 2, 3), (0,) * 4), ((0, 1), (0,) * 4)),
+    ):
+        summed = make({key: half, same: Fraction(3, 2)})
+        assert summed.terms == {same: 2} and type(summed.terms[same]) is int
+        assert all(type(k) is tuple for k in make({key: 1}).terms)
+        assert make({key: half, same: -half}).terms == {}
+        with pytest.raises(ArityMismatch):
+            make({short: 1})
 
 
 def test_float_zero_coefficients_are_rejected():

@@ -1,12 +1,17 @@
-"""linalg against sympy on seeded random integer matrices."""
+"""linalg, `apply_op` and `QuotientRing.normal_form` against sympy on seeded
+random inputs."""
 
 import random
 from fractions import Fraction
 
 import sympy
 
+from horocycle.exactalg import MAT2_VARS, ExactPoly, horocycle_ring, mat2_ring, sl2_ring
 from horocycle.linalg import char_poly, nullspace, rref
+from horocycle.weyl import WeylOp, apply_op
 from matrices import dense, rank, sparse
+
+GENS = sympy.symbols(MAT2_VARS)
 
 
 def _fraction(x) -> Fraction:
@@ -52,3 +57,49 @@ def test_char_poly_matches_sympy():
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         expected = [_fraction(c) for c in sympy.Matrix(mat).charpoly(x).all_coeffs()]
         assert char_poly(sparse(mat)) == expected
+
+
+def _sympy_poly(f: ExactPoly):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**k for g, k in zip(GENS, e)))
+                       for e, c in f.terms.items()))
+
+
+def _exponent(rng, degree):
+    e = [0] * 4
+    for _ in range(rng.randint(0, degree)):
+        e[rng.randrange(4)] += 1
+    return tuple(e)
+
+
+def _coef(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+
+def _random_poly(rng, degree, terms):
+    return ExactPoly(MAT2_VARS, {_exponent(rng, degree): _coef(rng) for _ in range(terms)})
+
+
+def test_apply_op_matches_sympy_differentiation():
+    # each operator acts on several polynomials, so its apply plan is reused
+    rng = random.Random(31)
+    for _ in range(40):
+        op = WeylOp(MAT2_VARS, {(_exponent(rng, 2), _exponent(rng, 3)): _coef(rng) for _ in range(rng.randint(1, 5))})
+        for _ in range(3):
+            f = _random_poly(rng, 5, rng.randint(1, 6))
+            expected = 0
+            for (xe, de), c in op.terms.items():
+                term = _sympy_poly(f)
+                for g, k in zip(GENS, de):
+                    term = sympy.diff(term, g, k)
+                expected += _sympy_poly(ExactPoly.monomial(MAT2_VARS, xe, c)) * term
+            assert sympy.expand(_sympy_poly(apply_op(op, f)) - expected) == 0
+
+
+def test_normal_form_matches_sympy_reduction():
+    rng = random.Random(32)
+    for ring in (mat2_ring(), sl2_ring(), horocycle_ring()):
+        relations = [] if ring.relation is None else [_sympy_poly(ring.relation)]
+        for _ in range(40):
+            f = _random_poly(rng, 6, rng.randint(1, 6))
+            _, remainder = sympy.reduced(_sympy_poly(f), relations, *GENS, order="grlex")
+            assert sympy.expand(_sympy_poly(ring.normal_form(f)) - remainder) == 0

@@ -127,6 +127,17 @@ def test_apply_examples():
     assert apply_op(theta, det_poly()).is_zero()
 
 
+def test_polynomials_combine_with_operators_as_order_zero_operators():
+    rng = random.Random(7)
+    for _ in range(10):
+        f, op = rand_poly(rng), rand_op(rng)
+        assert f * op == WeylOp.from_poly(f) * op
+        assert f + op == WeylOp.from_poly(f) + op == op + f
+        assert f - op == WeylOp.from_poly(f) - op
+    with pytest.raises(TypeError):
+        _ = a * 0.5
+
+
 def test_is_relative_examples():
     dp = det_poly()
     assert is_relative(WeylOp.vector_field([c, d, zero, zero]), dp)

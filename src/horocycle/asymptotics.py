@@ -8,15 +8,15 @@ Laurent exponent.  In rank one the coinvariants are spanned by weight vectors,
 so the induced Cartan is diagonal and the exponents are read off its diagonal.
 The oracle is the weight-basis closed form {m - 2j} of the exponents of Sym^m
 at diag(s, 1/s); it is written down, not evaluated on a group element (a
-group-level oracle is item 2 of ROADMAP.md).
+group-level oracle is item 2 of ROADMAP.md).  Exponents are `linalg.num`
+values, so an integral one prints as the oracle's ints do.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .action import LieSubalgebra, coinvariants
 from .lie import FinDimRep, sym_power_rep, tensor_dual_rep
+from .linalg import num
 from .reports import CheckReport
 
 
@@ -33,11 +33,11 @@ def _off_diagonal(matrix) -> list[tuple[int, int]]:
     return [(i, k) for i, row in enumerate(matrix) for k in row if k != i]
 
 
-def _diagonal(matrix) -> list[Fraction]:
-    return [Fraction(row.get(i, 0)) for i, row in enumerate(matrix)]
+def _diagonal(matrix) -> list:
+    return [num(row.get(i, 0)) for i, row in enumerate(matrix)]
 
 
-def exponents_from_coinvariants(rep: FinDimRep) -> tuple[list[Fraction], list[tuple[int, int]]]:
+def exponents_from_coinvariants(rep: FinDimRep) -> tuple[list, list[tuple[int, int]]]:
     """(the sorted diagonal of the Cartan H induced on coinvariants by the raising
     operator E, the positions of its nonzero off-diagonal entries).
 

@@ -120,6 +120,8 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     and fill a space of the same dimension as the relative-field kernel on Mat2
     in that coefficient degree.
     """
+    if level_bound < 0:
+        raise ValueError("level bound must be non-negative")
     report = CheckReport(check="tau", parameters={"level_bound": level_bound})
     detp = det_poly()
     for level in range(level_bound + 1):
@@ -187,6 +189,8 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
     The graded side is realised concretely as the span of the built-in
     action's six fields with homogeneous coefficients on the rank-one cone.
     """
+    if level_bound < 1 or coef_bound < 1:
+        raise ValueError("level and coefficient bounds must be at least 1")
     report = CheckReport(
         check="grderv", parameters={"level_bound": level_bound, "coef_bound": coef_bound}
     )
@@ -208,6 +212,8 @@ def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckRepo
 
 def rees_dimension_check(bound: int = 6) -> CheckReport:
     """Graded/filtered dimension tables of the Rees algebra O(Mat2) and its two fibers."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     fiber1 = rees_fiber(1)
     fiber0 = rees_fiber(0)
     report = CheckReport(check="rees", parameters={"bound": bound})

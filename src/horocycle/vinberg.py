@@ -201,15 +201,9 @@ _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c 
 # where the normal form of a monomial is one monomial (ad -> bc).  All products
 # preserve both the function degree and the torus biweight, so elements stay
 # inside one homogeneity block.  Every coefficient is an int: moment maps of
-# PBW monomials, PBW products and field actions are integral, and each cached
+# PBW monomials, PBW products and field actions are integral, and each such
 # table passes through `_integral`, which raises on a non-integral entry.
 # Callers do not mutate a cached table.
-
-
-@functools.cache
-def _mu_of(ue) -> dict:
-    """Coefficient table {(xe, de): int} of mu(x^ue)."""
-    return _integral(moment_map(UEnvElement(sl2_pair_desc(), {ue: 1}), lr_action_mat2()).terms)
 
 
 @functools.cache
@@ -218,13 +212,11 @@ def _pbw_mul(e1, e2) -> dict:
     return _integral((UEnvElement(pair, {e1: 1}) * UEnvElement(pair, {e2: 1})).terms)
 
 
-@functools.cache
 def _field_act(j, fe) -> dict:
     poly = apply_op(lr_action_mat2().fields[j], ExactPoly.monomial(V, fe))
     return _integral(horocycle_ring().normal_form(poly).terms)
 
 
-@functools.cache
 def _push(ue, fe) -> dict:
     """mu(x^ue) * m_{x^fe} rewritten with the function on the left."""
     if ue == _U0:
@@ -266,8 +258,9 @@ def _mono_mul(e1, e2):
 def _realize(elem: dict) -> dict:
     """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
     acc: dict = {}
+    pair, act = sl2_pair_desc(), lr_action_mat2()
     for (ue, fe), cf in elem.items():
-        for (xe, de), c in _mu_of(ue).items():
+        for (xe, de), c in _integral(moment_map(UEnvElement(pair, {ue: 1}), act).terms).items():
             k = (de, _mono_mul(xe, fe))
             acc[k] = acc.get(k, 0) + cf * c
     return {k: v for k, v in acc.items() if v}
@@ -598,6 +591,8 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
     The expression level bounds the operator's filtration level from above and
     the action level bounds it from below, so agreement pins the level exactly.
     """
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     act = lr_action_mat2()
     ring = sl2_ring()
     if samples is None:
@@ -672,33 +667,32 @@ def default_sample_points():
 
 
 def _rep_family(rep_bound: int):
+    """(name, m, k, V_m (x) V_k*) for m, k <= rep_bound, which must be at least 1."""
+    if rep_bound < 1:
+        raise ValueError("rep bound must be at least 1")
     ms = range(rep_bound + 1)
-    return [(f"V{m} (x) V{k}*", tensor_dual_rep(m, k)) for m in ms for k in ms]
+    return [(f"V{m} (x) V{k}*", m, k, tensor_dual_rep(m, k)) for m in ms for k in ms]
 
 
 def asymp_diagram_check(rep_bound: int = 3, points=None) -> CheckReport:
-    """Relative-localization fibers on matrix space against direct localization
-    on each determinant level set, as coinvariant dimensions."""
-    actm = lr_action_mat2()
+    """Coinvariant dimension of V_m (x) V_k* under the stabilizer of each point
+    in its determinant level set, against Schur's lemma: 1 if m = k, else 0.
+    On det=1 the stabilizer is a twisted diagonal sl2; on det=0 it is conjugate
+    to (upper, lower) triangular pairs with one diagonal, whose nilradicals
+    leave the weights -m and k for the shared torus to match."""
     if points is None:
         det1, det0 = default_sample_points()
         points = det1 + det0
     report = CheckReport(check="asymp-diagram", parameters={"rep_bound": rep_bound, "points": len(points)})
-    stabs = {}
+    stabs = []
     for p in points:
-        fiber, direct = level_set_action(p)
-        stabs[p.coords] = (fiber, stabilizer_subalgebra(actm, p), stabilizer_subalgebra(direct, p))
-    for name, module in _rep_family(rep_bound):
-        for p in points:
-            fiber, rel_stab, dir_stab = stabs[p.coords]
-            rel_dim = coinvariants(module, rel_stab).dimension
-            dir_dim = coinvariants(module, dir_stab).dimension
-            report.add(
-                f"{name} at {tuple(str(x) for x in p.coords)} ({fiber})",
-                str(dir_dim),
-                str(rel_dim),
-                rel_dim == dir_dim,
-            )
+        fiber, act = level_set_action(p)
+        stabs.append((f"{tuple(str(x) for x in p.coords)} ({fiber})", stabilizer_subalgebra(act, p)))
+    for name, m, k, module in _rep_family(rep_bound):
+        want = str(int(m == k))
+        for where, stab in stabs:
+            got = str(coinvariants(module, stab).dimension)
+            report.add(f"{name} at {where}", want, got, got == want)
     return report
 
 
@@ -729,7 +723,7 @@ def parabolic_rank1_check(rep_bound: int = 3, points=None) -> CheckReport:
             raise ValueError(f"{p.coords} is not on the designated torus fiber")
     # the staged side does not depend on the point
     staged = []
-    for name, module in _rep_family(rep_bound):
+    for name, _, _, module in _rep_family(rep_bound):
         stage1 = coinvariants(module, n_sub, commuting=hh)
         t_sum, t_h1 = stage1.induced
         # [H1, H1 + H2] = 0, so H1 descends to the quotient by H1 + H2

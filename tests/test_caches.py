@@ -28,11 +28,8 @@ EXPECTED = {
     "rees._det_power",
     "rees._graded_span_dim",
     "rees.sl2_derivation_space",
-    "vinberg._field_act",
     "vinberg._mono_mul",
-    "vinberg._mu_of",
     "vinberg._pbw_mul",
-    "vinberg._push",
 }
 
 # the rings whose normal forms the suites memoize (`QuotientRing._nf_memo`)

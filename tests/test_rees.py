@@ -131,6 +131,24 @@ def test_tau_check_fails_on_a_wrong_det_power(monkeypatch):
     assert failed == [f"level {n}: lifted derivations = relative fields" for n in range(1, 5)]
 
 
+def test_tau_check_rejects_a_negative_bound():
+    with pytest.raises(ValueError):
+        tau_check(-1)
+
+
+def test_gr_derivations_check_rejects_bounds_below_one():
+    # at level bound 0 with coefficient bound 0 only the literal BOTTOM item and
+    # empty spaces remain; either bound below 1 is refused
+    for bounds in ((-1, -1), (0, 4), (4, 0)):
+        with pytest.raises(ValueError):
+            gr_derivations_check(*bounds)
+
+
+def test_rees_dimension_check_rejects_a_negative_bound():
+    with pytest.raises(ValueError):
+        rees_dimension_check(-1)
+
+
 def test_gr_derivations_small():
     rep = gr_derivations_check(2, 2)
     assert rep.passed

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from horocycle.action import RationalPoint, lr_action_mat2
+from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_mat2
 from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
-from horocycle import vinberg
+from horocycle import action, vinberg
 from horocycle.linalg import IncrementalRank
-from horocycle.weyl import apply_op
+from horocycle.weyl import WeylOp, apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
     _block_of,
@@ -39,6 +39,7 @@ from horocycle.vinberg import (
     verify_sl2_identities,
     vfiltration_check,
 )
+from test_caches import clear_all_caches
 
 
 def test_identity_suite_passes():
@@ -159,6 +160,41 @@ def test_dy_generators_have_the_stated_degrees():
         assert max(sum(ue) for ue, _ in gens[unit]) == 1, unit
         assert {sum(fe) for _, fe in gens[unit]} == {1}
         assert not _realize(gens[unit])
+
+
+def _act(i, f):
+    """The field of basis element i on a function {monomial: coefficient}."""
+    out = Counter()
+    for fe, c in f.items():
+        for h, c2 in _field_act(i, fe).items():
+            out[h] += c * c2
+    return out
+
+
+def _commutator_with_delta(unit):
+    """D_j = [Delta, m_{x_j}] for x_j = x^unit, keyed (pbw exp, monomial), without
+    `_push`.  Delta has PBW degree 2 and no constant term, so each of its PBW
+    monomials is X or XY with X <= Y in PBW order, and [X, m_x] = m_{Xx},
+    [XY, m_x] = m_{Yx} X + m_{X(Yx)} + m_{Xx} Y."""
+    u0, units = (0,) * 6, [tuple(int(i == j) for i in range(6)) for j in range(6)]
+    x, out = {unit: 1}, Counter()
+    for ue, c in _delta().items():
+        factors = [i for i in range(6) for _ in range(ue[i])]
+        if len(factors) == 1:
+            terms = [(u0, _act(factors[0], x))]
+        else:
+            i, j = factors
+            terms = [(units[i], _act(j, x)), (u0, _act(i, _act(j, x))), (units[j], _act(i, x))]
+        for w, f in terms:
+            for h, c2 in f.items():
+                out[w, h] += c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def test_dy_generators_match_the_commutator_closed_form():
+    gens = _dy_generators(_delta())
+    for unit in UNITS:
+        assert gens[unit] == _commutator_with_delta(unit), unit
 
 
 def _signed_equal(x, y):
@@ -409,9 +445,15 @@ def test_empty_reports_do_not_pass():
         asymp_diagram_check(1, []),
         parabolic_rank1_check(1, []),
         pw_vs_derivations_check([], 3),
-        asymp_diagram_check(-1),
     ):
         assert report.items == [] and not report.passed
+
+
+def test_pw_vs_derivations_check_rejects_bounds_below_one():
+    # at bound 0 every sample's action level is read on the constants alone
+    for bound in (-1, 0):
+        with pytest.raises(ValueError):
+            pw_vs_derivations_check(bound=bound)
 
 
 def test_pw_filtration_samples():
@@ -434,16 +476,59 @@ def test_vfilt_rejects_negative():
         vfiltration_check(-1)
 
 
-def test_asymp_diagram_small():
+def test_asymp_diagram_small(monkeypatch):
+    # one stabilizer per point and one quotient per (module, point)
+    calls = Counter()
+
+    def counted(name):
+        def call(*args, original=getattr(vinberg, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("stabilizer_subalgebra", "coinvariants"):
+        monkeypatch.setattr(vinberg, name, counted(name))
     rep = asymp_diagram_check(rep_bound=1)
     assert rep.passed
     det1, det0 = default_sample_points()
     assert len(det1) == 3 and len(det0) == 5
+    assert calls == {"stabilizer_subalgebra": 8, "coinvariants": 4 * 8} and len(rep.items) == 4 * 8
 
 
 def test_asymp_diagram_rejects_off_fiber_points():
-    with pytest.raises(ValueError):
-        asymp_diagram_check(rep_bound=0, points=[RationalPoint((1, 0, 0, 2))])
+    with pytest.raises(PointNotOnVariety):
+        asymp_diagram_check(rep_bound=1, points=[RationalPoint((1, 0, 0, 2))])
+
+
+def test_asymp_diagram_rejects_rep_bounds_below_one():
+    # below rep bound 1 only V0 (x) V0* is left, whose coinvariants are 1 everywhere
+    for rep_bound in (-1, 0):
+        with pytest.raises(ValueError, match="rep bound"):
+            asymp_diagram_check(rep_bound)
+
+
+def test_asymp_diagram_fails_when_the_right_factor_acts_by_zero(monkeypatch):
+    # sl2 (+) 0 is still an action, but the stabilizer of a point then holds the
+    # whole right factor, which kills V_k* unless k = 0: the items V_m (x) V_m*,
+    # m > 0, read 0, and V_m (x) V0* reads the nonzero coinvariants of V_m
+    # under the stabilizer's left part
+    builtin = action._builtin_action
+
+    def left_only(ring):
+        act = builtin(ring)
+        zero = WeylOp.zero(ring.variables)
+        return action.InfinitesimalAction(act.desc, ring, act.fields[:3] + (zero,) * 3)
+
+    clear_all_caches()
+    monkeypatch.setattr(action, "_builtin_action", left_only)
+    try:
+        rep = asymp_diagram_check(2)
+    finally:
+        monkeypatch.undo()
+        clear_all_caches()
+    failed = {it.name.split(" at ")[0] for it in rep.items if not it.passed}
+    assert failed == {"V1 (x) V0*", "V2 (x) V0*", "V1 (x) V1*", "V2 (x) V2*"}
+    assert len(rep.items) == 72 and sum(not it.passed for it in rep.items) == 32
 
 
 def test_parabolic_small():
@@ -452,8 +537,14 @@ def test_parabolic_small():
 
 
 def test_parabolic_rejects_off_fiber_points():
-    with pytest.raises(ValueError):
-        parabolic_rank1_check(rep_bound=0, points=[RationalPoint((1, 1, 0, 0))])
+    with pytest.raises(ValueError, match="torus fiber"):
+        parabolic_rank1_check(rep_bound=1, points=[RationalPoint((1, 1, 0, 0))])
+
+
+def test_parabolic_rejects_rep_bounds_below_one():
+    for rep_bound in (-1, 0):
+        with pytest.raises(ValueError, match="rep bound"):
+            parabolic_rank1_check(rep_bound)
 
 
 def test_cone_monomial_normal_form_matches_the_quotient_ring():

@@ -166,8 +166,6 @@ def _graded_span_dim(n: int) -> int:
     """Dimension of the weight-n piece of the module that the fields of the
     built-in action span on the cone (six fields spanning its relative kernel)."""
     ring = horocycle_ring()
-    if n < 0:
-        return 0
     fields = [theta.coefficient_polys() for theta in lr_action_horocycle().fields]
     elim = IncrementalRank()
     dim = 0

@@ -312,12 +312,16 @@ def _shift_closure(names, seed, poly_bound: int, order):
     of stored rows, so its shifts lie in the span of theirs: only the shifts
     of rank-raising vectors are inserted.
     A seed whose block lies above poly_bound is skipped.
-    Only blocks with w0 >= w1 are built.  phi maps block (q, (w0, w1)) to
-    (q, (w1, w0)) and the vector named sig to +- the one named phi(sig): the
-    callers' seeds are named so.  Every parent of a half-plane vector lies in
-    the half-plane, except the x_d-parent of a vector in a diagonal block,
-    whose x_d-shift is +- the phi image of the x_a-shift of its mirror; so a
-    diagonal block also gets the phi image of each shift inserted into it.
+    Only the blocks (q, (w0, w1)) with w0 >= w1 >= q - poly_bound are built,
+    seeds and shifts alike, and only those with w1 >= 0, a fundamental domain
+    of <W, phi>, are counted in `pivots` and `raised`.  The collar w1 < 0
+    holds parents: a shift raises q by 1 and moves w1 by +-1, so each span is
+    exact.  phi maps block (q, (w0, w1)) to (q, (w1, w0)) and the vector named
+    sig to +- the one named phi(sig): the callers' seeds are named so.  Every
+    parent of a built vector is built, except the x_d-parent of a vector in a
+    diagonal block, whose x_d-shift is +- the phi image of the x_a-shift of
+    its mirror; so a diagonal block also gets the phi image of each shift
+    inserted into it.
     Each function degree is inserted once all shifts into it are known, block
     by block, in the order of order(sig, vec); no later level inserts into a
     done one, so its eliminators are counted then and dropped.
@@ -333,10 +337,13 @@ def _shift_closure(names, seed, poly_bound: int, order):
             keys[hit] = key
         return hit
 
+    def built(block) -> bool:
+        return block[0] <= poly_bound and block[1][0] >= block[1][1] >= block[0] - poly_bound
+
     levels: list[list] = [[] for _ in range(poly_bound + 1)]
     for name in names:
         block = _block_of(*name)
-        if block[0] <= poly_bound and block[1][0] >= block[1][1] and (vec := seed(name)):
+        if built(block) and (vec := seed(name)):
             levels[block[0]].append((block, (name, _F0), {code(k): c for k, c in vec.items()}))
     shift: list[dict] = [{} for _ in _UNITS]
     mirror: dict = {}
@@ -350,20 +357,20 @@ def _shift_closure(names, seed, poly_bound: int, order):
             elim = blocks.get(block) or blocks.setdefault(block, IncrementalRank())
             if not elim.add(vec):
                 continue
-            raised.append((block, sig))
+            if block[1][1] >= 0:
+                raised.append((block, sig))
             if q == poly_bound:
                 continue
             (name, g), (w0, w1) = sig, block[1]
             for unit, table, (dw0, dw1) in zip(_UNITS, shift, _VAR_WEIGHTS):
-                child = (name, _mono_mul(g, unit))
-                if child in seen or w0 + dw0 < w1 + dw1:
+                child, target = (name, _mono_mul(g, unit)), (q + 1, (w0 + dw0, w1 + dw1))
+                if child in seen or not built(target):
                     continue
                 seen.add(child)
                 for k in vec:
                     if k not in table:
                         top, h = keys[k]
                         table[k] = code((top, _mono_mul(h, unit)))
-                target = (q + 1, (w0 + dw0, w1 + dw1))
                 shifted = {table[k]: c for k, c in vec.items()}
                 levels[q + 1].append((target, child, shifted))
                 if w0 + dw0 == w1 + dw1 and (image := _phi(child)[0]) not in seen:
@@ -377,13 +384,15 @@ def _shift_closure(names, seed, poly_bound: int, order):
                         out[hit[0]] = hit[1] * c
                     levels[q + 1].append((target, image, out))
         level.clear()
-        pivots.update((block, sum(keys[k][0])) for block, elim in blocks.items() for k in elim.pivots)
+        pivots.update((b, sum(keys[k][0])) for b, elim in blocks.items() if b[1][1] >= 0 for k in elim.pivots)
     return pivots, keys, raised
 
 
 def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
     """{(block, d): the columns of enveloping degree d in the block minus the
-    rank they add to those of lower degree}, on the blocks with w0 >= w1.
+    rank they add to those of lower degree}, on the blocks with w0 >= w1 >= 0
+    (the fundamental domain that `_window` unfolds by orbit size; its
+    closure's collar w1 < 0 is built but not counted).
 
     Column (u, f) is x^f times the cone-reduced table of mu(u), keyed
     (de, h): the seed named (u, 1) shifted by x^f.  mu(u) itself has
@@ -408,7 +417,7 @@ def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
         for fe in horocycle_ring().nf_monomials(q):
             fw0, fw1 = _weight(fe, _VAR_WEIGHTS)
             for (d, (uw0, uw1)), n in u_count.items():
-                if uw0 + fw0 >= uw1 + fw1:
+                if uw0 + fw0 >= uw1 + fw1 >= 0:
                     dims[(q, (uw0 + fw0, uw1 + fw1)), d] += n
     dims.subtract((block, sum(sig[0][0])) for block, sig in raised)
     return dims
@@ -440,8 +449,13 @@ def _dy_kernel_worker(sender, pbw_bound: int, poly_bound: int) -> None:
 
 def _window(dims: Counter, p: int, q: int) -> int:
     """The sum of `dims` over enveloping degree <= p and function degree <= q,
-    a block with w0 > w1 counted twice, for itself and its phi mirror."""
-    return sum(n * (2 - (w0 == w1)) for ((fq, (w0, w1)), d), n in dims.items() if fq <= q and d <= p)
+    a block of weight w0 >= w1 >= 0 weighted by the size of its orbit under
+    <W, phi>: 1 at (0, 0), 4 if w1 = 0 or w0 = w1, 8 otherwise.  A window of
+    either side is a submodule under ad of sl2 + sl2 (ad keeps U_{<=p}, the
+    linear fields keep O_q and Delta is central, so ad_X(D_j) lies in the span
+    of the D_k), so its weight multiplicities are invariant under W and phi."""
+    return sum(n * (1 if w0 == 0 else 4 if w1 in (0, w0) else 8)
+               for ((fq, (w0, w1)), d), n in dims.items() if fq <= q and d <= p)
 
 
 def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
@@ -464,12 +478,13 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     is again det times an operator, so the span realizes to zero and equal
     windows prove kernel = ideal.  Items certify that phi (`_phi`) is an
     automorphism with phi(Delta) = -Delta.
-    Both sides are one `_shift_closure` on the blocks with w0 >= w1, each
-    reduced to a count per (block, enveloping degree d): the kernel's columns
-    of degree d minus the rank they add, the ideal's pivots of degree d, a
-    pivot being a key of its row's top degree.  A window is one `_window` sum
-    of such counts, each block counted with its phi-orbit size: 1 on the
-    diagonal, 2 off it.
+    Both sides are one `_shift_closure` on the fundamental domain w0 >= w1
+    >= 0 of W = {+-1}^2 and phi, with a collar of parents, each reduced to a
+    count per (block, enveloping degree d): the kernel's columns of degree d
+    minus the rank they add, the ideal's pivots of degree d, a pivot being a
+    key of its row's top degree.  A window is one `_window` sum of these
+    counts, each block weighted by its orbit size, since each window of
+    either side is an sl2 + sl2-module under ad, whose counts W and phi keep.
     The kernel closure runs in one worker process while this one builds the
     generators, the ideal closure and the generator certificate: the sides
     share no state and meet only in the window sums, which read the kernel's

@@ -109,7 +109,7 @@ def test_criterion_04_stretch_bound_5():
         assert json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n" == golden
         return report.passed
 
-    _within("4 stretch (rank-one cone relation, bound 5)", 8, run)
+    _within("4 stretch (rank-one cone relation, bound 5)", 3, run)
 
 
 def test_criterion_05_rees_machinery():

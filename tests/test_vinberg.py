@@ -262,17 +262,19 @@ def _record(monkeypatch, run):
 
 
 def _ideal_blocks(monkeypatch, gens, build_bound, poly_bound):
-    """({block: IncrementalRank}, keys, add calls) of `_dy_ideal`: each recorded
+    """({block: IncrementalRank}, keys, add calls, pivots) of `_dy_ideal`: each recorded
     eliminator with rows is mapped to the one block of its rows' keys, and the
-    Counter the closure returns must count their pivots by top degree."""
+    Counter the closure returns must count their pivots by top degree on the
+    domain blocks and on no collar block."""
     (pivots, keys, _), made, inserts = _record(monkeypatch, lambda: _dy_ideal(gens, build_bound, poly_bound))
     blocks = {}
     for elim in (e for e in made if e.pivots):
         [block] = {_block_of(*keys[k]) for row in elim.pivots.values() for k in row}
         assert block not in blocks
         blocks[block] = elim
-    assert pivots == Counter((block, sum(keys[k][0])) for block, elim in blocks.items() for k in elim.pivots)
-    return blocks, keys, inserts
+    counted = {block: elim for block, elim in blocks.items() if _in_domain(block)}
+    assert pivots == Counter((block, sum(keys[k][0])) for block, elim in counted.items() for k in elim.pivots)
+    return blocks, keys, inserts, pivots
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", [(3, 3), (2, 5)])
@@ -289,14 +291,51 @@ def test_dy_five_generators_span_the_ideal_of_every_left_multiple(monkeypatch, p
         assert _same_span(elim, old[key]), key
 
 
-def _upper(block):
-    """Whether a block (q, (w0, w1)) lies in the half-plane w0 >= w1 that dy computes."""
-    return block[1][0] >= block[1][1]
+def _in_domain(block):
+    """Whether a block (q, (w0, w1)) lies in the fundamental domain w0 >= w1 >= 0
+    of <W, phi> whose counts dy returns."""
+    return block[1][0] >= block[1][1] >= 0
+
+
+def _built(block, poly_bound):
+    """Whether the closure builds block (q, (w0, w1)): the domain and the collar
+    w0 >= w1 >= q - poly_bound below it, which shrinks to nothing at the top level."""
+    return block[1][0] >= block[1][1] >= block[0] - poly_bound
 
 
 def _mirror(block):
     q, (w0, w1) = block
     return q, (w1, w0)
+
+
+def _orbit(w):
+    """The weights g(w) for the 8 elements g of <W, phi>: W = {+-1}^2 changes
+    the signs of w0 and w1, phi swaps them."""
+    return {(s0 * x, s1 * y) for x, y in (w, w[::-1]) for s0 in (1, -1) for s1 in (1, -1)}
+
+
+def _assert_orbit_invariant(counts):
+    """Each count {((q, w), d): n} is the same at every weight of the orbit of w."""
+    for ((q, w), d), n in counts.items():
+        for image in _orbit(w):
+            assert counts[(q, image), d] == n, (q, w, image, d)
+
+
+def _assert_windows_unfold(domain, full, pbw_bound, poly_bound):
+    """Each window's orbit-weighted sum of the domain counts is the full plane's sum."""
+    for p in range(pbw_bound + 1):
+        for q in range(poly_bound + 1):
+            want = sum(n for ((fq, _), d), n in full.items() if fq <= q and d <= p)
+            assert _window(domain, p, q) == want, (p, q)
+
+
+def test_dy_window_weights_each_domain_block_by_its_orbit_size():
+    for w0 in range(6):
+        for w1 in range(w0 + 1):
+            assert _window(Counter({((0, (w0, w1)), 0): 1}), 0, 0) == len(_orbit((w0, w1))), (w0, w1)
+    # a count enters the windows at or above its function degree and enveloping degree
+    dims = Counter({((2, (3, 1)), 1): 5})
+    assert _window(dims, 0, 2) == _window(dims, 1, 1) == 0 and _window(dims, 1, 2) == 40
 
 
 def test_phi_is_the_adjugate_substitution_and_an_involution():
@@ -316,7 +355,7 @@ def test_phi_is_the_adjugate_substitution_and_an_involution():
 
 def _full_plane_ideal_span(gens, build_bound, poly_bound):
     """The ideal closure over every weight block, without the symmetry and over
-    keys (u, f) ordered by (-deg u, u, f): the oracle of the half-plane closure
+    keys (u, f) ordered by (-deg u, u, f): the oracle of the domain closure
     in `_dy_ideal`.  {block: (IncrementalRank, rows inserted)}."""
     blocks: dict = {}
     work: list = []
@@ -347,32 +386,37 @@ def _full_plane_ideal_span(gens, build_bound, poly_bound):
     return blocks
 
 
-# ideal-side inserts by (pbw_bound, poly_bound): the half-plane seeds plus the
-# distinct shifts of rank-raising vectors and, in a diagonal block, the phi images
-# of those whose name phi(sig) is not inserted yet
-IDEAL_INSERTS = {(3, 3): 1324, (2, 5): 1143, (4, 2): 1602, (4, 4): 7043}
+# ideal-side inserts by (pbw_bound, poly_bound): the seeds in the built blocks
+# plus the distinct shifts of rank-raising vectors into built blocks and, in a
+# diagonal block, the phi images of those whose name phi(sig) is not inserted yet
+IDEAL_INSERTS = {(3, 3): 583, (2, 5): 561, (4, 2): 908, (4, 4): 4080}
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", list(IDEAL_INSERTS))
 def test_dy_half_plane_ideal_is_the_full_plane_closure(monkeypatch, pbw_bound, poly_bound):
-    """On every block with w0 >= w1 the half-plane closure has the oracle's
-    pivots and span in key space; the oracle itself is phi-symmetric: phi maps
-    each block's basis into the span of its mirror block."""
+    """Every block the closure builds, the domain w0 >= w1 >= 0 and its
+    collar, has the oracle's pivots and span in key space, and the closure's
+    counts of pivots by top degree are the oracle's on the domain.  The
+    oracle's counts are invariant under <W, phi>, and phi maps each block's
+    basis into the span of its mirror block, so every window's orbit-weighted
+    sum of the domain counts is the full plane's."""
     gens = _dy_generators(_delta())
     build = pbw_bound + _DY_MARGIN
-    blocks, keys, inserts = _ideal_blocks(monkeypatch, gens, build, poly_bound)
-    half = _key_space(blocks, keys)
+    blocks, keys, inserts, pivots = _ideal_blocks(monkeypatch, gens, build, poly_bound)
+    built = _key_space(blocks, keys)
     full = _full_plane_ideal_span(gens, build, poly_bound)
-    assert {k for k, elim in half.items() if elim.pivots} == {
-        k for k, (_, basis) in full.items() if basis and _upper(k)
-    }
-    for key, elim in half.items():
+    assert set(built) == {k for k, (_, basis) in full.items() if basis and _built(k, poly_bound)}
+    for key, elim in built.items():
         assert _same_span(elim, full[key][0]), key
     for key, (elim, basis) in full.items():
         mirror = full[_mirror(key)][0]
-        assert len(elim.pivots) == len(mirror.pivots), key
         images = ({(d,) + image: s * c for (d, *k), c in v.items() for image, s in [_phi(tuple(k))]} for v in basis)
         assert not any(mirror.reduce(v) for v in images), key
+    # an oracle pivot (-deg u, u, f) has its row's top enveloping degree
+    every = Counter((key, -k[0]) for key, (elim, _) in full.items() for k in elim.pivots)
+    _assert_orbit_invariant(every)
+    assert pivots == Counter({(key, d): n for (key, d), n in every.items() if _in_domain(key)})
+    _assert_windows_unfold(pivots, every, build, poly_bound)
     assert inserts == IDEAL_INSERTS[pbw_bound, poly_bound]
 
 
@@ -391,29 +435,55 @@ def _every_column_dims(pbw_bound, poly_bound):
     return dims
 
 
-# kernel-side inserts by (pbw_bound, poly_bound): the unit columns of the half-plane
-# blocks plus the distinct shifts of rank-raising columns and, in a diagonal block,
-# their phi images
-KERNEL_INSERTS = {(3, 3): 1093, (3, 4): 1737, (2, 5): 1016, (4, 2): 1385}
+# kernel-side inserts by (pbw_bound, poly_bound): the unit columns of the built
+# blocks plus the distinct shifts of rank-raising columns into built blocks and,
+# in a diagonal block, their phi images
+KERNEL_INSERTS = {(3, 3): 485, (3, 4): 998, (2, 5): 490, (4, 2): 768}
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", list(KERNEL_INSERTS))
 def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkeypatch, pbw_bound, poly_bound):
-    """The half-plane increments equal the every-column ones on the blocks with
-    w0 >= w1, the every-column increments are phi-symmetric (a block and its
-    mirror agree), so each window's orbit-weighted sum is the full plane's,
-    and the insert count shows that no column outside the rank-raising shifts
-    and their phi images is inserted."""
+    """The closure's increments equal the every-column ones on the domain
+    w0 >= w1 >= 0, the every-column increments are invariant under <W, phi>,
+    so each window's orbit-weighted sum is the full plane's, and the insert
+    count shows that no column outside the rank-raising shifts and their phi
+    images is inserted."""
     dims, _, inserts = _record(monkeypatch, lambda: _dy_kernel(pbw_bound, poly_bound))
     every = _every_column_dims(pbw_bound, poly_bound)
-    assert all(n == every[_mirror(block), d] for (block, d), n in every.items())
-    assert dims == Counter({(block, d): n for (block, d), n in every.items() if _upper(block)})
+    _assert_orbit_invariant(every)
+    assert dims == Counter({(block, d): n for (block, d), n in every.items() if _in_domain(block)})
     assert inserts == KERNEL_INSERTS[pbw_bound, poly_bound]
     assert any(n > 0 for n in dims.values())
-    for p in range(pbw_bound + 1):
-        for q in range(poly_bound + 1):
-            full = sum(n for ((fq, _), d), n in every.items() if fq <= q and d <= p)
-            assert _window(dims, p, q) == full, (p, q)
+    _assert_windows_unfold(dims, every, pbw_bound, poly_bound)
+
+
+def test_dy_kernel_closure_builds_a_collar_of_parents_below_the_domain(monkeypatch):
+    """At (3, 3) the kernel closure holds rows in exactly the blocks
+    w0 >= w1 >= q - 3 that hold them in the full plane, collar blocks w1 < 0
+    among them, and counts only the domain w0 >= w1 >= 0: a shift moves w1 by
+    +-1, so a domain block's parents reach one step further below w1 = 0 per
+    level down, and without them its span falls short.  The ideal side's
+    blocks are checked against its oracle above."""
+    pbw_bound, poly_bound = 3, 3
+    cols = [(c[:6], fe) for c in compositions(pbw_bound, 7) for fe in _cone_monomials(poly_bound)]
+    full = {_block_of(*col) for col in cols if _realize({col: 1})}
+    closures, closure = [], vinberg._shift_closure
+    monkeypatch.setattr(vinberg, "_shift_closure", lambda *args: closures.append(closure(*args)) or closures[-1])
+    dims, made, _ = _record(monkeypatch, lambda: _dy_kernel(pbw_bound, poly_bound))
+    [(_, keys, _)] = closures
+    rows = set()
+    for elim in (e for e in made if e.pivots):
+        # a key (de, h) is the term m_h d^de, of function degree deg h - deg de
+        blocks = set()
+        for k in (k for row in elim.pivots.values() for k in row):
+            de, h = keys[k]
+            (w0, w1), (d0, d1) = (vinberg._weight(e, vinberg._VAR_WEIGHTS) for e in (h, de))
+            blocks.add((sum(h) - sum(de), (w0 - d0, w1 - d1)))
+        [block] = blocks
+        rows.add(block)
+    assert rows == {block for block in full if _built(block, poly_bound)}
+    assert any(not _in_domain(block) for block in rows)
+    assert all(_in_domain(block) for block, _ in dims)
 
 
 def test_dy_rejects_small_bound():

@@ -32,12 +32,16 @@ from .asymptotics import (
 )
 from .lie import sym_power_rep, tensor_dual_rep
 from .rees import (
+    GRDERV_LEAST_BOUND,
     gr_derivations_check,
     rees_dimension_check,
     tau_check,
 )
 from .reports import CheckReport
 from .vinberg import (
+    DY_LEAST_BOUND,
+    PWFILT_LEAST_BOUND,
+    REP_LEAST_BOUND,
     asymp_diagram_check,
     parabolic_rank1_check,
     pw_vs_derivations_check,
@@ -50,24 +54,23 @@ from .vinberg import (
 BOUND_ENV = "HOROCYCLE_BOUND"
 
 # suite name -> (runner taking the effective bound, suite-specific default bound,
-# least bound the suite accepts).  The least bound is above zero where a lower
-# one leaves nothing substantive: the dy relation has PBW degree 2; at bound 0
-# pwfilt sees only constants, which every sample kills, grderv compares only
-# empty spaces, and asymp-diagram and parabolic check only V0 (x) V0*.  vfilt
-# needs no minimum: at every bound it checks the constant class and four fixed
-# det-power quotients, which exercise vanishing_order and pw_level, so its 5
-# items at bounds 0 and 1 can fail.
+# least bound the suite accepts).  A least bound above zero is the named
+# constant that the suite's own ValueError check reads, set where a lower bound
+# leaves nothing substantive (see each constant).  vfilt needs no minimum: at
+# every bound it checks the constant class and four fixed det-power quotients,
+# which exercise vanishing_order and pw_level, so its 5 items at bounds 0 and 1
+# can fail.
 _SUITES = {
     "identities": (lambda bound: verify_sl2_identities(), None, 0),
     "presentation": (lambda bound: verify_dsl2_presentation(), None, 0),
-    "dy": (lambda bound: verify_dy_relation(bound, bound), 4, 2),
+    "dy": (lambda bound: verify_dy_relation(bound, bound), 4, DY_LEAST_BOUND),
     "rees": (lambda bound: rees_dimension_check(bound), 6, 0),
     "tau": (lambda bound: tau_check(bound), 4, 0),
-    "grderv": (lambda bound: gr_derivations_check(bound, bound), 4, 1),
-    "pwfilt": (lambda bound: pw_vs_derivations_check(bound=bound), 6, 1),
+    "grderv": (lambda bound: gr_derivations_check(bound, bound), 4, GRDERV_LEAST_BOUND),
+    "pwfilt": (lambda bound: pw_vs_derivations_check(bound=bound), 6, PWFILT_LEAST_BOUND),
     "vfilt": (lambda bound: vfiltration_check(bound), 12, 0),
-    "asymp-diagram": (lambda bound: asymp_diagram_check(rep_bound=bound), 3, 1),
-    "parabolic": (lambda bound: parabolic_rank1_check(rep_bound=bound), 3, 1),
+    "asymp-diagram": (lambda bound: asymp_diagram_check(rep_bound=bound), 3, REP_LEAST_BOUND),
+    "parabolic": (lambda bound: parabolic_rank1_check(rep_bound=bound), 3, REP_LEAST_BOUND),
 }
 
 

@@ -15,7 +15,9 @@ rows, clears denominators once per insert, and has one elimination routine,
 which reduces a vector against every pivot it hits in one pass, scaled once
 so that each hit cancels exactly, then takes its content once; the
 back-reduction of the stored rows against a new pivot is the same routine
-with a single hit.  No sign of a stored row is fixed.  `rref` feeds it the
+with a single hit.  Each stored row's support starts at its pivot, so only
+the rows whose pivots come before the new one can hold it, and only those
+are scanned.  No sign of a stored row is fixed.  `rref` feeds it the
 rows, stopping once the rank reaches the column count when it is given one,
 and reads the reduced echelon form off its pivot rows, dividing by each
 pivot entry, so `nullspace` and `quotient` avoid per-operation rational
@@ -24,6 +26,7 @@ normalisation too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,12 +80,8 @@ def rref(mat: list[dict], cols: int | None = None) -> tuple[list[dict], list[int
     for row in mat:
         if elim.add(row) and len(elim.pivots) == cols:
             break
-    pivots = sorted(elim.pivots)
-    out = []
-    for c in pivots:
-        vec = elim.pivots[c]
-        out.append({j: Fraction(x, vec[c]) for j, x in vec.items()})
-    return out, pivots
+    out = [{j: Fraction(x, vec[c]) for j, x in vec.items()} for c, vec in zip(elim._keys, elim._rows)]
+    return out, elim._keys
 
 
 def _kernel(rows: list[dict], n: int) -> tuple[list[dict], list[int]]:
@@ -202,9 +201,13 @@ class IncrementalRank:
     so no hit row changes a vector's entry at another hit.  One routine,
     `_eliminate`, does all elimination: `reduce` applies it to a vector with
     all the pivots it hits, in one pass, and `add` applies it to each stored
-    row that contains the new pivot's key, with that one hit.  The sign of a
-    stored row is not fixed: `rref` divides by the pivot entry, and the other
-    readers count pivots or test `reduce(x) == {}`.
+    row that contains the new pivot's key, with that one hit.  A row's
+    support starts at its pivot, so a row whose pivot comes after the new
+    key cannot hold that key: `add` scans only the rows whose pivots come
+    before it, found by bisecting the sorted pivot keys `_keys`; `_rows`
+    holds their rows in the same order, so the scan needs no dict lookup.
+    The sign of a stored row is not fixed: `rref` divides by the pivot entry,
+    and the other readers count pivots or test `reduce(x) == {}`.
 
     Each pivot is the least key of its row in the keys' own order, and each
     stored row has its support entirely at-or-after its pivot, so counting
@@ -214,6 +217,9 @@ class IncrementalRank:
 
     def __init__(self):
         self.pivots: dict[object, dict] = {}
+        # the pivot keys, sorted, and their rows in the same order
+        self._keys: list = []
+        self._rows: list[dict] = []
 
     def reduce(self, vec: dict) -> dict:
         """vec fully reduced against the pivots, as integers; {} iff vec lies in their span.
@@ -231,8 +237,13 @@ class IncrementalRank:
             return False
         key = min(v)
         new = {key: v}
-        for pkey, row in self.pivots.items():
+        keys, rows = self._keys, self._rows
+        at = bisect_left(keys, key)
+        for i in range(at):
+            row = rows[i]
             if key in row:
-                self.pivots[pkey] = _eliminate(row, (key,), new)
+                rows[i] = self.pivots[keys[i]] = _eliminate(row, (key,), new)
+        keys.insert(at, key)
+        rows.insert(at, v)
         self.pivots[key] = v
         return True

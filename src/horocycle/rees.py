@@ -181,14 +181,18 @@ def _graded_span_dim(n: int) -> int:
     return dim
 
 
+# the least level and coefficient bound of `gr_derivations_check`: at 0 it compares only empty spaces
+GRDERV_LEAST_BOUND = 1
+
+
 def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckReport:
     """Graded dimension tables: filtration quotients against the cone's fields.
 
     The graded side is realised concretely as the span of the built-in
     action's six fields with homogeneous coefficients on the rank-one cone.
     """
-    if level_bound < 1 or coef_bound < 1:
-        raise ValueError("level and coefficient bounds must be at least 1")
+    if min(level_bound, coef_bound) < GRDERV_LEAST_BOUND:
+        raise ValueError(f"level and coefficient bounds must be at least {GRDERV_LEAST_BOUND}")
     report = CheckReport(
         check="grderv", parameters={"level_bound": level_bound, "coef_bound": coef_bound}
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from .action import (
     InfinitesimalAction,
@@ -160,6 +161,9 @@ _VAR_WEIGHTS = ((-1, 1), (-1, -1), (1, 1), (1, -1))  # a b c d
 # extra enveloping degrees the dy ideal is generated with, beyond the window
 _DY_MARGIN = 1
 
+# the least PBW bound of `verify_dy_relation`: the relation has PBW degree 2
+DY_LEAST_BOUND = 2
+
 
 def _weight(e, table):
     """Torus weight of the monomial with exponents e, given the weight of each factor."""
@@ -200,16 +204,28 @@ _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c 
 # (pbw exp, monomial), with functions kept in `horocycle_ring()` normal form,
 # where the normal form of a monomial is one monomial (ad -> bc).  All products
 # preserve both the function degree and the torus biweight, so elements stay
-# inside one homogeneity block.  Every coefficient is an int: moment maps of
-# PBW monomials, PBW products and field actions are integral, and each such
-# table passes through `_integral`, which raises on a non-integral entry.
+# inside one homogeneity block.  Every coefficient is an int: the fields, sl2
+# PBW products and field actions are integral, each such table passes through
+# `_integral`, which raises on a non-integral entry, and the cone tables and
+# pair products are built from them with int arithmetic.
 # Callers do not mutate a cached table.
 
 
 @functools.cache
+def _sl2_mul(e1, e2) -> dict:
+    """x^e1 x^e2 for PBW exponents e1, e2 of U(sl2)."""
+    d = sl2_desc()
+    return _integral((UEnvElement(d, {e1: 1}) * UEnvElement(d, {e2: 1})).terms)
+
+
+@functools.cache
 def _pbw_mul(e1, e2) -> dict:
-    pair = sl2_pair_desc()
-    return _integral((UEnvElement(pair, {e1: 1}) * UEnvElement(pair, {e2: 1})).terms)
+    """x^e1 x^e2 in U(sl2 + sl2) = U(sl2) (x) U(sl2), factor by factor: a PBW
+    exponent lists the left factor's generators first and the two factors
+    commute, so the product is that of the left halves times that of the
+    right halves."""
+    left, right = _sl2_mul(e1[:3], e2[:3]), _sl2_mul(e1[3:], e2[3:])
+    return {s + t: c * d for s, c in left.items() for t, d in right.items()}
 
 
 def _field_act(j, fe) -> dict:
@@ -255,13 +271,43 @@ def _mono_mul(e1, e2):
     return nf
 
 
-def _realize(elem: dict) -> dict:
-    """Det-reduced coefficient table of the operator Sum m_f mu(u)."""
+@functools.cache
+def _cone_table(ue) -> dict:
+    """Det-reduced coefficient table of mu(x^ue), keyed (de, h) for the term
+    x^h D^de with h cone-normal: the table of mu(x^prev) times the field
+    theta_i = Sum t x_k D_l of the last generator, x^ue = x^prev X_i.
+
+    (x^h D^de)(x_k D_l) = x^(h + e_k) D^(de + e_l) + de_k x^h D^(de - e_k + e_l),
+    and x^(h + e_k) is re-keyed by `_mono_mul`.  Right multiplication is well
+    defined on tables taken modulo det, since det S theta = det (S theta), so
+    this is the table of `moment_map` reduced on the cone, without the
+    normal-ordered product of the Weyl algebra of Mat2.
+    """
+    if ue == _U0:
+        return {(_F0, _F0): 1}
+    i = max(k for k in range(6) if ue[k])
+    prev = list(ue)
+    prev[i] -= 1
+    field = [(xe, dl, xe.index(1), t) for (xe, dl), t in _integral(lr_action_mat2().fields[i].terms).items()]
     acc: dict = {}
-    pair, act = sl2_pair_desc(), lr_action_mat2()
+    for (de, h), c in _cone_table(tuple(prev)).items():
+        for xe, dl, k, t in field:
+            up = tuple(map(add, de, dl))
+            key = (up, _mono_mul(h, xe))
+            acc[key] = acc.get(key, 0) + c * t
+            if de[k]:
+                key = (up[:k] + (up[k] - 1,) + up[k + 1:], h)
+                acc[key] = acc.get(key, 0) + c * t * de[k]
+    return {k: v for k, v in acc.items() if v}
+
+
+def _realize(elem: dict) -> dict:
+    """Det-reduced coefficient table of the operator Sum m_f mu(u): each
+    `_cone_table(u)` shifted by x^f, that is re-keyed by `_mono_mul`."""
+    acc: dict = {}
     for (ue, fe), cf in elem.items():
-        for (xe, de), c in _integral(moment_map(UEnvElement(pair, {ue: 1}), act).terms).items():
-            k = (de, _mono_mul(xe, fe))
+        for (de, h), c in _cone_table(ue).items():
+            k = (de, _mono_mul(h, fe))
             acc[k] = acc.get(k, 0) + cf * c
     return {k: v for k, v in acc.items() if v}
 
@@ -465,8 +511,12 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     An operator kills every function on the cone exactly when det divides all
     of its normal-ordered coefficients (commute with the coordinates and
     induct on order), so an element's det-reduced coefficient table is a
-    faithful model of its action.  The Casimir difference Delta is central in
-    the enveloping factor, so its two-sided ideal is spanned by function
+    faithful model of its action.  `_realize` builds it from the cone tables
+    of mu(u), each made from its prefix's table times the last generator's
+    linear field and reduced on the cone as it goes (`_cone_table`), so no
+    operator of the Weyl algebra of Mat2 is formed beyond mu(Delta), which
+    `moment_map` makes for the first item.  The Casimir difference Delta is
+    central in the enveloping factor, so its two-sided ideal is spanned by function
     multiples of its left multiples Delta m_f u.  By Leibniz, Delta m_f =
     m_f Delta + Sum_j m_{d_j f} D_j + m_{mu(Delta) f} with D_j = Delta m_{x_j}
     - m_{x_j} Delta; the last term, which no generator would cover, drops
@@ -492,8 +542,8 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     where a side runs.  An error on either side reaches the caller after the
     worker is joined, or killed and joined.
     """
-    if pbw_bound < 2:
-        raise ValueError("bound too small to see the relation (< 2)")
+    if pbw_bound < DY_LEAST_BOUND:
+        raise ValueError(f"bound too small to see the relation (< {DY_LEAST_BOUND})")
     if poly_bound < 0:
         raise ValueError("negative function degree bound")
     act = lr_action_mat2()
@@ -599,6 +649,10 @@ def default_pw_samples():
     return samples
 
 
+# the least bound of `pw_vs_derivations_check`: at 0 it sees only constants, which every sample kills
+PWFILT_LEAST_BOUND = 1
+
+
 def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
     """Expression level (max level of the function coefficients) against the
     action level (least shift of the filtration on monomial classes).
@@ -606,8 +660,8 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
     The expression level bounds the operator's filtration level from above and
     the action level bounds it from below, so agreement pins the level exactly.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    if bound < PWFILT_LEAST_BOUND:
+        raise ValueError(f"bound must be at least {PWFILT_LEAST_BOUND}")
     act = lr_action_mat2()
     ring = sl2_ring()
     if samples is None:
@@ -681,10 +735,16 @@ def default_sample_points():
     return det1, det0
 
 
+# the least rep bound of `asymp_diagram_check` and `parabolic_rank1_check`:
+# at 0 they check only V0 (x) V0*
+REP_LEAST_BOUND = 1
+
+
 def _rep_family(rep_bound: int):
-    """(name, m, k, V_m (x) V_k*) for m, k <= rep_bound, which must be at least 1."""
-    if rep_bound < 1:
-        raise ValueError("rep bound must be at least 1")
+    """(name, m, k, V_m (x) V_k*) for m, k <= rep_bound, which must be at least
+    REP_LEAST_BOUND."""
+    if rep_bound < REP_LEAST_BOUND:
+        raise ValueError(f"rep bound must be at least {REP_LEAST_BOUND}")
     ms = range(rep_bound + 1)
     return [(f"V{m} (x) V{k}*", m, k, tensor_dual_rep(m, k)) for m in ms for k in ms]
 

@@ -28,8 +28,10 @@ EXPECTED = {
     "rees._det_power",
     "rees._graded_span_dim",
     "rees.sl2_derivation_space",
+    "vinberg._cone_table",
     "vinberg._mono_mul",
     "vinberg._pbw_mul",
+    "vinberg._sl2_mul",
 }
 
 # the rings whose normal forms the suites memoize (`QuotientRing._nf_memo`)

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from horocycle import action, asymptotics, cli, lie
+from horocycle import action, asymptotics, cli, lie, rees, vinberg
 from horocycle.cli import main
 from test_asymptotics import conjugated_v0_plus_v2
 from test_caches import clear_all_caches
@@ -259,3 +259,30 @@ def test_bad_bound_is_usage_error(env, args, message):
     assert result.exit_code == 2
     assert message in result.output
     assert "overall" not in result.output  # rejected before any suite runs
+
+
+LEAST_BOUNDS = [
+    ("dy", vinberg.DY_LEAST_BOUND, 2, lambda b: vinberg.verify_dy_relation(b, b),
+     "bound too small to see the relation (< 2)"),
+    ("grderv", rees.GRDERV_LEAST_BOUND, 1, lambda b: rees.gr_derivations_check(b, b),
+     "level and coefficient bounds must be at least 1"),
+    ("pwfilt", vinberg.PWFILT_LEAST_BOUND, 1, lambda b: vinberg.pw_vs_derivations_check(bound=b),
+     "bound must be at least 1"),
+    ("asymp-diagram", vinberg.REP_LEAST_BOUND, 1, lambda b: vinberg.asymp_diagram_check(rep_bound=b),
+     "rep bound must be at least 1"),
+    ("parabolic", vinberg.REP_LEAST_BOUND, 1, lambda b: vinberg.parabolic_rank1_check(rep_bound=b),
+     "rep bound must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("suite,constant,least,run,message", LEAST_BOUNDS, ids=[case[0] for case in LEAST_BOUNDS])
+def test_each_least_bound_is_one_constant_that_library_and_cli_read(suite, constant, least, run, message):
+    # the library's constant and the CLI's table read the pinned value; one below it
+    # the library raises its unchanged message and the CLI exits 2
+    assert constant == cli._SUITES[suite][2] == least
+    with pytest.raises(ValueError) as excinfo:
+        run(least - 1)
+    assert str(excinfo.value) == message
+    result = CliRunner().invoke(main, ["verify", suite, "--bound", str(least - 1)], env={"HOROCYCLE_BOUND": None})
+    assert result.exit_code == 2
+    assert f"suite {suite} needs a bound of at least {least}" in result.output

@@ -286,6 +286,55 @@ def test_back_reduction_against_a_negative_pivot_matches_hit_by_hit():
     assert elim.pivots == reference
 
 
+class _WatchedRow(dict):
+    """A stored row that records whether `add` looked inside it."""
+
+    looked = False
+
+    def __contains__(self, key):
+        self.looked = True
+        return super().__contains__(key)
+
+
+def _watched(elim):
+    """Replace each stored row, in `pivots` and in the sorted `_rows` that `add`
+    scans, by an equal `_WatchedRow`; returns {pivot: row}."""
+    for i, key in enumerate(elim._keys):
+        elim.pivots[key] = elim._rows[i] = _WatchedRow(elim.pivots[key])
+    return dict(elim.pivots)
+
+
+def test_a_new_pivot_below_every_stored_pivot_leaves_every_row_untouched():
+    elim = IncrementalRank()
+    for vec in ({4: 2, 5: 1, 7: 3}, {5: 1, 6: -2}, {6: 5, 7: 1}):
+        elim.add(vec)
+    before = _watched(elim)
+    snapshot = {key: dict(row) for key, row in before.items()}
+    # the new vector holds every stored pivot key; reduced, its least key 1 lies below them all
+    assert elim.add({1: 3, 4: 1, 5: 2, 6: 1, 7: -4})
+    assert min(elim.pivots) == 1
+    for key, row in before.items():
+        assert elim.pivots[key] is row and row == snapshot[key] and not row.looked, key
+
+
+def test_a_new_pivot_between_stored_pivots_reduces_only_the_earlier_rows():
+    vecs = ({0: 1, 3: 2, 5: 1}, {1: 3, 3: -1, 4: 1}, {6: 2, 7: 1}, {8: 1, 9: 5})
+    elim, reference = IncrementalRank(), {}
+    for vec in vecs:
+        elim.add(vec)
+        _hit_by_hit_add(reference, vec)
+    before = _watched(elim)
+    new = {3: 1, 6: 1, 9: 1}
+    assert elim.add(new) and _hit_by_hit_add(reference, new)
+    assert min(set(elim.pivots) - set(before)) == 3
+    # rows 0 and 1 hold key 3 and are reduced; rows 6 and 8 come after it and are not read
+    assert [key for key, row in before.items() if row.looked] == [0, 1]
+    assert all(elim.pivots[key] is not before[key] for key in (0, 1))
+    assert all(elim.pivots[key] is before[key] for key in (6, 8))
+    assert elim.pivots == reference
+    assert all(3 not in row for key, row in elim.pivots.items() if key != 3)
+
+
 # --- the one monomial printer against the printers it replaced ---------------
 
 

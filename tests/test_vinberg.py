@@ -8,21 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_mat2
+from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_mat2, moment_map
 from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
-from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, tensor
+from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, sl2_pair_desc, tensor
 from horocycle import action, vinberg
 from horocycle.linalg import IncrementalRank
 from horocycle.weyl import WeylOp, apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
     _block_of,
+    _cone_table,
     _dy_generators,
     _dy_ideal,
     _dy_kernel,
     _field_act,
     _integral,
     _mono_mul,
+    _pbw_mul,
     _phi,
     _phi_terms,
     _push,
@@ -121,6 +123,35 @@ def test_dy_kernel_columns_are_shifts_of_the_reduced_table():
             col = _realize({(ue, fe): 1})
             shifted = _f_shift(fe, table)
             assert shifted == col and list(shifted) == list(col), (ue, fe)
+
+
+def test_dy_cone_tables_are_the_moment_map_reduced_on_the_cone():
+    # the oracle: mu(u) normal-ordered in the Weyl algebra of Mat2, then each
+    # coordinate monomial re-keyed to its cone normal form
+    pair, act = sl2_pair_desc(), lr_action_mat2()
+    for ue in (c[:6] for c in compositions(4, 7)):
+        oracle: dict = {}
+        for (xe, de), c in _integral(moment_map(UEnvElement(pair, {ue: 1}), act).terms).items():
+            key = (de, _mono_mul(xe, F0))
+            oracle[key] = oracle.get(key, 0) + c
+        assert _cone_table(ue) == {k: c for k, c in oracle.items() if c}, ue
+
+
+def test_dy_pair_products_are_the_products_of_their_factors():
+    pair = sl2_pair_desc()
+
+    def oracle(e1, e2):
+        return _integral((UEnvElement(pair, {e1: 1}) * UEnvElement(pair, {e2: 1})).terms)
+
+    low = [c[:6] for c in compositions(2, 7)]
+    for e1 in low:
+        for e2 in low:
+            assert _pbw_mul(e1, e2) == oracle(e1, e2), (e1, e2)
+    rng = random.Random(7)
+    three = list(compositions(3, 6))
+    for _ in range(60):
+        e1, e2 = rng.choice(three), rng.choice(three)
+        assert _pbw_mul(e1, e2) == oracle(e1, e2), (e1, e2)
 
 
 def test_dy_shifts_commute_and_depend_on_the_cone_monomial():

@@ -76,16 +76,16 @@ _SUITES = {
 
 def _effective_bound(suite: str, bound: int | None) -> int | None:
     _, default, least = _SUITES[suite]
-    if default is None:
-        return None
-    if bound is None:
+    if bound is None and default is not None:
         env = os.environ.get(BOUND_ENV)
         try:
             bound = default if env is None else int(env)
         except ValueError:
             raise click.UsageError(f"{BOUND_ENV} must be an integer, got {env!r}")
-    if bound < 0:
+    if bound is not None and bound < 0:
         raise click.UsageError("bound must be non-negative")
+    if default is None:
+        return None
     if bound < least:
         raise click.UsageError(f"suite {suite} needs a bound of at least {least}")
     return bound
@@ -130,8 +130,6 @@ def main():
 @click.option("--quiet", is_flag=True, help="Only print per-suite summaries.")
 def verify(suite, bound, json_path, quiet):
     """Run one verification suite, or `all` of them."""
-    if bound is not None and bound < 0:
-        raise click.UsageError("bound must be non-negative")
     names = sorted(_SUITES) if suite == "all" else [suite]
     bounds = {name: _effective_bound(name, bound) for name in names}
     t0 = time.monotonic()
@@ -210,8 +208,7 @@ def localize(rep_spec, point_spec, json_path, quiet):
             click.echo(f"  basis: {v}")
         click.echo(f"coinvariants dimension: {result.dimension}")
         if commuting is not None and result.induced:
-            cartan = [[str(row.get(j, 0)) for j in range(result.dimension)] for row in result.induced[0]]
-            click.echo(f"induced Cartan matrix: {cartan}")
+            click.echo(f"induced Cartan matrix: {result.to_json()['induced'][0]}")
         elif commuting is None:
             click.echo("induced Cartan action: not applicable (Cartan does not normalize stabilizer)")
     click.echo(f"dimension: {result.dimension}")

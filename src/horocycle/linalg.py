@@ -15,12 +15,14 @@ rows, clears denominators once per insert, and has one elimination routine,
 which reduces a vector against every pivot it hits in one pass, scaled once
 so that each hit cancels exactly, then takes its content once; the
 back-reduction of the stored rows against a new pivot is the same routine
-with a single hit.  Each stored row's support starts at its pivot, so only
-the rows whose pivots come before the new one can hold it, and only those
-are scanned.  No sign of a stored row is fixed.  `rref` feeds it the
-rows, stopping once the rank reaches the column count when it is given one,
-and reads the reduced echelon form off its pivot rows, dividing by each
-pivot entry, so `nullspace` and `quotient` avoid per-operation rational
+with a single hit.  Each row is stored once, in `pivots`, beside the sorted
+pivot keys; its support starts at its pivot, so only the rows whose pivots
+come before the new one can hold it, and only those are scanned.  No sign of
+a stored row is fixed.  `rref` feeds it the rows, stopping once the rank
+reaches the column count when it is given one, and reads the reduced echelon
+form off its pivot rows in key order, dividing by each pivot entry.  One
+routine, `quotient`, builds every kernel basis from that form, and
+`nullspace` is its first part, so both avoid per-operation rational
 normalisation too.
 """
 
@@ -80,32 +82,13 @@ def rref(mat: list[dict], cols: int | None = None) -> tuple[list[dict], list[int
     for row in mat:
         if elim.add(row) and len(elim.pivots) == cols:
             break
-    out = [{j: Fraction(x, vec[c]) for j, x in vec.items()} for c, vec in zip(elim._keys, elim._rows)]
-    return out, elim._keys
-
-
-def _kernel(rows: list[dict], n: int) -> tuple[list[dict], list[int]]:
-    """(basis of {v in Q^n : M v = 0} for the matrix M with these rows; its free columns).
-
-    Basis vector k is 1 at the k-th free column and 0 at the other free
-    columns, so the basis restricted to the free columns is the identity.
-    `rref` is told n, so it stops at the first rows that span Q^n.
-    """
-    r, pivots = rref(rows, n)
-    free = sorted(set(range(n)) - set(pivots))
-    basis = []
-    for fc in free:
-        v = {fc: Fraction(1)}
-        for row, pc in zip(r, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis, free
+    rows = [(c, elim.pivots[c]) for c in elim._keys]
+    return [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in rows], elim._keys
 
 
 def nullspace(rows: list[dict], n: int) -> list[dict]:
     """Basis of the right null space {v in Q^n : M v = 0} of the matrix with these rows."""
-    return _kernel(rows, n)[0]
+    return quotient(rows, n)[0]
 
 
 def quotient(span: list[dict], n: int, acting=()):
@@ -114,11 +97,22 @@ def quotient(span: list[dict], n: int, acting=()):
 
     Returns (Y, [T for each A in acting]): Y is a full-row-rank matrix whose
     kernel is exactly the span, so v -> Y v gives coordinates on the quotient,
-    and each T satisfies T Y = Y A.  Y is the identity on its free columns, so
-    T is those columns of Y A.  Raises ValueError when some A does not
-    preserve the span.
+    and each T satisfies T Y = Y A.  Raises ValueError when some A does not
+    preserve the span.  Y's rows are the basis of {v in Q^n : M v = 0}, M the
+    matrix with rows `span`, read off its reduced echelon form: row k is 1 at
+    the k-th free column and 0 at the other free columns, so T is those
+    columns of Y A.  `rref` is told n, so it stops at the first rows that span
+    Q^n.
     """
-    y, free = _kernel(span, n)
+    r, pivots = rref(span, n)
+    free = sorted(set(range(n)) - set(pivots))
+    y = []
+    for fc in free:
+        v = {fc: Fraction(1)}
+        for row, pc in zip(r, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        y.append(v)
     if not y:
         return [], [[] for _ in acting]
     slot = {c: i for i, c in enumerate(free)}
@@ -204,10 +198,11 @@ class IncrementalRank:
     row that contains the new pivot's key, with that one hit.  A row's
     support starts at its pivot, so a row whose pivot comes after the new
     key cannot hold that key: `add` scans only the rows whose pivots come
-    before it, found by bisecting the sorted pivot keys `_keys`; `_rows`
-    holds their rows in the same order, so the scan needs no dict lookup.
-    The sign of a stored row is not fixed: `rref` divides by the pivot entry,
-    and the other readers count pivots or test `reduce(x) == {}`.
+    before it, found by bisecting the sorted pivot keys `_keys`.  There is
+    one row store, `pivots`, beside those keys, so each back-reduced row is
+    written in one place.  The sign of a stored row is not fixed: `rref`
+    divides by the pivot entry, and the other readers count pivots or test
+    `reduce(x) == {}`.
 
     Each pivot is the least key of its row in the keys' own order, and each
     stored row has its support entirely at-or-after its pivot, so counting
@@ -217,9 +212,7 @@ class IncrementalRank:
 
     def __init__(self):
         self.pivots: dict[object, dict] = {}
-        # the pivot keys, sorted, and their rows in the same order
-        self._keys: list = []
-        self._rows: list[dict] = []
+        self._keys: list = []  # the keys of `pivots`, sorted
 
     def reduce(self, vec: dict) -> dict:
         """vec fully reduced against the pivots, as integers; {} iff vec lies in their span.
@@ -236,14 +229,12 @@ class IncrementalRank:
         if not v:
             return False
         key = min(v)
-        new = {key: v}
-        keys, rows = self._keys, self._rows
-        at = bisect_left(keys, key)
-        for i in range(at):
-            row = rows[i]
+        new, pivots = {key: v}, self.pivots
+        at = bisect_left(self._keys, key)
+        for k in self._keys[:at]:
+            row = pivots[k]
             if key in row:
-                rows[i] = self.pivots[keys[i]] = _eliminate(row, (key,), new)
-        keys.insert(at, key)
-        rows.insert(at, v)
-        self.pivots[key] = v
+                pivots[k] = _eliminate(row, (key,), new)
+        self._keys.insert(at, key)
+        pivots[key] = v
         return True

@@ -303,7 +303,8 @@ def _cone_table(ue) -> dict:
 
 def _realize(elem: dict) -> dict:
     """Det-reduced coefficient table of the operator Sum m_f mu(u): each
-    `_cone_table(u)` shifted by x^f, that is re-keyed by `_mono_mul`."""
+    `_cone_table(u)` shifted by x^f, that is re-keyed by `_mono_mul`.  The
+    generator certificate of `verify_dy_relation` realizes the generators so."""
     acc: dict = {}
     for (ue, fe), cf in elem.items():
         for (de, h), c in _cone_table(ue).items():
@@ -441,8 +442,9 @@ def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
     closure's collar w1 < 0 is built but not counted).
 
     Column (u, f) is x^f times the cone-reduced table of mu(u), keyed
-    (de, h): the seed named (u, 1) shifted by x^f.  mu(u) itself has
-    monomials (ad, bc) that meet on the cone, which a re-keying shift loses.
+    (de, h): the seed named (u, 1), `_cone_table(u)`, shifted by x^f.  mu(u)
+    itself has monomials (ad, bc) that meet on the cone, which a re-keying
+    shift loses.
     Each block's columns go in by (deg u, u, f), so the columns of degree d
     add the rank that all columns of degree <= d reach over those of lower
     degree: a column the closure never inserts lies in the span of inserted
@@ -454,7 +456,7 @@ def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
     """
     u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
     _, _, raised = _shift_closure(
-        ((ue, _F0) for ue in u_exps), lambda name: _realize({name: 1}), poly_bound,
+        ((ue, _F0) for ue in u_exps), lambda name: _cone_table(name[0]), poly_bound,
         lambda sig, vec: (sum(sig[0][0]), sig[0][0], sig[1]),
     )
     u_count = Counter((sum(ue), _weight(ue, _GEN_WEIGHTS)) for ue in u_exps)
@@ -511,11 +513,12 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     An operator kills every function on the cone exactly when det divides all
     of its normal-ordered coefficients (commute with the coordinates and
     induct on order), so an element's det-reduced coefficient table is a
-    faithful model of its action.  `_realize` builds it from the cone tables
-    of mu(u), each made from its prefix's table times the last generator's
-    linear field and reduced on the cone as it goes (`_cone_table`), so no
-    operator of the Weyl algebra of Mat2 is formed beyond mu(Delta), which
-    `moment_map` makes for the first item.  The Casimir difference Delta is
+    faithful model of its action.  The kernel's columns are the cone tables
+    of mu(u) (`_cone_table`), each made from its prefix's table times the last
+    generator's linear field and reduced on the cone as it goes; `_realize`
+    sums their shifts for the generator certificate.  So no operator of the
+    Weyl algebra of Mat2 is formed beyond mu(Delta), which `moment_map` makes
+    for the first item.  The Casimir difference Delta is
     central in the enveloping factor, so its two-sided ideal is spanned by function
     multiples of its left multiples Delta m_f u.  By Leibniz, Delta m_f =
     m_f Delta + Sum_j m_{d_j f} D_j + m_{mu(Delta) f} with D_j = Delta m_{x_j}
@@ -678,12 +681,7 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
         for f, u in pairs:
             op = op + WeylOp.from_poly(f) * moment_map(u, act)
         action_level = max(pw_level(apply_op(op, mono), ring) - deg for deg, mono in monos)
-        report.add(
-            f"{name}: expression level = action level",
-            repr(expr_level),
-            repr(action_level),
-            expr_level == action_level,
-        )
+        report.add(f"{name}: expression level = action level", expr_level, action_level, expr_level == action_level)
     return report
 
 

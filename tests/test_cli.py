@@ -244,6 +244,7 @@ def test_bound_env_override(tmp_path, monkeypatch):
     [
         ("x", ["verify", "rees"], "HOROCYCLE_BOUND must be an integer"),
         ("-3", ["verify", "rees"], "bound must be non-negative"),
+        (None, ["verify", "identities", "--bound", "-1"], "bound must be non-negative"),
         (None, ["verify", "dy", "--bound", "1"], "suite dy needs a bound of at least 2"),
         (None, ["verify", "all", "--bound", "1"], "suite dy needs a bound of at least 2"),
         (None, ["verify", "pwfilt", "--bound", "0"], "suite pwfilt needs a bound of at least 1"),
@@ -251,8 +252,8 @@ def test_bound_env_override(tmp_path, monkeypatch):
         (None, ["verify", "asymp-diagram", "--bound", "0"], "suite asymp-diagram needs a bound of at least 1"),
         (None, ["verify", "parabolic", "--bound", "0"], "suite parabolic needs a bound of at least 1"),
     ],
-    ids=["env-not-integer", "env-negative", "dy-bound-1", "all-bound-1", "pwfilt-bound-0", "grderv-bound-0",
-         "asymp-diagram-bound-0", "parabolic-bound-0"],
+    ids=["env-not-integer", "env-negative", "identities-bound-negative", "dy-bound-1", "all-bound-1",
+         "pwfilt-bound-0", "grderv-bound-0", "asymp-diagram-bound-0", "parabolic-bound-0"],
 )
 def test_bad_bound_is_usage_error(env, args, message):
     result = CliRunner().invoke(main, args, env={"HOROCYCLE_BOUND": env})

@@ -297,10 +297,10 @@ class _WatchedRow(dict):
 
 
 def _watched(elim):
-    """Replace each stored row, in `pivots` and in the sorted `_rows` that `add`
-    scans, by an equal `_WatchedRow`; returns {pivot: row}."""
-    for i, key in enumerate(elim._keys):
-        elim.pivots[key] = elim._rows[i] = _WatchedRow(elim.pivots[key])
+    """Replace each stored row in `pivots`, the one row store that `add` scans,
+    by an equal `_WatchedRow`; returns {pivot: row}."""
+    for key, row in elim.pivots.items():
+        elim.pivots[key] = _WatchedRow(row)
     return dict(elim.pivots)
 
 

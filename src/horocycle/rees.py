@@ -129,9 +129,9 @@ def tau_check(level_bound: int = 4) -> CheckReport:
         dim_lhs = len(basis)
         lifts = [WeylOp.vector_field([homogenize(g, 1 + level) for g in coeffs]) for coeffs in basis]
         all_relative = all(apply_op(lift, detp).is_zero() for lift in lifts)
-        # a field's terms, keyed (monomial, unit D-exponent), are its coordinates
-        elim = IncrementalRank()
-        independent = sum(elim.add(lift.terms) for lift in lifts)
+        # a field's terms, keyed (monomial, unit D-exponent) and numbered as ints, are its coordinates
+        elim, code = IncrementalRank(), {}
+        independent = sum(elim.add({code.setdefault(k, len(code)): c for k, c in lift.terms.items()}) for lift in lifts)
         dim_rhs = _free_relative_kernel_dim(1 + level)
         report.add(
             f"level {level}: lifted derivations = relative fields",
@@ -142,10 +142,9 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     # spot checks of tau_map on two level-zero fields
     ring = sl2_ring()
     a, b, c, d = (ring.var(v) for v in ring.variables)
-    spots = [
-        ("a Da - d Dd", WeylOp.vector_field([a, ExactPoly.zero(ring.variables), ExactPoly.zero(ring.variables), -d])),
-        ("-c Da - d Db", WeylOp.vector_field([-c, -d, ExactPoly.zero(ring.variables), ExactPoly.zero(ring.variables)])),
-    ]
+    zero = ExactPoly.zero(ring.variables)
+    spots = [("a Da - d Dd", WeylOp.vector_field([a, zero, zero, -d])),
+             ("-c Da - d Db", WeylOp.vector_field([-c, -d, zero, zero]))]
     for name, theta in spots:
         # On Mat2 = Spec of the Rees algebra, z is det and the relation AD - BC - z
         # is zero, so every field preserves it; killing z is the checked content.
@@ -181,29 +180,27 @@ def _graded_span_dim(n: int) -> int:
     return dim
 
 
-# the least level and coefficient bound of `gr_derivations_check`: at 0 it compares only empty spaces
+# the least bound of `gr_derivations_check`: at 0 it compares only empty spaces
 GRDERV_LEAST_BOUND = 1
 
 
-def gr_derivations_check(level_bound: int = 4, coef_bound: int = 4) -> CheckReport:
+def gr_derivations_check(bound: int = 4) -> CheckReport:
     """Graded dimension tables: filtration quotients against the cone's fields.
 
     The graded side is realised concretely as the span of the built-in
     action's six fields with homogeneous coefficients on the rank-one cone.
     """
-    if min(level_bound, coef_bound) < GRDERV_LEAST_BOUND:
+    if bound < GRDERV_LEAST_BOUND:
         raise ValueError(f"level and coefficient bounds must be at least {GRDERV_LEAST_BOUND}")
-    report = CheckReport(
-        check="grderv", parameters={"level_bound": level_bound, "coef_bound": coef_bound}
-    )
+    report = CheckReport(check="grderv", parameters={"level_bound": bound, "coef_bound": bound})
     report.add("level BOTTOM", 0, 0, True)
 
     def lhs_dim(cap: int, parity: int) -> int:
         cap -= (cap - parity) % 2
         return len(sl2_derivation_space(cap, parity)) if cap >= 0 else 0
 
-    for n in range(-level_bound, level_bound + 1):
-        for dcap in range(coef_bound + 1):
+    for n in range(-bound, bound + 1):
+        for dcap in range(bound + 1):
             big = lhs_dim(min(1 + n, dcap), (1 + n) % 2)
             small = lhs_dim(min(n - 1, dcap), (n - 1) % 2)
             lhs = big - small

@@ -506,9 +506,10 @@ def _window(dims: Counter, p: int, q: int) -> int:
                for ((fq, (w0, w1)), d), n in dims.items() if fq <= q and d <= p)
 
 
-def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
+def verify_dy_relation(bound: int = 4) -> CheckReport:
     """Kernel of the bounded realization on the rank-one cone against the
-    two-sided ideal generated by the Casimir difference, window by window.
+    two-sided ideal generated by the Casimir difference, window by window, at
+    enveloping and function degrees up to `bound`.
 
     An operator kills every function on the cone exactly when det divides all
     of its normal-ordered coefficients (commute with the coordinates and
@@ -538,6 +539,11 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     key of its row's top degree.  A window is one `_window` sum of these
     counts, each block weighted by its orbit size, since each window of
     either side is an sl2 + sl2-module under ad, whose counts W and phi keep.
+    The collar and the phi images only make the counts complete: every
+    inserted vector lies in its side's span, so a vector the closure fails
+    to insert can only lower an ideal count, or lower the rank the kernel's
+    columns add and so raise a kernel count.  With the ideal inside the
+    kernel, such a miss can make a window fail but never pass wrongly.
     The kernel closure runs in one worker process while this one builds the
     generators, the ideal closure and the generator certificate: the sides
     share no state and meet only in the window sums, which read the kernel's
@@ -545,15 +551,10 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     where a side runs.  An error on either side reaches the caller after the
     worker is joined, or killed and joined.
     """
-    if pbw_bound < DY_LEAST_BOUND:
+    if bound < DY_LEAST_BOUND:
         raise ValueError(f"bound too small to see the relation (< {DY_LEAST_BOUND})")
-    if poly_bound < 0:
-        raise ValueError("negative function degree bound")
     act = lr_action_mat2()
-    report = CheckReport(
-        check="dy",
-        parameters={"pbw_bound": pbw_bound, "poly_bound": poly_bound, "margin": _DY_MARGIN},
-    )
+    report = CheckReport(check="dy", parameters={"pbw_bound": bound, "poly_bound": bound, "margin": _DY_MARGIN})
 
     cas, one = casimir_sl2(), UEnvElement.one(sl2_desc())
     delta_diff = tensor(cas, one) - tensor(one, cas)
@@ -579,12 +580,12 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     import multiprocessing
 
     results, sender = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(target=_dy_kernel_worker, args=(sender, pbw_bound, poly_bound))
+    worker = multiprocessing.Process(target=_dy_kernel_worker, args=(sender, bound, bound))
     worker.start()
     sender.close()  # the worker holds the only sending end: its death ends recv() in EOFError
     try:
         gens = _dy_generators(delta)
-        ideal = _dy_ideal(gens, pbw_bound + _DY_MARGIN, poly_bound)[0]
+        ideal = _dy_ideal(gens, bound + _DY_MARGIN, bound)[0]
         zero = sum(not _realize(g) for g in gens.values())
         kernel = results.recv()
     except BaseException:
@@ -599,8 +600,8 @@ def verify_dy_relation(pbw_bound: int = 4, poly_bound: int = 4) -> CheckReport:
     name = "the ideal generators Delta, D_a, D_b, D_c, D_d realize to the zero operator"
     report.add(name, str(len(gens)), str(zero), zero == len(gens))
 
-    for p in range(pbw_bound + 1):
-        for q in range(poly_bound + 1):
+    for p in range(bound + 1):
+        for q in range(bound + 1):
             k, s = _window(kernel, p, q), _window(ideal, p, q)
             report.add(f"bidegree ({p},{q}): realization kernel = Casimir-difference ideal", str(s), str(k), k == s)
     return report
@@ -656,9 +657,10 @@ def default_pw_samples():
 PWFILT_LEAST_BOUND = 1
 
 
-def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
+def pw_vs_derivations_check(bound: int = 6) -> CheckReport:
     """Expression level (max level of the function coefficients) against the
-    action level (least shift of the filtration on monomial classes).
+    action level (least shift of the filtration on monomial classes), for each
+    of `default_pw_samples()` on the monomials of degree <= `bound`.
 
     The expression level bounds the operator's filtration level from above and
     the action level bounds it from below, so agreement pins the level exactly.
@@ -667,8 +669,7 @@ def pw_vs_derivations_check(samples=None, bound: int = 6) -> CheckReport:
         raise ValueError(f"bound must be at least {PWFILT_LEAST_BOUND}")
     act = lr_action_mat2()
     ring = sl2_ring()
-    if samples is None:
-        samples = default_pw_samples()
+    samples = default_pw_samples()
     report = CheckReport(check="pwfilt", parameters={"bound": bound, "samples": len(samples)})
     monos = [
         (deg, ExactPoly.monomial(ring.variables, e))

@@ -93,7 +93,7 @@ def test_criterion_03_presentation():
 
 def test_criterion_04_cone_relation():
     def run():
-        report = verify_dy_relation(4, 4)
+        report = verify_dy_relation(4)
         windows = [it for it in report.items if it.name.startswith("bidegree")]
         assert len(windows) == 25
         return report.passed
@@ -105,7 +105,7 @@ def test_criterion_04_stretch_bound_5():
     golden = (Path(__file__).parent / "golden" / "verify_dy_bound5.json").read_text()
 
     def run():
-        report = verify_dy_relation(5, 5)
+        report = verify_dy_relation(5)
         assert json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n" == golden
         return report.passed
 
@@ -115,7 +115,7 @@ def test_criterion_04_stretch_bound_5():
 def test_criterion_05_rees_machinery():
     def run():
         tau = tau_check(level_bound=4)
-        gr = gr_derivations_check(4, 4)
+        gr = gr_derivations_check(4)
         fibers = rees_dimension_check(6)
         return tau.passed and gr.passed and fibers.passed
 
@@ -126,7 +126,7 @@ def test_criterion_06_filtration_agreement():
     def run():
         samples = default_pw_samples()
         assert len(samples) >= 20
-        report = pw_vs_derivations_check(samples=samples, bound=6)
+        report = pw_vs_derivations_check(6)
         return report.passed
 
     _within("6 (Peter-Weyl vs derivations levels)", 3, run)

@@ -263,11 +263,11 @@ def test_bad_bound_is_usage_error(env, args, message):
 
 
 LEAST_BOUNDS = [
-    ("dy", vinberg.DY_LEAST_BOUND, 2, lambda b: vinberg.verify_dy_relation(b, b),
+    ("dy", vinberg.DY_LEAST_BOUND, 2, vinberg.verify_dy_relation,
      "bound too small to see the relation (< 2)"),
-    ("grderv", rees.GRDERV_LEAST_BOUND, 1, lambda b: rees.gr_derivations_check(b, b),
+    ("grderv", rees.GRDERV_LEAST_BOUND, 1, rees.gr_derivations_check,
      "level and coefficient bounds must be at least 1"),
-    ("pwfilt", vinberg.PWFILT_LEAST_BOUND, 1, lambda b: vinberg.pw_vs_derivations_check(bound=b),
+    ("pwfilt", vinberg.PWFILT_LEAST_BOUND, 1, vinberg.pw_vs_derivations_check,
      "bound must be at least 1"),
     ("asymp-diagram", vinberg.REP_LEAST_BOUND, 1, lambda b: vinberg.asymp_diagram_check(rep_bound=b),
      "rep bound must be at least 1"),
@@ -280,10 +280,28 @@ LEAST_BOUNDS = [
 def test_each_least_bound_is_one_constant_that_library_and_cli_read(suite, constant, least, run, message):
     # the library's constant and the CLI's table read the pinned value; one below it
     # the library raises its unchanged message and the CLI exits 2
-    assert constant == cli._SUITES[suite][2] == least
+    assert constant == cli._SUITES[suite][1] == least
     with pytest.raises(ValueError) as excinfo:
         run(least - 1)
     assert str(excinfo.value) == message
     result = CliRunner().invoke(main, ["verify", suite, "--bound", str(least - 1)], env={"HOROCYCLE_BOUND": None})
     assert result.exit_code == 2
     assert f"suite {suite} needs a bound of at least {least}" in result.output
+
+
+def test_verify_without_a_bound_runs_the_suite_at_its_own_default(monkeypatch):
+    # the CLI states no default bound: `verify tau` runs tau_check at its signature's default
+    monkeypatch.setattr(rees.tau_check, "__defaults__", (1,))
+    result = CliRunner().invoke(main, ["verify", "tau"], env={"HOROCYCLE_BOUND": None})
+    assert result.exit_code == 0
+    levels = [line for line in result.output.splitlines() if "lifted derivations = relative fields" in line]
+    assert len(levels) == 2  # levels 0 and 1
+
+
+def test_verify_calls_each_suite_by_its_name_in_the_cli_module(monkeypatch):
+    # perfbench's tracer rebinds each suite's name in every module; calling the
+    # function objects held in _SUITES would bypass its wrappers
+    calls = []
+    monkeypatch.setattr(cli, "tau_check", lambda *args: calls.append(args) or rees.tau_check(*args))
+    result = CliRunner().invoke(main, ["verify", "tau", "--bound", "1"], env={"HOROCYCLE_BOUND": None})
+    assert result.exit_code == 0 and calls == [(1,)]

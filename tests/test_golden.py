@@ -7,15 +7,17 @@ the identities, tau and grderv reports pin the relative-field kernels, the
 vfilt item names pin the polynomial text format, the vfilt reports at bounds 6,
 12 (the default) and 16 and the rees report at bound 16 pin the normal forms on
 O(SL2) up to the benchmark's bounds, and the dy report pins the window counts
-of the incremental eliminator.
+of the incremental eliminator.  `verify all` runs every suite in one process,
+with the caches they share, and must report each suite's golden checks.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from horocycle.cli import main
+from horocycle.cli import _SUITES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,3 +53,14 @@ def test_report_bytes_match_golden(tmp_path, args, name):
     )
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_all_reports_every_suite_golden(tmp_path):
+    out = tmp_path / "all.json"
+    result = CliRunner().invoke(main, ["verify", "all", "--quiet", "--json", str(out)], env={"HOROCYCLE_BOUND": None})
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text())
+    goldens = [json.loads((GOLDEN / f"verify_{suite}.json").read_text()) for suite in sorted(_SUITES)]
+    assert len(goldens) == 10
+    assert payload["pass"] is True
+    assert payload["checks"] == [check for golden in goldens for check in golden["checks"]]

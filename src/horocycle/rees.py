@@ -50,15 +50,14 @@ def derivation_level(theta: WeylOp):
 # --- the derivation spaces of the built-in rings -----------------------------
 
 @functools.cache
-def sl2_derivation_space(cap: int, parity: int) -> tuple:
+def sl2_derivation_space(cap: int) -> tuple:
     """Basis of derivations of the determinant-one ring whose generator images
-    are spanned by normal-form monomials of degree <= cap, degree == parity mod 2.
+    are spanned by normal-form monomials of degree <= cap, degree == cap mod 2.
 
     Returned as 4-tuples of coefficient polynomials (images of a, b, c, d).
-    A cap of the other parity names the same space as cap - 1 (same monomials).
     """
     ring = sl2_ring()
-    monos = [e for d in range(parity % 2, cap + 1, 2) for e in ring.nf_monomials(d)]
+    monos = [e for d in range(cap % 2, cap + 1, 2) for e in ring.nf_monomials(d)]
     return tuple(relative_fields(ring, det_poly(), monos))
 
 
@@ -125,7 +124,7 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     report = CheckReport(check="tau", parameters={"level_bound": level_bound})
     detp = det_poly()
     for level in range(level_bound + 1):
-        basis = sl2_derivation_space(1 + level, (1 + level) % 2)
+        basis = sl2_derivation_space(1 + level)
         dim_lhs = len(basis)
         lifts = [WeylOp.vector_field([homogenize(g, 1 + level) for g in coeffs]) for coeffs in basis]
         all_relative = all(apply_op(lift, detp).is_zero() for lift in lifts)
@@ -166,7 +165,8 @@ def _graded_span_dim(n: int) -> int:
     built-in action span on the cone (six fields spanning its relative kernel)."""
     ring = horocycle_ring()
     fields = [theta.coefficient_polys() for theta in lr_action_horocycle().fields]
-    elim = IncrementalRank()
+    # the (D-exponent, monomial) keys, numbered as ints, are the coordinates
+    elim, code = IncrementalRank(), {}
     dim = 0
     for e in ring.nf_monomials(n):
         mono = ExactPoly.monomial(ring.variables, e)
@@ -174,7 +174,7 @@ def _graded_span_dim(n: int) -> int:
             vec = {}
             for de, g in coeffs.items():
                 for te, tc in ring.normal_form(mono * g).terms.items():
-                    vec[(de, te)] = tc
+                    vec[code.setdefault((de, te), len(code))] = tc
             if elim.add(vec):
                 dim += 1
     return dim
@@ -197,7 +197,7 @@ def gr_derivations_check(bound: int = 4) -> CheckReport:
 
     def lhs_dim(cap: int, parity: int) -> int:
         cap -= (cap - parity) % 2
-        return len(sl2_derivation_space(cap, parity)) if cap >= 0 else 0
+        return len(sl2_derivation_space(cap)) if cap >= 0 else 0
 
     for n in range(-bound, bound + 1):
         for dcap in range(bound + 1):

@@ -43,7 +43,7 @@ from .lie import (
     tensor,
     tensor_dual_rep,
 )
-from .linalg import IncrementalRank, char_poly, quotient, transpose
+from .linalg import IncrementalRank, char_poly, lincomb, quotient, transpose
 from .reports import CheckReport
 from .weyl import WeylOp, apply_op, euler_op, is_relative, op_to_text, relative_fields
 
@@ -186,16 +186,6 @@ def _phi_terms(terms: dict) -> dict:
     return {image: s * c for k, c in terms.items() for image, s in [_phi(k)]}
 
 
-def _integral(terms: dict) -> dict:
-    """The coefficients of `terms` as ints; ValueError names the first non-integral one."""
-    out = {}
-    for k, c in terms.items():
-        if c.denominator != 1:
-            raise ValueError(f"non-integral coefficient {c} at {k}")
-        out[k] = c.numerator
-    return out
-
-
 _F0 = (0,) * 4  # the exponent of the constant function 1
 _U0 = (0,) * 6  # the PBW exponent of 1
 _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c d
@@ -205,9 +195,10 @@ _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c 
 # where the normal form of a monomial is one monomial (ad -> bc).  All products
 # preserve both the function degree and the torus biweight, so elements stay
 # inside one homogeneity block.  Every coefficient is an int: the fields, sl2
-# PBW products and field actions are integral, each such table passes through
-# `_integral`, which raises on a non-integral entry, and the cone tables and
-# pair products are built from them with int arithmetic.
+# PBW products and field actions are the terms of a WeylOp, UEnvElement or
+# ExactPoly, whose constructors store an integral coefficient as an int
+# (`linalg.num`), and the other tables are sums of their products.  No count
+# relies on that, since `IncrementalRank` clears denominators itself.
 # Callers do not mutate a cached table.
 
 
@@ -215,7 +206,7 @@ _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c 
 def _sl2_mul(e1, e2) -> dict:
     """x^e1 x^e2 for PBW exponents e1, e2 of U(sl2)."""
     d = sl2_desc()
-    return _integral((UEnvElement(d, {e1: 1}) * UEnvElement(d, {e2: 1})).terms)
+    return (UEnvElement(d, {e1: 1}) * UEnvElement(d, {e2: 1})).terms
 
 
 @functools.cache
@@ -230,7 +221,7 @@ def _pbw_mul(e1, e2) -> dict:
 
 def _field_act(j, fe) -> dict:
     poly = apply_op(lr_action_mat2().fields[j], ExactPoly.monomial(V, fe))
-    return _integral(horocycle_ring().normal_form(poly).terms)
+    return horocycle_ring().normal_form(poly).terms
 
 
 def _push(ue, fe) -> dict:
@@ -241,26 +232,15 @@ def _push(ue, fe) -> dict:
     rest = list(ue)
     rest[j] -= 1
     unit = tuple(1 if i == j else 0 for i in range(6))
-    out: dict = {}
-    for (w, h), c in _push(tuple(rest), fe).items():
-        for w2, c2 in _pbw_mul(unit, w).items():
-            k = (w2, h)
-            out[k] = out.get(k, 0) + c * c2
-        for h2, c2 in _field_act(j, h).items():
-            k = (w, h2)
-            out[k] = out.get(k, 0) + c * c2
-    return {k: v for k, v in out.items() if v}
+    return lincomb(
+        (c, vec) for (w, h), c in _push(tuple(rest), fe).items()
+        for vec in ({(w2, h): c2 for w2, c2 in _pbw_mul(unit, w).items()},
+                    {(w, h2): c2 for h2, c2 in _field_act(j, h).items()})
+    )
 
 
 def _u_right(elem: dict, ue) -> dict:
-    if ue == _U0:
-        return elem
-    out: dict = {}
-    for (w, h), c in elem.items():
-        for w2, c2 in _pbw_mul(w, ue).items():
-            k = (w2, h)
-            out[k] = out.get(k, 0) + c * c2
-    return {k: v for k, v in out.items() if v}
+    return lincomb((c, {(w2, h): c2 for w2, c2 in _pbw_mul(w, ue).items()}) for (w, h), c in elem.items())
 
 
 @functools.cache
@@ -288,7 +268,7 @@ def _cone_table(ue) -> dict:
     i = max(k for k in range(6) if ue[k])
     prev = list(ue)
     prev[i] -= 1
-    field = [(xe, dl, xe.index(1), t) for (xe, dl), t in _integral(lr_action_mat2().fields[i].terms).items()]
+    field = [(xe, dl, xe.index(1), t) for (xe, dl), t in lr_action_mat2().fields[i].terms.items()]
     acc: dict = {}
     for (de, h), c in _cone_table(tuple(prev)).items():
         for xe, dl, k, t in field:
@@ -305,12 +285,9 @@ def _realize(elem: dict) -> dict:
     """Det-reduced coefficient table of the operator Sum m_f mu(u): each
     `_cone_table(u)` shifted by x^f, that is re-keyed by `_mono_mul`.  The
     generator certificate of `verify_dy_relation` realizes the generators so."""
-    acc: dict = {}
-    for (ue, fe), cf in elem.items():
-        for (de, h), c in _cone_table(ue).items():
-            k = (de, _mono_mul(h, fe))
-            acc[k] = acc.get(k, 0) + cf * c
-    return {k: v for k, v in acc.items() if v}
+    return lincomb(
+        (cf, {(de, _mono_mul(h, fe)): c for (de, h), c in _cone_table(ue).items()}) for (ue, fe), cf in elem.items()
+    )
 
 
 def _block_of(ue, fe):
@@ -332,11 +309,8 @@ def _dy_generators(delta: dict) -> dict:
     """
     gens = {_F0: {(ue, _F0): c for ue, c in delta.items()}}
     for unit in _UNITS:
-        out = {(ue, unit): -c for ue, c in delta.items()}
-        for ue, c in delta.items():
-            for k, c2 in _push(ue, unit).items():
-                out[k] = out.get(k, 0) + c * c2
-        gens[unit] = {k: v for k, v in out.items() if v}
+        right = {(ue, unit): c for ue, c in delta.items()}  # m_{x_j} Delta
+        gens[unit] = lincomb([(-1, right)] + [(c, _push(ue, unit)) for ue, c in delta.items()])
     return gens
 
 
@@ -561,7 +535,7 @@ def verify_dy_relation(bound: int = 4) -> CheckReport:
     diff_op = moment_map(delta_diff, act)
     report.add("mu(Casimir(x)1 - 1(x)Casimir) vanishes identically", "0", op_to_text(diff_op), diff_op.is_zero())
 
-    pair, delta = sl2_pair_desc(), _integral(delta_diff.terms)
+    pair, delta = sl2_pair_desc(), delta_diff.terms
     # phi on the basis F1 H1 E1 F2 H2 E2, read off the unit PBW exponents
     swap = [_phi(tuple(int(k == i) for k in range(6)))[0].index(1) for i in range(6)]
     ok = pair.brackets == {

@@ -53,9 +53,9 @@ def test_derivation_levels():
 
 
 def test_derivation_spaces_dimensions():
-    assert len(sl2_derivation_space(1, 1)) == 6
-    assert len(sl2_derivation_space(0, 0)) == 0
-    assert len(sl2_derivation_space(2, 0)) == 20
+    assert len(sl2_derivation_space(1)) == 6
+    assert len(sl2_derivation_space(0)) == 0
+    assert len(sl2_derivation_space(2)) == 20
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -131,7 +131,8 @@ def test_tau_check_fails_on_a_wrong_det_power(monkeypatch):
     assert failed == [f"level {n}: lifted derivations = relative fields" for n in range(1, 5)]
 
 
-def test_tau_check_numbers_the_eliminator_keys_as_ints(monkeypatch):
+def _key_types(monkeypatch, run):
+    """(run(), the types of the keys that the eliminators of `rees` are given)."""
     seen = set()
 
     class Recording(IncrementalRank):
@@ -140,8 +141,16 @@ def test_tau_check_numbers_the_eliminator_keys_as_ints(monkeypatch):
             return super().add(vec)
 
     monkeypatch.setattr(rees, "IncrementalRank", Recording)
-    assert tau_check(2).passed
-    assert seen == {int}
+    return run(), seen
+
+
+def test_tau_check_numbers_the_eliminator_keys_as_ints(monkeypatch):
+    assert _key_types(monkeypatch, lambda: tau_check(2).passed) == (True, {int})
+
+
+def test_graded_span_dim_numbers_the_eliminator_keys_as_ints(monkeypatch):
+    rees._graded_span_dim.cache_clear()
+    assert _key_types(monkeypatch, lambda: rees._graded_span_dim(2)) == (39, {int})
 
 
 def test_tau_check_rejects_a_negative_bound():

@@ -7,7 +7,11 @@ computed value and an exact pass flag; nothing is compared up to tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import marshal
+import os
+import signal
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -240,7 +244,14 @@ def _push(ue, fe) -> dict:
 
 
 def _u_right(elem: dict, ue) -> dict:
-    return lincomb((c, {(w2, h): c2 for w2, c2 in _pbw_mul(w, ue).items()}) for (w, h), c in elem.items())
+    """elem * mu(x^ue), summed in one pass over the re-keyed `_pbw_mul` terms,
+    keys in first-sight order as `lincomb` keeps them."""
+    acc: dict = {}
+    for (w, h), c in elem.items():
+        for w2, c2 in _pbw_mul(w, ue).items():
+            key = (w2, h)
+            acc[key] = acc.get(key, 0) + c * c2
+    return {k: v for k, v in acc.items() if v}
 
 
 @functools.cache
@@ -314,7 +325,7 @@ def _dy_generators(delta: dict) -> dict:
     return gens
 
 
-def _shift_closure(names, seed, poly_bound: int, order):
+def _shift_closure(names, seed, poly_bound: int, order, mirror=None):
     """(pivots, keys, raised): the span, block by block, of the function
     shifts x^g v of the seeds v = seed(name), name = (u, fe) in `names`, with
     deg x^g v <= poly_bound, as the Counter {(block, d): its pivots of top degree d}.
@@ -341,8 +352,12 @@ def _shift_closure(names, seed, poly_bound: int, order):
     sig to +- the one named phi(sig): the callers' seeds are named so.  Every
     parent of a built vector is built, except the x_d-parent of a vector in a
     diagonal block, whose x_d-shift is +- the phi image of the x_a-shift of
-    its mirror; so a diagonal block also gets the phi image of each shift
-    inserted into it.
+    its mirror.  So, given `mirror`, the (image, sign) map of phi on names and
+    keys, a diagonal block also gets the mirror image of each shift inserted
+    into it.  `_dy_ideal` passes `_phi`: without the images its window (2, 2)
+    falls from 127 to 122.  `_dy_kernel` passes none, since a vector its
+    closure misses can only lower the rank its columns reach, that is raise
+    a kernel count, and no kernel window moves without them.
     Each function degree is inserted once all shifts into it are known, block
     by block, in the order of order(sig, vec); no later level inserts into a
     done one, so its eliminators are counted then and dropped.
@@ -367,7 +382,7 @@ def _shift_closure(names, seed, poly_bound: int, order):
         if built(block) and (vec := seed(name)):
             levels[block[0]].append((block, (name, _F0), {code(k): c for k, c in vec.items()}))
     shift: list[dict] = [{} for _ in _UNITS]
-    mirror: dict = {}
+    images: dict = {}
     pivots: Counter = Counter()
     raised = []
     seen = set()
@@ -394,14 +409,14 @@ def _shift_closure(names, seed, poly_bound: int, order):
                         table[k] = code((top, _mono_mul(h, unit)))
                 shifted = {table[k]: c for k, c in vec.items()}
                 levels[q + 1].append((target, child, shifted))
-                if w0 + dw0 == w1 + dw1 and (image := _phi(child)[0]) not in seen:
+                if mirror and w0 + dw0 == w1 + dw1 and (image := mirror(child)[0]) not in seen:
                     seen.add(image)
                     out = {}
                     for k, c in shifted.items():
-                        hit = mirror.get(k)
+                        hit = images.get(k)
                         if hit is None:
-                            key, s = _phi(keys[k])
-                            hit = mirror[k] = (code(key), s)
+                            key, s = mirror(keys[k])
+                            hit = images[k] = (code(key), s)
                         out[hit[0]] = hit[1] * c
                     levels[q + 1].append((target, image, out))
         level.clear()
@@ -419,10 +434,13 @@ def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
     (de, h): the seed named (u, 1), `_cone_table(u)`, shifted by x^f.  mu(u)
     itself has monomials (ad, bc) that meet on the cone, which a re-keying
     shift loses.
-    Each block's columns go in by (deg u, u, f), so the columns of degree d
-    add the rank that all columns of degree <= d reach over those of lower
-    degree: a column the closure never inserts lies in the span of inserted
-    columns of no higher degree.  A column of enveloping degree d has
+    Each block's columns go in by (deg u, u, f), so the counts of degree
+    <= p sum to the columns of degree <= p minus the rank that the inserted
+    ones reach.  The closure inserts no phi images (`_shift_closure`), so it
+    may miss a column outside the span of the inserted ones, which lowers
+    that rank.  So each window (`_window`) of these counts is an upper bound
+    on the true kernel's, and exact where it meets the ideal's window, since
+    the ideal lies inside the kernel.  A column of enveloping degree d has
     differential order at most d, and no row of lower degree holds a key of
     order d, so a new pivot of order d is met only by rows of degree d:
     back-reduction stays among the rows of one degree unless a column's
@@ -455,18 +473,63 @@ def _dy_ideal(gens: dict, build_bound: int, poly_bound: int):
     """
     return _shift_closure(
         ((c[:6], fe) for fe in gens for c in compositions(build_bound - 2, 7)),
-        lambda name: _u_right(gens[name[1]], name[0]), poly_bound, lambda sig, vec: -min(vec),
+        lambda name: _u_right(gens[name[1]], name[0]), poly_bound, lambda sig, vec: -min(vec), _phi,
     )
 
 
-def _dy_kernel_worker(sender, pbw_bound: int, poly_bound: int) -> None:
-    """Send `_dy_kernel(pbw_bound, poly_bound)`, or (the exception it raised, its traceback)."""
-    try:
-        sender.send(_dy_kernel(pbw_bound, poly_bound))
-    except Exception as exc:
-        import traceback
+@contextlib.contextmanager
+def _dy_kernel_worker(pbw_bound: int, poly_bound: int):
+    """Compute `_dy_kernel(pbw_bound, poly_bound)` in a forked child while the
+    with block runs, and yield a dict that holds it once the block is left.
 
-        sender.send((exc, traceback.format_exc()))
+    The child writes the kernel to a pipe as a marshalled dict and exits 0,
+    or writes the pickled (exception, its traceback) and exits 1.  It leaves
+    only through os._exit, so it never returns into its parent's frames; any
+    other exit status means it died without a reply.  The parent reads the
+    pipe to EOF after the block, kills the child if the block raises, and
+    reaps it on every path.  A worker error is raised again as its own type,
+    with the worker's traceback as its cause.  Where os has no fork, the
+    kernel is computed in process, before the block.
+    """
+    if not hasattr(os, "fork"):
+        yield _dy_kernel(pbw_bound, poly_bound)
+        return
+    kernel: dict = {}
+    results, sender = os.pipe()
+    with open(results, "rb") as pipe:
+        with open(sender, "wb") as out:
+            pid = os.fork()
+            if not pid:
+                status = 2
+                try:
+                    try:
+                        reply, done = marshal.dumps(dict(_dy_kernel(pbw_bound, poly_bound))), 0
+                    except Exception as exc:
+                        import pickle
+                        import traceback
+
+                        reply, done = pickle.dumps((exc, traceback.format_exc())), 1
+                    out.write(reply)
+                    out.flush()
+                    status = done
+                finally:
+                    os._exit(status)
+        try:
+            yield kernel
+            reply = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 1:
+        import pickle
+
+        exc, trace = pickle.loads(reply)
+        raise exc from RuntimeError(f"in the dy kernel worker:\n{trace}")
+    if status:
+        raise RuntimeError(f"the dy kernel worker exited with status {status} and no reply")
+    kernel.update(marshal.loads(reply))
 
 
 def _window(dims: Counter, p: int, q: int) -> int:
@@ -513,63 +576,52 @@ def verify_dy_relation(bound: int = 4) -> CheckReport:
     key of its row's top degree.  A window is one `_window` sum of these
     counts, each block weighted by its orbit size, since each window of
     either side is an sl2 + sl2-module under ad, whose counts W and phi keep.
-    The collar and the phi images only make the counts complete: every
-    inserted vector lies in its side's span, so a vector the closure fails
-    to insert can only lower an ideal count, or lower the rank the kernel's
-    columns add and so raise a kernel count.  With the ideal inside the
-    kernel, such a miss can make a window fail but never pass wrongly.
-    The kernel closure runs in one worker process while this one builds the
-    generators, the ideal closure and the generator certificate: the sides
-    share no state and meet only in the window sums, which read the kernel's
-    Counter as this process would compute it, so no report byte depends on
-    where a side runs.  An error on either side reaches the caller after the
-    worker is joined, or killed and joined.
+    The collar and, on the ideal side only, the phi images just make the
+    counts complete: every inserted vector lies in its side's span, so a
+    vector the closure fails to insert can only lower an ideal count, or
+    lower the rank the kernel's columns add and so raise a kernel count.
+    With the ideal inside the kernel, such a miss can make a window fail but
+    never pass wrongly.
+    The kernel closure runs in a child forked by `_dy_kernel_worker` as soon
+    as the bound is checked, while this process makes the certificate items,
+    the generators, the ideal closure and the generator certificate: the
+    sides share no state and meet only in the window sums, which read the
+    kernel's counts as this process would compute them, so no report byte
+    depends on where a side runs.  An error on either side reaches the
+    caller after the child is reaped, or killed and reaped; so does a child
+    that dies without a reply.
     """
     if bound < DY_LEAST_BOUND:
         raise ValueError(f"bound too small to see the relation (< {DY_LEAST_BOUND})")
-    act = lr_action_mat2()
-    report = CheckReport(check="dy", parameters={"pbw_bound": bound, "poly_bound": bound, "margin": _DY_MARGIN})
+    with _dy_kernel_worker(bound, bound) as kernel:
+        act = lr_action_mat2()
+        report = CheckReport(check="dy", parameters={"pbw_bound": bound, "poly_bound": bound, "margin": _DY_MARGIN})
 
-    cas, one = casimir_sl2(), UEnvElement.one(sl2_desc())
-    delta_diff = tensor(cas, one) - tensor(one, cas)
-    diff_op = moment_map(delta_diff, act)
-    report.add("mu(Casimir(x)1 - 1(x)Casimir) vanishes identically", "0", op_to_text(diff_op), diff_op.is_zero())
+        cas, one = casimir_sl2(), UEnvElement.one(sl2_desc())
+        delta_diff = tensor(cas, one) - tensor(one, cas)
+        diff_op = moment_map(delta_diff, act)
+        name = "mu(Casimir(x)1 - 1(x)Casimir) vanishes identically"
+        report.add(name, "0", op_to_text(diff_op), diff_op.is_zero())
 
-    pair, delta = sl2_pair_desc(), delta_diff.terms
-    # phi on the basis F1 H1 E1 F2 H2 E2, read off the unit PBW exponents
-    swap = [_phi(tuple(int(k == i) for k in range(6)))[0].index(1) for i in range(6)]
-    ok = pair.brackets == {
-        (swap[i], swap[j]): {swap[k]: c for k, c in vec.items()} for (i, j), vec in pair.brackets.items()
-    }
-    report.add("phi = adjugate (x) factor swap preserves the brackets of sl2 (+) sl2", "True", str(ok), ok)
-    det, image = det_poly(), ExactPoly(V, _phi_terms(det_poly().terms))
-    report.add("phi preserves det", poly_to_text(det), poly_to_text(image), image == det)
-    fields = [field.terms for field in act.fields]
-    pushed = " ".join(pair.basis[fields.index(t)] if t in fields else "?" for t in map(_phi_terms, fields))
-    want = " ".join(pair.basis[k] for k in swap)
-    report.add(f"phi pushes mu({' '.join(pair.basis)}) forward to mu of", want, pushed, pushed == want)
-    ok = _phi_terms(delta) == {k: -c for k, c in delta.items()}
-    report.add("phi sends Delta to -Delta", "True", str(ok), ok)
+        pair, delta = sl2_pair_desc(), delta_diff.terms
+        # phi on the basis F1 H1 E1 F2 H2 E2, read off the unit PBW exponents
+        swap = [_phi(tuple(int(k == i) for k in range(6)))[0].index(1) for i in range(6)]
+        ok = pair.brackets == {
+            (swap[i], swap[j]): {swap[k]: c for k, c in vec.items()} for (i, j), vec in pair.brackets.items()
+        }
+        report.add("phi = adjugate (x) factor swap preserves the brackets of sl2 (+) sl2", "True", str(ok), ok)
+        det, image = det_poly(), ExactPoly(V, _phi_terms(det_poly().terms))
+        report.add("phi preserves det", poly_to_text(det), poly_to_text(image), image == det)
+        fields = [field.terms for field in act.fields]
+        pushed = " ".join(pair.basis[fields.index(t)] if t in fields else "?" for t in map(_phi_terms, fields))
+        want = " ".join(pair.basis[k] for k in swap)
+        report.add(f"phi pushes mu({' '.join(pair.basis)}) forward to mu of", want, pushed, pushed == want)
+        ok = _phi_terms(delta) == {k: -c for k, c in delta.items()}
+        report.add("phi sends Delta to -Delta", "True", str(ok), ok)
 
-    import multiprocessing
-
-    results, sender = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(target=_dy_kernel_worker, args=(sender, bound, bound))
-    worker.start()
-    sender.close()  # the worker holds the only sending end: its death ends recv() in EOFError
-    try:
         gens = _dy_generators(delta)
         ideal = _dy_ideal(gens, bound + _DY_MARGIN, bound)[0]
         zero = sum(not _realize(g) for g in gens.values())
-        kernel = results.recv()
-    except BaseException:
-        worker.kill()
-        raise
-    finally:
-        worker.join()
-        results.close()
-    if isinstance(kernel, tuple):
-        raise kernel[0] from RuntimeError(f"in the dy kernel worker:\n{kernel[1]}")
 
     name = "the ideal generators Delta, D_a, D_b, D_c, D_d realize to the zero operator"
     report.add(name, str(len(gens)), str(zero), zero == len(gens))

@@ -112,6 +112,17 @@ def test_criterion_04_stretch_bound_5():
     _within("4 stretch (rank-one cone relation, bound 5)", 3, run)
 
 
+def test_criterion_04_stretch_bound_6():
+    golden = (Path(__file__).parent / "golden" / "verify_dy_bound6.json").read_text()
+
+    def run():
+        report = verify_dy_relation(6)
+        assert json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n" == golden
+        return report.passed
+
+    _within("4 stretch (rank-one cone relation, bound 6)", 6, run)
+
+
 def test_criterion_05_rees_machinery():
     def run():
         tau = tau_check(level_bound=4)

@@ -1,6 +1,8 @@
 import json
-import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -11,7 +13,7 @@ from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_mat2, m
 from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, sl2_pair_desc, tensor
 from horocycle import action, vinberg
-from horocycle.linalg import IncrementalRank
+from horocycle.linalg import IncrementalRank, lincomb
 from horocycle.weyl import WeylOp, apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
@@ -237,6 +239,16 @@ def test_dy_tables_have_int_coefficients():
     tables += [_u_right(g, c[:6]) for g in gens.values() for c in compositions(bound + _DY_MARGIN - 2, 7)]
     bad = [(k, c) for table in tables for k, c in table.items() if type(c) is not int]
     assert bad == []
+
+
+def test_dy_u_right_is_the_lincomb_of_the_rekeyed_products():
+    """`_u_right` sums in one pass what `lincomb` sums over the re-keyed
+    `_pbw_mul` tables, with the keys in the same first-sight order, for every
+    generator and every u of degree <= 3."""
+    for g in _dy_generators(_delta()).values():
+        for ue in (c[:6] for c in compositions(3, 7)):
+            want = lincomb((c, {(w2, h): c2 for w2, c2 in _pbw_mul(w, ue).items()}) for (w, h), c in g.items())
+            assert list(_u_right(g, ue).items()) == list(want.items()), ue
 
 
 def _signed_equal(x, y):
@@ -478,9 +490,8 @@ def _every_column_dims(pbw_bound, poly_bound):
 
 
 # kernel-side inserts by (pbw_bound, poly_bound): the unit columns of the built
-# blocks plus the distinct shifts of rank-raising columns into built blocks and,
-# in a diagonal block, their phi images
-KERNEL_INSERTS = {(3, 3): 485, (3, 4): 998, (2, 5): 490, (4, 2): 768}
+# blocks plus the distinct shifts of rank-raising columns into built blocks
+KERNEL_INSERTS = {(3, 3): 410, (3, 4): 848, (2, 5): 427, (4, 2): 646}
 
 
 @pytest.mark.parametrize("pbw_bound,poly_bound", list(KERNEL_INSERTS))
@@ -488,8 +499,8 @@ def test_dy_kernel_profile_of_rank_raising_shifts_is_that_of_every_column(monkey
     """The closure's increments equal the every-column ones on the domain
     w0 >= w1 >= 0, the every-column increments are invariant under <W, phi>,
     so each window's orbit-weighted sum is the full plane's, and the insert
-    count shows that no column outside the rank-raising shifts and their phi
-    images is inserted."""
+    count shows that no column outside the rank-raising shifts is inserted:
+    the kernel side needs no phi images."""
     dims, _, inserts = _record(monkeypatch, lambda: _dy_kernel(pbw_bound, poly_bound))
     every = _every_column_dims(pbw_bound, poly_bound)
     _assert_orbit_invariant(every)
@@ -526,6 +537,17 @@ def test_dy_kernel_closure_builds_a_collar_of_parents_below_the_domain(monkeypat
     assert rows == {block for block in full if _built(block, poly_bound)}
     assert any(not _in_domain(block) for block in rows)
     assert all(_in_domain(block) for block, _ in dims)
+
+
+def test_dy_ideal_loses_a_window_without_its_phi_images(monkeypatch):
+    """The ideal side's phi images complete its counts: without them window
+    (2, 2) falls from 127 to 122, below the kernel's, and the report fails."""
+    gens = _dy_generators(_delta())
+    window = _window(_dy_ideal(gens, 2 + _DY_MARGIN, 2)[0], 2, 2)
+    closure = vinberg._shift_closure
+    monkeypatch.setattr(vinberg, "_shift_closure", lambda *args: closure(*args[:4]))  # no mirror
+    assert (window, _window(_dy_ideal(gens, 2 + _DY_MARGIN, 2)[0], 2, 2)) == (127, 122)
+    assert not verify_dy_relation(2).passed
 
 
 def test_dy_rejects_small_bound():
@@ -692,22 +714,34 @@ def test_cone_monomial_normal_form_matches_the_quotient_ring():
 
 @pytest.fixture
 def started(monkeypatch):
-    """The worker processes started while a test runs; none may be left alive after it."""
-    out = []
+    """{pid: exit code, None until reaped} of the children that os.fork makes
+    while a test runs; none may be left after it."""
+    children = {}
+    fork, waitpid = os.fork, os.waitpid
 
-    def start(self, start=multiprocessing.Process.start):
-        out.append(self)
-        start(self)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
 
-    monkeypatch.setattr(multiprocessing.Process, "start", start)
-    yield out
-    assert not multiprocessing.active_children()
+    def recording_waitpid(pid, options):
+        reaped, status = waitpid(pid, options)
+        if reaped in children:
+            children[reaped] = os.waitstatus_to_exitcode(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    yield children
+    monkeypatch.undo()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_dy_runs_the_kernel_in_one_worker_that_ends_with_the_call(started):
     assert verify_dy_relation(2).passed
-    assert len(started) == 1 and not multiprocessing.active_children()
-    assert started[0].exitcode == 0
+    assert list(started.values()) == [0]
 
 
 def test_dy_error_on_the_ideal_side_reaches_the_caller_and_ends_the_worker(started, monkeypatch):
@@ -717,10 +751,9 @@ def test_dy_error_on_the_ideal_side_reaches_the_caller_and_ends_the_worker(start
     monkeypatch.setattr(vinberg, "_dy_ideal", fail)
     with pytest.raises(RuntimeError, match="ideal side"):
         verify_dy_relation(2)
-    assert len(started) == 1 and not multiprocessing.active_children()
+    assert len(started) == 1 and None not in started.values()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="only a forked worker runs the patched kernel")
 def test_dy_error_in_the_worker_reaches_the_caller(started, monkeypatch):
     def fail(*args):
         raise ZeroDivisionError("kernel side")
@@ -729,4 +762,42 @@ def test_dy_error_in_the_worker_reaches_the_caller(started, monkeypatch):
     with pytest.raises(ZeroDivisionError, match="kernel side") as raised:
         verify_dy_relation(2)
     assert "in _dy_kernel_worker" in str(raised.value.__cause__)  # the worker's traceback
-    assert len(started) == 1 and not multiprocessing.active_children()
+    assert list(started.values()) == [1]
+
+
+def test_dy_worker_that_dies_without_a_reply_fails_the_call(started, monkeypatch):
+    monkeypatch.setattr(vinberg, "_dy_kernel", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="status 3"):
+        verify_dy_relation(2)
+    assert list(started.values()) == [3]
+
+
+def test_dy_leaves_no_file_descriptor_open(started):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    before = len(list(fds.iterdir()))
+    assert verify_dy_relation(2).passed
+    assert len(list(fds.iterdir())) == before
+
+
+def test_dy_cli_does_not_import_multiprocessing():
+    code = (
+        "import sys\n"
+        "from horocycle.cli import main\n"
+        "try:\n"
+        "    main(['verify', 'dy', '--bound', '2', '--quiet'], standalone_mode=False)\n"
+        "finally:\n"
+        "    print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_dy_runs_in_process_without_fork(started, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert verify_dy_relation(2).passed
+    assert started == {}

@@ -198,47 +198,19 @@ def stabilizer_subalgebra(act: InfinitesimalAction, p: RationalPoint) -> LieSuba
     return LieSubalgebra(act.desc, tuple(nullspace(rows, act.desc.dim)))
 
 
-@dataclass
-class CoinvariantsResult:
-    """Quotient of a module by the span of a subalgebra's action.
-
-    The projection (dimension x module_dim) and the induced matrices
-    (dimension x dimension) are lists of sparse rows; `to_json` writes them
-    out dense.
-    """
-
-    module_dim: int
-    projection: list
-    induced: list
-
-    @property
-    def dimension(self) -> int:
-        return len(self.projection)
-
-    def to_json(self) -> dict:
-        def fmt(rows, cols):
-            dense = ([row.get(j, 0) for j in range(cols)] for row in rows)
-            return [[str(x) for x in row] for row in dense]
-
-        return {
-            "dim": self.dimension,
-            "projection": fmt(self.projection, self.module_dim),
-            "induced": [fmt(m, self.dimension) for m in self.induced],
-        }
-
-
 def coinvariants(
     rep: FinDimRep,
     sub: LieSubalgebra,
     commuting: LieSubalgebra | None = None,
-) -> CoinvariantsResult:
+) -> tuple[list, list]:
     """M / span{x.m : x in sub}, with the induced action of a commuting subalgebra.
 
-    The projection is a full-row-rank matrix Y whose kernel is exactly the
-    span, so Y * generator-action = 0 holds exactly and the induced matrices T
-    satisfy T Y = Y * action.  The span is the columns x.e_j of each x in
-    `sub`, which `act_columns` builds directly; the acting matrices are the
-    transposes of the same column form.
+    Returns `quotient`'s pair (Y, [T for each commuting basis vector]), as
+    lists of sparse rows: Y is a full-row-rank matrix whose kernel is exactly
+    the span, so the quotient has dimension len(Y) and Y * generator-action = 0
+    holds exactly, and each T satisfies T Y = Y * action.  The span is the
+    columns x.e_j of each x in `sub`, which `act_columns` builds directly; the
+    acting matrices are the transposes of the same column form.
     """
     if sub.desc.key != rep.desc.key:
         raise ValueError("subalgebra does not live in the module's acting algebra")
@@ -247,5 +219,4 @@ def coinvariants(
     # the eliminator's primitive integer rows span the subalgebra and keep the span integral
     span = [col for v in sub.span.pivots.values() for col in rep.act_columns(v)]
     acting = [] if commuting is None else [transpose(rep.act_columns(v), rep.dim) for v in commuting.vectors]
-    projection, induced = quotient(span, rep.dim, acting)
-    return CoinvariantsResult(rep.dim, projection, induced)
+    return quotient(span, rep.dim, acting)

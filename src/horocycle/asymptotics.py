@@ -26,7 +26,8 @@ def _cartans(rep: FinDimRep, nilpotent, cartan) -> list:
     def span(names):
         return LieSubalgebra(rep.desc, tuple({rep.desc.index(name): 1} for name in names))
 
-    return coinvariants(rep, span(nilpotent), commuting=span(cartan)).induced
+    _, induced = coinvariants(rep, span(nilpotent), commuting=span(cartan))
+    return induced
 
 
 def _off_diagonal(matrix) -> list[tuple[int, int]]:

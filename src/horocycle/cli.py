@@ -90,6 +90,11 @@ def _effective_bound(suite: str, bound: int | None) -> int | None:
     return None if least is None else bound
 
 
+def _dense(rows: list[dict], cols: int) -> list[list[str]]:
+    """Sparse rows written out dense, each exact entry as its `str`."""
+    return [[str(row.get(j, 0)) for j in range(cols)] for row in rows]
+
+
 def _write_report(path, command: str, fields: dict) -> None:
     """Write a command's JSON report: the tool, version and command header plus `fields`."""
     payload = {"tool": "horocycle", "version": __version__, "command": command, **fields}
@@ -200,26 +205,28 @@ def localize(rep_spec, point_spec, json_path, quiet):
     stab = stabilizer_subalgebra(act, point)
     cartan = LieSubalgebra(stab.desc, ({1: 1},))
     commuting = cartan if cartan.normalizes(stab) else None
-    result = coinvariants(module, stab, commuting=commuting)
-    basis = [[str(v.get(i, 0)) for i in range(stab.desc.dim)] for v in stab.vectors]
+    projection, induced = coinvariants(module, stab, commuting=commuting)
+    dim = len(projection)
+    basis = _dense(stab.vectors, stab.desc.dim)
+    cartans = [_dense(t, dim) for t in induced]
     if not quiet:
         click.echo(f"chart: {chart}")
         click.echo(f"stabilizer dimension: {stab.dim}")
         for v in basis:
             click.echo(f"  basis: {v}")
-        click.echo(f"coinvariants dimension: {result.dimension}")
-        if commuting is not None and result.induced:
-            click.echo(f"induced Cartan matrix: {result.to_json()['induced'][0]}")
-        elif commuting is None:
+        click.echo(f"coinvariants dimension: {dim}")
+        if commuting is not None:
+            click.echo(f"induced Cartan matrix: {cartans[0]}")
+        else:
             click.echo("induced Cartan action: not applicable (Cartan does not normalize stabilizer)")
-    click.echo(f"dimension: {result.dimension}")
+    click.echo(f"dimension: {dim}")
     if json_path:
         _write_report(json_path, "localize", {
             "rep": [m, k],
             "point": point.to_json(),
             "chart": chart,
             "stabilizer": basis,
-            "result": result.to_json(),
+            "result": {"dim": dim, "projection": _dense(projection, module.dim), "induced": cartans},
         })
     raise SystemExit(0)
 

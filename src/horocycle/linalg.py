@@ -113,8 +113,6 @@ def quotient(span: list[dict], n: int, acting=()):
             if fc in row:
                 v[pc] = -row[fc]
         y.append(v)
-    if not y:
-        return [], [[] for _ in acting]
     slot = {c: i for i, c in enumerate(free)}
     induced = []
     for a in acting:

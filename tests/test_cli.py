@@ -3,6 +3,7 @@
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -178,6 +179,15 @@ coinvariants dimension: 1
 induced Cartan matrix: [['-3']]
 dimension: 1
 """,
+    ("2,1", "0,0,0,1"): """chart: det=0
+stabilizer dimension: 3
+  basis: ['1', '0', '0', '0', '0', '0']
+  basis: ['0', '1', '0', '0', '1', '0']
+  basis: ['0', '0', '0', '0', '0', '1']
+coinvariants dimension: 0
+induced Cartan matrix: []
+dimension: 0
+""",
     ("2,2", "1,1,0,1"): """chart: det=1
 stabilizer dimension: 3
   basis: ['1', '1', '-1', '1', '0', '0']
@@ -195,6 +205,17 @@ def test_localize_echo(rep, point):
     result = invoke(["localize", "--rep", rep, "--point", point])
     assert result.exit_code == 0
     assert result.stdout == LOCALIZE_ECHO[rep, point]
+
+
+def test_dense_writes_each_exact_entry_as_its_str():
+    pair = lie.sl2_pair_desc()
+    nsub = action.LieSubalgebra(pair, ({2: 1}, {3: 1}))  # E1, F2
+    hh = action.LieSubalgebra(pair, ({1: 1}, {4: 1}))  # H1, H2
+    proj, induced = action.coinvariants(lie.tensor_dual_rep(1, 1), nsub, commuting=hh)
+    # integral entries are written as integers, the same as everywhere else in the reports
+    assert cli._dense(proj, 4) == [["0", "0", "0", "1"]]
+    assert [cli._dense(t, len(proj)) for t in induced] == [[["-1"]], [["1"]]]
+    assert cli._dense([{1: Fraction(1, 2)}, {}], 3) == [["0", "1/2", "0"], ["0", "0", "0"]]
 
 
 def test_json_report_schema_and_determinism(tmp_path):

@@ -64,3 +64,11 @@ def test_verify_all_reports_every_suite_golden(tmp_path):
     assert len(goldens) == 10
     assert payload["pass"] is True
     assert payload["checks"] == [check for golden in goldens for check in golden["checks"]]
+
+
+def test_only_the_parabolic_golden_holds_fraction_reprs():
+    # the parabolic items print char_poly's coefficients as a list of Fractions;
+    # a new golden that writes a repr fails here
+    holders = {path.name: sum("Fraction(" in line for line in path.read_text().splitlines())
+               for path in GOLDEN.glob("*.json") if "Fraction(" in path.read_text()}
+    assert holders == {"verify_parabolic.json": 96}

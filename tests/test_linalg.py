@@ -347,6 +347,9 @@ def test_quotient_induced_actions():
         quotient(span, 3, [moves])
     assert quotient([], 2) == (sparse(identity(2)), [])
     assert quotient(sparse(identity(2)), 2, [sparse(identity(2))] * 2) == ([], [[], []])
+    # a redundant spanning set: every matrix descends to the zero quotient
+    spanning = sparse([[1, 2, 0], [0, 1, 1], [1, 3, 1], [0, 0, 5]])
+    assert quotient(spanning, 3, [sparse([[0, 1, 0], [0, 0, 1], [7, 0, 0]])]) == ([], [[]])
 
 
 def _dense_kernel(mat, n):

@@ -9,6 +9,7 @@ and on the determinant level sets: on a matrix g, the left factor gives
 Construction does not recompute field brackets: a linear action is a Lie
 algebra map because its representation is (`linear_action`), and the
 `identities` suite reports the residuals of `bracket_residuals` as items.
+It does require linear fields, as the one moment map (`moment_table`) does.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .exactalg import ExactPoly, QuotientRing, det_poly, horocycle_ring, mat2_ring, sl2_ring
 from .lie import FinDimRep, LieAlgebraDesc, UEnvElement, tensor_dual_rep
@@ -37,8 +39,8 @@ class InfinitesimalAction:
         if len(self.fields) != desc.dim:
             raise ValueError("one vector field per basis element required")
         for theta in self.fields:
-            if not (theta.is_zero() or theta.is_vector_field()):
-                raise ValueError("assignments must be vector fields")
+            if any(sum(xe) != 1 or sum(de) != 1 for xe, de in theta.terms):
+                raise ValueError("assignments must be linear vector fields Sum t x_k D_l")
             if not preserves_ideal(theta, ring):
                 raise ValueError("assigned field does not preserve the relation ideal")
 
@@ -90,23 +92,40 @@ def _builtin_action(ring: QuotientRing) -> InfinitesimalAction:
 
 
 def moment_map(u: UEnvElement, act: InfinitesimalAction) -> WeylOp:
-    """Multiplicative extension of the field assignment to the enveloping algebra."""
+    """Multiplicative extension of the field assignment to the enveloping algebra,
+    with monomials in the ring's normal form: on a ring with a relation (no suite
+    uses one) it differs from the fields' product by rel * D, which acts as 0."""
     if u.desc.key != act.desc.key:
         raise ValueError("element does not live in the acting algebra")
     out = WeylOp.zero(act.ring.variables)
     for e, coef in u.terms.items():
-        out = out + _moment_monomial(e, act) * coef
+        out = out + WeylOp(act.ring.variables, moment_table(e, act)) * coef
     return out
 
 
 @functools.cache
-def _moment_monomial(e, act: InfinitesimalAction) -> WeylOp:
+def moment_table(e, act: InfinitesimalAction) -> dict:
+    """Table {(xe, de): c} of mu(x^e), x^e = x^prev X_i: the table of mu(x^prev)
+    times the linear field Sum t x_k D_l of X_i, by (x^h D^de)(x_k D_l) =
+    x^(h+e_k) D^(de+e_l) + de_k x^h D^(de-e_k+e_l), raised key first, with
+    x^(h+e_k) in normal form (well defined: rel S theta = rel (S theta)).  Cached:
+    callers do not mutate it."""
     if not any(e):
-        return WeylOp.one(act.ring.variables)
+        return WeylOp.one(act.ring.variables).terms
     i = max(k for k in range(len(e)) if e[k])
     prev = list(e)
     prev[i] -= 1
-    return _moment_monomial(tuple(prev), act) * act.fields[i]
+    field = [(xe.index(1), dl, t) for (xe, dl), t in act.fields[i].terms.items()]
+    acc: dict = {}
+    for (h, de), c in moment_table(tuple(prev), act).items():
+        for k, dl, t in field:
+            up = tuple(map(add, de, dl))
+            for ne, nc in act.ring.monomial_nf(h[:k] + (h[k] + 1,) + h[k + 1:]):
+                acc[ne, up] = acc.get((ne, up), 0) + c * t * nc
+            if de[k]:
+                key = (h, up[:k] + (up[k] - 1,) + up[k + 1:])
+                acc[key] = acc.get(key, 0) + c * t * de[k]
+    return {k: v for k, v in acc.items() if v}
 
 
 @dataclass(frozen=True)

@@ -289,7 +289,7 @@ class QuotientRing:
     def normal_form(self, f: ExactPoly) -> ExactPoly:
         """Unique representative with no monomial divisible by the leading monomial.
 
-        Sums the normal forms of f's monomials (`_monomial_nf`), which fills the
+        Sums the normal forms of f's monomials (`monomial_nf`), which fills the
         ring's memo idempotently, so concurrent calls stay safe.
         """
         if f.variables != self.variables:
@@ -304,23 +304,23 @@ class QuotientRing:
                 if not all(map(operator.le, lead, e)):
                     out[e] = out.get(e, 0) + c
                     continue
-                nf = self._monomial_nf(e)
+                nf = self.monomial_nf(e)
             for ne, nc in nf:
                 out[ne] = out.get(ne, 0) + c * nc
         return ExactPoly(self.variables, out)
 
-    def _monomial_nf(self, e: Exp) -> tuple:
+    def monomial_nf(self, e: Exp) -> tuple:
         """Normal form of x^e as (exponent, coefficient) pairs, memoized on the ring
         when x^e is rewritten: nf(x^e) = sum of rc * nf(x^(e - lead + re)) over the
-        rewrite terms rc * x^re."""
+        rewrite terms rc * x^re; x^e itself on a ring without a relation."""
         nf = self._nf_memo.get(e)
         if nf is None:
-            if not _divides(self.lead_exp, e):
+            if self.lead_exp is None or not _divides(self.lead_exp, e):
                 return ((e, 1),)
             rest = _exp_sub(e, self.lead_exp)
             acc: dict = {}
             for re, rc in self.rewrite.terms.items():
-                for ne, nc in self._monomial_nf(tuple(map(operator.add, re, rest))):
+                for ne, nc in self.monomial_nf(tuple(map(operator.add, re, rest))):
                     acc[ne] = acc.get(ne, 0) + rc * nc
             nf = self._nf_memo[e] = tuple((ne, nc) for ne, nc in acc.items() if nc)
         return nf

@@ -14,7 +14,6 @@ import os
 import signal
 from collections import Counter
 from fractions import Fraction
-from operator import add
 
 from .action import (
     InfinitesimalAction,
@@ -25,6 +24,7 @@ from .action import (
     lr_action_horocycle,
     lr_action_mat2,
     moment_map,
+    moment_table,
     stabilizer_subalgebra,
 )
 from .exactalg import (
@@ -198,12 +198,12 @@ _UNITS = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))  # a b c 
 # (pbw exp, monomial), with functions kept in `horocycle_ring()` normal form,
 # where the normal form of a monomial is one monomial (ad -> bc).  All products
 # preserve both the function degree and the torus biweight, so elements stay
-# inside one homogeneity block.  Every coefficient is an int: the fields, sl2
-# PBW products and field actions are the terms of a WeylOp, UEnvElement or
-# ExactPoly, whose constructors store an integral coefficient as an int
-# (`linalg.num`), and the other tables are sums of their products.  No count
-# relies on that, since `IncrementalRank` clears denominators itself.
-# Callers do not mutate a cached table.
+# inside one homogeneity block.  mu(u) is read from the cone action's
+# `moment_table`.  Every coefficient is an int: the fields, sl2 PBW products
+# and field actions are the terms of a WeylOp, UEnvElement or ExactPoly, whose
+# constructors store an integral coefficient as an int (`linalg.num`), and the
+# other tables are sums of their products.  No count relies on that, since
+# `IncrementalRank` clears denominators itself.  Callers do not mutate a cached table.
 
 
 @functools.cache
@@ -262,42 +262,14 @@ def _mono_mul(e1, e2):
     return nf
 
 
-@functools.cache
-def _cone_table(ue) -> dict:
-    """Det-reduced coefficient table of mu(x^ue), keyed (de, h) for the term
-    x^h D^de with h cone-normal: the table of mu(x^prev) times the field
-    theta_i = Sum t x_k D_l of the last generator, x^ue = x^prev X_i.
-
-    (x^h D^de)(x_k D_l) = x^(h + e_k) D^(de + e_l) + de_k x^h D^(de - e_k + e_l),
-    and x^(h + e_k) is re-keyed by `_mono_mul`.  Right multiplication is well
-    defined on tables taken modulo det, since det S theta = det (S theta), so
-    this is the table of `moment_map` reduced on the cone, without the
-    normal-ordered product of the Weyl algebra of Mat2.
-    """
-    if ue == _U0:
-        return {(_F0, _F0): 1}
-    i = max(k for k in range(6) if ue[k])
-    prev = list(ue)
-    prev[i] -= 1
-    field = [(xe, dl, xe.index(1), t) for (xe, dl), t in lr_action_mat2().fields[i].terms.items()]
-    acc: dict = {}
-    for (de, h), c in _cone_table(tuple(prev)).items():
-        for xe, dl, k, t in field:
-            up = tuple(map(add, de, dl))
-            key = (up, _mono_mul(h, xe))
-            acc[key] = acc.get(key, 0) + c * t
-            if de[k]:
-                key = (up[:k] + (up[k] - 1,) + up[k + 1:], h)
-                acc[key] = acc.get(key, 0) + c * t * de[k]
-    return {k: v for k, v in acc.items() if v}
-
-
 def _realize(elem: dict) -> dict:
-    """Det-reduced coefficient table of the operator Sum m_f mu(u): each
-    `_cone_table(u)` shifted by x^f, that is re-keyed by `_mono_mul`.  The
-    generator certificate of `verify_dy_relation` realizes the generators so."""
+    """Det-reduced coefficient table of the operator Sum m_f mu(u), keyed
+    (de, h) for the term x^h D^de: the cone action's `moment_table(u)`
+    shifted by x^f, that is re-keyed by `_mono_mul`.  The kernel's columns
+    and the generator certificate of `verify_dy_relation` are realized so."""
+    act = lr_action_horocycle()
     return lincomb(
-        (cf, {(de, _mono_mul(h, fe)): c for (de, h), c in _cone_table(ue).items()}) for (ue, fe), cf in elem.items()
+        (cf, {(de, _mono_mul(h, fe)): c for (h, de), c in moment_table(ue, act).items()}) for (ue, fe), cf in elem.items()
     )
 
 
@@ -431,9 +403,9 @@ def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
     closure's collar w1 < 0 is built but not counted).
 
     Column (u, f) is x^f times the cone-reduced table of mu(u), keyed
-    (de, h): the seed named (u, 1), `_cone_table(u)`, shifted by x^f.  mu(u)
-    itself has monomials (ad, bc) that meet on the cone, which a re-keying
-    shift loses.
+    (de, h): the seed named (u, 1), the cone action's `moment_table(u)`
+    (`_realize`), shifted by x^f.  mu(u) on Mat2 has monomials (ad, bc) that
+    meet on the cone, which a re-keying shift loses.
     Each block's columns go in by (deg u, u, f), so the counts of degree
     <= p sum to the columns of degree <= p minus the rank that the inserted
     ones reach.  The closure inserts no phi images (`_shift_closure`), so it
@@ -448,7 +420,7 @@ def _dy_kernel(pbw_bound: int, poly_bound: int) -> Counter:
     """
     u_exps = [c[:6] for c in compositions(pbw_bound, 7)]
     _, _, raised = _shift_closure(
-        ((ue, _F0) for ue in u_exps), lambda name: _cone_table(name[0]), poly_bound,
+        ((ue, _F0) for ue in u_exps), lambda name: _realize({name: 1}), poly_bound,
         lambda sig, vec: (sum(sig[0][0]), sig[0][0], sig[1]),
     )
     u_count = Counter((sum(ue), _weight(ue, _GEN_WEIGHTS)) for ue in u_exps)
@@ -551,12 +523,11 @@ def verify_dy_relation(bound: int = 4) -> CheckReport:
     An operator kills every function on the cone exactly when det divides all
     of its normal-ordered coefficients (commute with the coordinates and
     induct on order), so an element's det-reduced coefficient table is a
-    faithful model of its action.  The kernel's columns are the cone tables
-    of mu(u) (`_cone_table`), each made from its prefix's table times the last
-    generator's linear field and reduced on the cone as it goes; `_realize`
-    sums their shifts for the generator certificate.  So no operator of the
-    Weyl algebra of Mat2 is formed beyond mu(Delta), which `moment_map` makes
-    for the first item.  The Casimir difference Delta is
+    faithful model of its action.  The kernel's columns are the cone
+    action's `moment_table`s, reduced on the cone as they are built, and
+    `_realize` sums their shifts for the generator certificate.  The first
+    item reads mu(Delta) on Mat2 from the same tables, so no two operators
+    of the Weyl algebra are multiplied.  The Casimir difference Delta is
     central in the enveloping factor, so its two-sided ideal is spanned by function
     multiples of its left multiples Delta m_f u.  By Leibniz, Delta m_f =
     m_f Delta + Sum_j m_{d_j f} D_j + m_{mu(Delta) f} with D_j = Delta m_{x_j}

@@ -15,9 +15,10 @@ from horocycle.action import (
     lr_action_mat2,
     lr_action_sl2,
     moment_map,
+    moment_table,
     stabilizer_subalgebra,
 )
-from horocycle.exactalg import ExactPoly, MAT2_VARS, QuotientRing, det_poly, mat2_ring
+from horocycle.exactalg import ExactPoly, MAT2_VARS, QuotientRing, compositions, det_poly, mat2_ring
 from horocycle.lie import (
     FinDimRep,
     UEnvElement,
@@ -32,6 +33,7 @@ from horocycle.lie import (
 from horocycle.linalg import mat_mul
 from horocycle.weyl import WeylOp, apply_op, euler_op
 from matrices import act_rows, rank
+from moment_oracle import field_product, reduced
 
 V = MAT2_VARS
 
@@ -119,9 +121,29 @@ def test_action_constructions_validate():
     lr_action_horocycle()
 
 
+def test_actions_take_linear_fields_only():
+    # `moment_table` multiplies by t x_k D_l term by term: for X = ab D_a the
+    # lowered term of mu(X)^2 would read ab D_a instead of ab^2 D_a
+    ring, d2 = mat2_ring(), sl2_desc()
+    a, b = ring.var("a"), ring.var("b")
+    Da, zero = WeylOp.partial(V, "a"), WeylOp.zero(V)
+    for bad in (a * b * Da, Da, a * Da + Da, a * Da * Da, WeylOp.one(V)):
+        with pytest.raises(ValueError, match="linear vector fields"):
+            InfinitesimalAction(d2, ring, [bad, zero, zero])
+    assert moment_map(UEnvElement.generator(d2, 0), InfinitesimalAction(d2, ring, [b * Da, zero, zero])) == b * Da
+
+
+@pytest.mark.parametrize("builder", [lr_action_mat2, lr_action_sl2, lr_action_horocycle])
+def test_moment_tables_are_the_field_products_in_normal_form(builder):
+    act = builder()
+    for e in (c[:6] for c in compositions(4, 7)):
+        assert moment_table(e, act) == reduced(field_product(e, act), act.ring), e
+
+
 def test_moment_map_multiplicative():
+    # on a ring with a relation, mu(u) mu(v) is mu(uv) up to rel * D: both sides
+    # are compared with their monomials in normal form
     rng = random.Random(4242)
-    act = lr_action_mat2()
     pair = sl2_pair_desc()
 
     def rand_u():
@@ -133,9 +155,11 @@ def test_moment_map_multiplicative():
             t[tuple(e)] = Fraction(rng.randint(-3, 3))
         return UEnvElement(pair, t)
 
-    for _ in range(50):
-        u, v = rand_u(), rand_u()
-        assert moment_map(u * v, act) == moment_map(u, act) * moment_map(v, act)
+    for act, pairs in ((lr_action_mat2(), 50), (lr_action_horocycle(), 40), (lr_action_sl2(), 40)):
+        for _ in range(pairs):
+            u, v = rand_u(), rand_u()
+            product = WeylOp(V, reduced(moment_map(u, act) * moment_map(v, act), act.ring))
+            assert moment_map(u * v, act) == product, act.ring
 
 
 def test_moment_map_cache_is_per_action():

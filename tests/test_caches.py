@@ -22,13 +22,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 EXPECTED = {
     "action._builtin_action",
-    "action._moment_monomial",
+    "action.moment_table",
     "lie._word_normal_form",
     "lie.tensor_dual_rep",
     "rees._det_power",
     "rees._graded_span_dim",
     "rees.sl2_derivation_space",
-    "vinberg._cone_table",
     "vinberg._mono_mul",
     "vinberg._pbw_mul",
     "vinberg._sl2_mul",

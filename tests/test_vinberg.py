@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_mat2, moment_map
+from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_horocycle, lr_action_mat2, moment_table
 from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, sl2_pair_desc, tensor
 from horocycle import action, vinberg
@@ -18,7 +18,6 @@ from horocycle.weyl import WeylOp, apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
     _block_of,
-    _cone_table,
     _dy_generators,
     _dy_ideal,
     _dy_kernel,
@@ -42,6 +41,7 @@ from horocycle.vinberg import (
     verify_sl2_identities,
     vfiltration_check,
 )
+from moment_oracle import field_product
 from test_caches import clear_all_caches
 
 
@@ -121,15 +121,16 @@ def test_dy_kernel_columns_are_shifts_of_the_reduced_table():
 
 
 def test_dy_cone_tables_are_the_moment_map_reduced_on_the_cone():
-    # the oracle: mu(u) normal-ordered in the Weyl algebra of Mat2, then each
-    # coordinate monomial re-keyed to its cone normal form
-    pair, act = sl2_pair_desc(), lr_action_mat2()
+    # the oracle: the product of the fields of Mat2 along u's PBW word,
+    # normal-ordered in the Weyl algebra of Mat2, then each coordinate
+    # monomial re-keyed to its cone normal form
+    act = lr_action_mat2()
     for ue in (c[:6] for c in compositions(4, 7)):
         oracle: dict = {}
-        for (xe, de), c in moment_map(UEnvElement(pair, {ue: 1}), act).terms.items():
+        for (xe, de), c in field_product(ue, act).terms.items():
             key = (de, _mono_mul(xe, F0))
             oracle[key] = oracle.get(key, 0) + c
-        assert _cone_table(ue) == {k: c for k, c in oracle.items() if c}, ue
+        assert _realize({(ue, F0): 1}) == {k: c for k, c in oracle.items() if c}, ue
 
 
 def test_dy_pair_products_are_the_products_of_their_factors():
@@ -225,8 +226,9 @@ def test_dy_generators_match_the_commutator_closed_form():
 
 def test_dy_tables_have_int_coefficients():
     """At bound 3 every coefficient of the sl2 and pair products, the field
-    actions, the cone tables, the five generators and the ideal's seeds is an
-    int, as the WeylOp, UEnvElement and ExactPoly constructors store it."""
+    actions, the cone action's moment tables, the five generators and the
+    ideal's seeds is an int, as the WeylOp, UEnvElement and ExactPoly
+    constructors store it."""
     bound = 3
     sl2 = [c[:3] for c in compositions(bound, 4)]
     pair = [c[:6] for c in compositions(bound, 7)]
@@ -234,7 +236,7 @@ def test_dy_tables_have_int_coefficients():
     tables = [_sl2_mul(e1, e2) for e1 in sl2 for e2 in sl2]
     tables += [_pbw_mul(e1, e2) for e1 in pair for e2 in pair]
     tables += [_field_act(j, fe) for j in range(6) for fe in _cone_monomials(bound)]
-    tables += [_cone_table(ue) for ue in pair]
+    tables += [moment_table(ue, lr_action_horocycle()) for ue in pair]
     tables += list(gens.values())
     tables += [_u_right(g, c[:6]) for g in gens.values() for c in compositions(bound + _DY_MARGIN - 2, 7)]
     bad = [(k, c) for table in tables for k, c in table.items() if type(c) is not int]

@@ -8,9 +8,11 @@ the fixed graded order is a*d, so one substitution rule a*d -> lower terms
 computes canonical representatives; no general Groebner machinery is needed.
 
 All values are immutable after construction and all operations are pure,
-except that a ring memoizes the normal forms of rewritten monomials; that memo
-is keyed by the exponent on an immutable ring and filled idempotently, so
-concurrent use is still safe.  A stored coefficient is an int when it is
+except that a ring memoizes the normal form of each monomial it has seen,
+((e, 1),) where nothing rewrites it; that memo is keyed by the exponent on an
+immutable ring and filled idempotently, so concurrent use is still safe.  One
+kernel, `QuotientRing.nf_terms`, sums normal forms for `normal_form`,
+`pw_level` and `weyl.relative_fields`.  A stored coefficient is an int when it is
 integral and a fractions.Fraction otherwise (`linalg.num`), never a float.
 The constructors of `ExactPoly`, `weyl.WeylOp` and `lie.UEnvElement` all
 normalise in `SparseElement._normalise`, one pass over the given terms.
@@ -163,7 +165,7 @@ class ExactPoly(SparseElement):
         t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 t[e] = t.get(e, 0) + c1 * c2
         return ExactPoly(self.variables, t)
 
@@ -194,10 +196,15 @@ class ExactPoly(SparseElement):
         """Largest exponent under the graded order with earlier variables first."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=lambda e: (sum(e), e))
+        return max(self.terms, key=_graded)
 
     def __repr__(self):
         return f"ExactPoly({poly_to_text(self)!r})"
+
+
+def _graded(e: Exp):
+    """The key of the graded order: total degree, then earlier variables first."""
+    return sum(e), e
 
 
 def _divides(e1: Exp, e2: Exp) -> bool:
@@ -209,17 +216,20 @@ def _exp_sub(e1: Exp, e2: Exp) -> Exp:
 
 
 def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
-    """Exact quotient f/d, or None when d does not divide f."""
+    """Exact quotient f/d, or None when d does not divide f: at once when d's
+    least monomial does not divide f's, since least monomials multiply."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check(d)
+    if f.terms and not _divides(min(d.terms, key=_graded), min(f.terms, key=_graded)):
+        return None
     lead = d.leading_exponent()
     lc = d.terms[lead]
     rest = [(e, c) for e, c in d.terms.items() if e != lead]
     rem = dict(f.terms)
     q: dict = {}
     while rem:
-        e = max(rem, key=lambda e: (sum(e), e))
+        e = max(rem, key=_graded)
         if not _divides(lead, e):
             return None
         qe = _exp_sub(e, lead)
@@ -286,43 +296,41 @@ class QuotientRing:
     def var(self, name) -> ExactPoly:
         return ExactPoly.variable(self.variables, name)
 
-    def normal_form(self, f: ExactPoly) -> ExactPoly:
-        """Unique representative with no monomial divisible by the leading monomial.
+    def nf_terms(self, terms: dict) -> dict:
+        """{exponent: coefficient} summing the normal forms of the terms {e: c}
+        (`monomial_nf`), zero sums kept; the terms as given on a ring without a
+        relation.  Fills the ring's memo idempotently, so concurrent calls stay safe."""
+        if self.relation is None:
+            return terms
+        memo, out = self._nf_memo, {}
+        for e, c in terms.items():
+            nf = memo.get(e)
+            for ne, nc in self.monomial_nf(e) if nf is None else nf:
+                out[ne] = out.get(ne, 0) + c * nc
+        return out
 
-        Sums the normal forms of f's monomials (`monomial_nf`), which fills the
-        ring's memo idempotently, so concurrent calls stay safe.
-        """
+    def normal_form(self, f: ExactPoly) -> ExactPoly:
+        """Unique representative with no monomial divisible by the leading monomial:
+        the `nf_terms` of f's terms, as a polynomial."""
         if f.variables != self.variables:
             raise ArityMismatch(f"{f.variables} vs {self.variables}")
-        if self.relation is None:
-            return f
-        memo, lead = self._nf_memo, self.lead_exp
-        out: dict = {}
-        for e, c in f.terms.items():
-            nf = memo.get(e)
-            if nf is None:
-                if not all(map(operator.le, lead, e)):
-                    out[e] = out.get(e, 0) + c
-                    continue
-                nf = self.monomial_nf(e)
-            for ne, nc in nf:
-                out[ne] = out.get(ne, 0) + c * nc
-        return ExactPoly(self.variables, out)
+        return f if self.relation is None else ExactPoly(self.variables, self.nf_terms(f.terms))
 
     def monomial_nf(self, e: Exp) -> tuple:
-        """Normal form of x^e as (exponent, coefficient) pairs, memoized on the ring
-        when x^e is rewritten: nf(x^e) = sum of rc * nf(x^(e - lead + re)) over the
-        rewrite terms rc * x^re; x^e itself on a ring without a relation."""
+        """Normal form of x^e as (exponent, coefficient) pairs, memoized on the ring:
+        the sum of rc * nf(x^(e - lead + re)) over the rewrite terms rc * x^re when
+        the leading monomial divides x^e, else ((e, 1),), x^e itself."""
         nf = self._nf_memo.get(e)
         if nf is None:
-            if self.lead_exp is None or not _divides(self.lead_exp, e):
-                return ((e, 1),)
-            rest = _exp_sub(e, self.lead_exp)
-            acc: dict = {}
-            for re, rc in self.rewrite.terms.items():
-                for ne, nc in self.monomial_nf(tuple(map(operator.add, re, rest))):
-                    acc[ne] = acc.get(ne, 0) + rc * nc
-            nf = self._nf_memo[e] = tuple((ne, nc) for ne, nc in acc.items() if nc)
+            nf = ((e, 1),)
+            if self.lead_exp is not None and _divides(self.lead_exp, e):
+                rest = _exp_sub(e, self.lead_exp)
+                acc: dict = {}
+                for re, rc in self.rewrite.terms.items():
+                    for ne, nc in self.monomial_nf(tuple(map(operator.add, re, rest))):
+                        acc[ne] = acc.get(ne, 0) + rc * nc
+                nf = tuple((ne, nc) for ne, nc in acc.items() if nc)
+            self._nf_memo[e] = nf
         return nf
 
     def in_ideal(self, f: ExactPoly) -> bool:
@@ -336,14 +344,12 @@ class QuotientRing:
         return [e for e in monos if lead is None or not _divides(lead, e)]
 
 
-def compositions(total: int, parts: int):
+def compositions(total: int, parts: int) -> list[Exp]:
     """Exponent vectors of `parts` entries summing to `total`, lexicographically increasing."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    vecs = [()]
+    for _ in range(parts - 1):
+        vecs = [v + (k,) for v in vecs for k in range(total + 1 - sum(v))]
+    return [v + (total - sum(v),) for v in vecs]
 
 
 MAT2_VARS = ("a", "b", "c", "d")
@@ -386,8 +392,11 @@ def pw_level(f: ExactPoly, ring: QuotientRing):
     """Least filtration level of a class (its minimal degree); BOTTOM (-inf) for
     the zero class, so levels add under products and take a max under sums.
 
-    Reads `ring.normal_form`, so it may fill the ring's monomial memo (idempotently)."""
-    return ring.normal_form(f).degree()
+    The largest degree among the nonzero sums of `ring.nf_terms`, read without
+    building the normal form; it may fill the ring's monomial memo (idempotently)."""
+    if f.variables != ring.variables:
+        raise ArityMismatch(f"{f.variables} vs {ring.variables}")
+    return max((sum(e) for e, c in ring.nf_terms(f.terms).items() if c), default=BOTTOM)
 
 
 # --- serialization ----------------------------------------------------------
@@ -404,5 +413,5 @@ def monomial_text(names, exponents, prefix: str = "") -> str:
 def poly_to_text(f: ExactPoly) -> str:
     if not f.terms:
         return "0"
-    order = sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
+    order = sorted(f.terms, key=_graded, reverse=True)
     return " + ".join(" * ".join(filter(None, (str(f.terms[e]), monomial_text(f.variables, e)))) for e in order)

@@ -18,7 +18,9 @@ specific elements.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from math import comb
+from operator import add
 
 from .action import lr_action_horocycle
 from .exactalg import (
@@ -54,11 +56,23 @@ def sl2_derivation_space(cap: int) -> tuple:
     """Basis of derivations of the determinant-one ring whose generator images
     are spanned by normal-form monomials of degree <= cap, degree == cap mod 2.
 
-    Returned as 4-tuples of coefficient polynomials (images of a, b, c, d).
+    Returned as 4-tuples of coefficient polynomials (images of a, b, c, d), in
+    degree order; those of degree <= k are the space at cap k (`relative_fields`).
     """
     ring = sl2_ring()
     monos = [e for d in range(cap % 2, cap + 1, 2) for e in ring.nf_monomials(d)]
     return tuple(relative_fields(ring, det_poly(), monos))
+
+
+def _derivation_spaces(top: int) -> list[tuple[list, tuple]]:
+    """For parity 0 and 1, (degrees, fields): `sl2_derivation_space` at the cap
+    top or top - 1 of that parity and its fields' ascending degrees.  The space
+    at a cap k <= top is its first `bisect_right(degrees, k)` fields; top >= 1."""
+    spaces = [None, None]
+    for cap in (top - 1, top):
+        fields = sl2_derivation_space(cap)
+        spaces[cap % 2] = ([max(g.degree() for g in coeffs) for coeffs in fields], fields)
+    return spaces
 
 
 # --- the Rees algebra: O(Mat2) graded by degree --------------------------------
@@ -84,7 +98,7 @@ def homogenize(g: ExactPoly, level: int) -> ExactPoly:
         if (level - k) % 2 or k > level:
             raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
         for pe, pc in _det_power((level - k) // 2).terms.items():
-            ne = tuple(x + y for x, y in zip(e, pe))
+            ne = tuple(map(add, e, pe))
             out[ne] = out.get(ne, 0) + c * pc
     return ExactPoly(MAT2_VARS, out)
 
@@ -117,14 +131,17 @@ def tau_check(level_bound: int = 4) -> CheckReport:
 
     For each level the lifted images must kill det, be linearly independent,
     and fill a space of the same dimension as the relative-field kernel on Mat2
-    in that coefficient degree.
+    in that coefficient degree.  Each level's derivation space is read off
+    `_derivation_spaces(1 + level_bound)`: one solve per parity.
     """
     if level_bound < 0:
         raise ValueError("level bound must be non-negative")
     report = CheckReport(check="tau", parameters={"level_bound": level_bound})
     detp = det_poly()
+    spaces = _derivation_spaces(1 + level_bound)
     for level in range(level_bound + 1):
-        basis = sl2_derivation_space(1 + level)
+        degrees, fields = spaces[(1 + level) % 2]
+        basis = fields[:bisect_right(degrees, 1 + level)]
         dim_lhs = len(basis)
         lifts = [WeylOp.vector_field([homogenize(g, 1 + level) for g in coeffs]) for coeffs in basis]
         all_relative = all(apply_op(lift, detp).is_zero() for lift in lifts)
@@ -189,21 +206,18 @@ def gr_derivations_check(bound: int = 4) -> CheckReport:
 
     The graded side is realised concretely as the span of the built-in
     action's six fields with homogeneous coefficients on the rank-one cone.
+    The filtered side counts the fields of degree <= cap in the two spaces
+    that `tau_check` reads at the same bound, so the two suites share two solves.
     """
     if bound < GRDERV_LEAST_BOUND:
         raise ValueError(f"level and coefficient bounds must be at least {GRDERV_LEAST_BOUND}")
     report = CheckReport(check="grderv", parameters={"level_bound": bound, "coef_bound": bound})
     report.add("level BOTTOM", 0, 0, True)
-
-    def lhs_dim(cap: int, parity: int) -> int:
-        cap -= (cap - parity) % 2
-        return len(sl2_derivation_space(cap)) if cap >= 0 else 0
-
+    spaces = _derivation_spaces(1 + bound)
     for n in range(-bound, bound + 1):
+        degrees = spaces[(1 + n) % 2][0]  # 1 + n and n - 1 share a parity; caps below 0 count 0
         for dcap in range(bound + 1):
-            big = lhs_dim(min(1 + n, dcap), (1 + n) % 2)
-            small = lhs_dim(min(n - 1, dcap), (n - 1) % 2)
-            lhs = big - small
+            lhs = bisect_right(degrees, min(1 + n, dcap)) - bisect_right(degrees, min(n - 1, dcap))
             rhs = 0 if n < 0 or 1 + n > dcap else _graded_span_dim(n)
             report.add(f"level {n}, coefficient degree <= {dcap}", rhs, lhs, lhs == rhs)
     return report

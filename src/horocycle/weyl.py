@@ -182,18 +182,25 @@ def relative_fields(ring: QuotientRing, f: ExactPoly, monomials) -> list[tuple]:
     every g_i in the span of the given monomial exponents.
 
     theta(f) = sum_i g_i D_i(f), so the coefficient of x^e in slot i is the
-    unknown whose column is the normal form of x^e D_i(f); the fields are the
-    kernel.  Each basis field is a tuple of coefficient polynomials, one per
-    variable.
+    unknown whose column is the normal form of x^e D_i(f) (`ring.nf_terms` of
+    D_i(f)'s terms shifted by e); the fields are the kernel.  Each basis field
+    is a tuple of coefficient polynomials, one per variable.
+
+    The unknowns are numbered monomial-major, monomials in degree order, then
+    by slot, and the basis follows its free columns.  The reduced echelon form
+    of a column prefix is the prefix of the reduced form, so the basis fields
+    of degree <= k are the basis solved on the monomials of degree <= k alone;
+    `rees` reads its lower caps off one solve this way.
     """
     variables = ring.variables
-    gradient = [apply_op(WeylOp.partial(variables, v), f) for v in variables]
-    monomials = list(monomials)
-    unknowns = [(i, e) for i in range(len(variables)) for e in monomials]
+    gradient = [apply_op(WeylOp.partial(variables, v), f).terms for v in variables]
+    monomials = sorted((_exp(e, len(variables)) for e in monomials), key=sum)
+    unknowns = [(i, e) for e in monomials for i in range(len(variables))]
     rows: dict = {}  # monomial of theta(f) -> its row {unknown: coefficient}
     for j, (i, e) in enumerate(unknowns):
-        for te, c in ring.normal_form(ExactPoly.monomial(variables, e) * gradient[i]).terms.items():
-            rows.setdefault(te, {})[j] = c
+        for te, c in ring.nf_terms({tuple(map(add, e, ge)): gc for ge, gc in gradient[i].items()}).items():
+            if c:
+                rows.setdefault(te, {})[j] = c
     basis = []
     for vec in nullspace(list(rows.values()), len(unknowns)):
         coeffs = [{} for _ in variables]

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 import horocycle
 from horocycle.cli import main
-from horocycle.exactalg import horocycle_ring, sl2_ring
+from horocycle.exactalg import horocycle_ring, mat2_ring, sl2_ring
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,7 +34,7 @@ EXPECTED = {
 }
 
 # the rings whose normal forms the suites memoize (`QuotientRing._nf_memo`)
-MEMO_RINGS = (sl2_ring(), horocycle_ring())
+MEMO_RINGS = (mat2_ring(), sl2_ring(), horocycle_ring())
 
 CASES = [
     (["verify", "asymp-diagram"], "verify_asymp-diagram.json"),

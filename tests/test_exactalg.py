@@ -82,13 +82,16 @@ def pw_level_oracle(f: ExactPoly, ring: QuotientRing):
 
 
 def _has_representative_of_degree(nf: ExactPoly, ring: QuotientRing, t: int) -> bool:
-    """Does nf + relation*g have degree <= t for some g?"""
+    """Does nf + relation*g have degree <= t for some g?  The top part of
+    relation*g never vanishes, so a g that lowers the degree has degree at most
+    deg nf - deg relation; the rows are the monomials above degree t that nf or
+    any such relation*g can hold."""
     rel = ring.relation
     gdeg = max(nf.degree() - rel.degree(), 0)
     gmonos = [e for d in range(gdeg + 1) for e in compositions(d, len(ring.variables))]
     high = [
         e
-        for d in range(t + 1, nf.degree() + 1)
+        for d in range(t + 1, max(nf.degree(), gdeg + rel.degree()) + 1)
         for e in compositions(d, len(ring.variables))
     ]
     if not high:
@@ -455,7 +458,12 @@ def test_memoized_normal_form_matches_worklist_rewrite(ring):
         mono = ExactPoly.monomial(ring.variables, e)
         assert fresh.normal_form(mono) == fresh.normal_form(mono) == worklist_normal_form(ring, mono)
     if ring.relation is not None:
-        assert fresh._nf_memo and all(_divides(ring.lead_exp, e) for e in fresh._nf_memo)
+        # each entry is its key's normal form, and the identity ((e, 1),) when the
+        # leading monomial does not divide the key
+        assert fresh._nf_memo
+        for e, nf in fresh._nf_memo.items():
+            assert dict(nf) == worklist_normal_form(ring, ExactPoly.monomial(ring.variables, e)).terms, (ring.name, e)
+            assert _divides(ring.lead_exp, e) or nf == ((e, 1),), (ring.name, e)
     if ring is NON_MONIC:
         assert any(type(c) is Fraction for c in ring.normal_form(a * a * d * d).terms.values())
 
@@ -506,3 +514,85 @@ def test_normal_form_memo_is_safe_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
+
+
+# --- the normal-form accumulator, the flat enumeration and the trailing test ----
+
+
+def recursive_compositions(total: int, parts: int):
+    """The chain of recursive generators that `compositions` replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_flat_compositions_match_the_recursive_enumeration():
+    for total in range(13):
+        for parts in range(1, 8):
+            assert compositions(total, parts) == list(recursive_compositions(total, parts)), (total, parts)
+
+
+def _accumulator_inputs(ring, rng):
+    """Random polynomials, g * rel + h with h of lower degree than g * rel (the top
+    part cancels in normal form), and multiples g * rel (every sum is zero)."""
+    n = len(ring.variables)
+    for i in range(40):
+        f = _rand_ring_poly(rng, ring.variables, degree=1 + i % 5, terms=1 + i % 4)
+        yield f
+        if ring.relation is not None:
+            g = _rand_ring_poly(rng, ring.variables, degree=1 + i % 3, terms=1 + i % 3)
+            h = ExactPoly(ring.variables, {_rand_exp(rng, n, max(g.degree(), 0)): _rand_coef(rng)})
+            yield g * ring.relation + h
+            yield g * ring.relation
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: r.name)
+def test_nf_terms_and_pw_level_match_the_oracles(ring):
+    rng = random.Random(36)
+    zero_classes = top_cancelled = 0
+    for f in _accumulator_inputs(ring, rng):
+        expected = worklist_normal_form(ring, f)
+        assert ExactPoly(ring.variables, ring.nf_terms(f.terms)) == expected, (ring.name, f)
+        assert pw_level(f, ring) == pw_level_oracle(f, ring) == expected.degree(), (ring.name, f)
+        zero_classes += not f.is_zero() and expected.is_zero()
+        top_cancelled += expected.degree() < f.degree()
+    if ring.relation is None:
+        f = _rand_ring_poly(rng, ring.variables, 3, 4)
+        assert ring.nf_terms(f.terms) is f.terms
+    else:
+        assert zero_classes and top_cancelled > zero_classes
+    with pytest.raises(ArityMismatch):
+        pw_level(ExactPoly.zero(ring.variables[:3]), ring)
+
+
+def _least(f: ExactPoly):
+    return min(f.terms, key=lambda e: (sum(e), e))
+
+
+def test_trailing_test_division_matches_leading_term_division():
+    rng = random.Random(36)
+    det = det_poly()
+    divisors = [det, det - 1, B_SQUARED.relation, NON_MONIC.relation, a + b * b, det * c + d]
+    decided = passed_but_indivisible = 0
+    for i in range(120):
+        dv = divisors[i % len(divisors)]
+        g = _rand_ring_poly(rng, V, 1 + i % 3, 1 + i % 3)
+        if g.is_zero():
+            continue
+        # a low monomial spoils only the least one, a high one only the leading one
+        low = ExactPoly.monomial(V, _rand_exp(rng, 4, 1))
+        high = ExactPoly.monomial(V, (2, 0, 0, 2)) * g * g
+        for f in (g * dv, g * dv + low, g * dv + high, g * dv * a + dv * low):
+            expected = leading_term_divide(f, dv)
+            assert poly_try_divide(f, dv) == expected, (f, dv)
+            if f.is_zero():
+                continue
+            if not _divides(_least(dv), _least(f)):
+                decided += 1
+                assert expected is None
+            elif expected is None:
+                passed_but_indivisible += 1
+    assert decided >= 30 and passed_but_indivisible >= 30

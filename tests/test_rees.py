@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,17 @@ def test_derivation_levels():
     assert derivation_level(WeylOp.zero(V)) == BOTTOM
     with pytest.raises(ValueError):
         derivation_level(WeylOp.vector_field([a, zero, zero, zero]))
+
+
+def test_lower_caps_read_off_the_top_spaces_are_the_direct_solves():
+    """The fields of degree <= cap of the spaces at caps 7 and 6 are, vector for
+    vector and in order, `relative_fields` solved at that cap alone."""
+    ring = sl2_ring()
+    spaces = rees._derivation_spaces(7)
+    for cap in range(8):
+        degrees, fields = spaces[cap % 2]
+        monos = [e for k in range(cap % 2, cap + 1, 2) for e in ring.nf_monomials(k)]
+        assert fields[:bisect_right(degrees, cap)] == tuple(relative_fields(ring, det_poly(), monos)), cap
 
 
 def test_derivation_spaces_dimensions():

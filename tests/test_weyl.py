@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocycle.exactalg import (
+    ArityMismatch,
     ExactPoly,
     MAT2_VARS,
+    QuotientRing,
     compositions,
     det_poly,
     horocycle_ring,
@@ -188,6 +190,11 @@ def test_relative_fields_degenerate_inputs():
     one = ExactPoly.constant(V, 1)
     assert len(relative_fields(mat2_ring(), one, compositions(1, 4))) == 16
     assert relative_fields(sl2_ring(), det_poly(), []) == []
+    # a monomial of the wrong arity is refused before it reaches the ring's memo
+    ring = QuotientRing(V, sl2_ring().relation)
+    with pytest.raises(ArityMismatch):
+        relative_fields(ring, det_poly(), [(1, 0, 0, 0), (1, 0, 0)])
+    assert not ring._nf_memo
 
 
 def test_preserves_ideal():

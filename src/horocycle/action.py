@@ -228,14 +228,16 @@ def coinvariants(
     lists of sparse rows: Y is a full-row-rank matrix whose kernel is exactly
     the span, so the quotient has dimension len(Y) and Y * generator-action = 0
     holds exactly, and each T satisfies T Y = Y * action.  The span is the
-    columns x.e_j of each x in `sub`, which `act_columns` builds directly; the
-    acting matrices are the transposes of the same column form.
+    nonzero columns x.e_j of each x in `sub`, which `act_columns` builds, passed
+    sparsest first: a row space has one reduced echelon form, so the order
+    changes no Y or T, and `rref` reaches full rank sooner.  The acting
+    matrices are the transposes of the same column form.
     """
     if sub.desc.key != rep.desc.key:
         raise ValueError("subalgebra does not live in the module's acting algebra")
     if commuting is not None and not commuting.normalizes(sub):
         raise ValueError("designated subalgebra does not normalize the quotient data")
     # the eliminator's primitive integer rows span the subalgebra and keep the span integral
-    span = [col for v in sub.span.pivots.values() for col in rep.act_columns(v)]
+    span = sorted((col for v in sub.span.pivots.values() for col in rep.act_columns(v) if col), key=len)
     acting = [] if commuting is None else [transpose(rep.act_columns(v), rep.dim) for v in commuting.vectors]
     return quotient(span, rep.dim, acting)

@@ -396,7 +396,12 @@ def pw_level(f: ExactPoly, ring: QuotientRing):
     building the normal form; it may fill the ring's monomial memo (idempotently)."""
     if f.variables != ring.variables:
         raise ArityMismatch(f"{f.variables} vs {ring.variables}")
-    return max((sum(e) for e, c in ring.nf_terms(f.terms).items() if c), default=BOTTOM)
+    return terms_level(f.terms, ring)
+
+
+def terms_level(terms: dict, ring: QuotientRing):
+    """`pw_level` of the polynomial with these terms {e: c}, zero sums allowed."""
+    return max((sum(e) for e, c in ring.nf_terms(terms).items() if c), default=BOTTOM)
 
 
 # --- serialization ----------------------------------------------------------

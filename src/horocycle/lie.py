@@ -227,7 +227,9 @@ class FinDimRep:
     """Matrices for each basis element, satisfying the bracket relations.
 
     Each matrix is a list of `dim` sparse rows {column: coefficient}: every
-    column key is an int in range(dim) and every coefficient is nonzero.
+    column key is an int in range(dim) and every coefficient is nonzero.  For
+    each pair i < j, every entry of [M_i, M_j] - sum_k c_k M_k is summed in one
+    pass into one {(row, col): value} dict, and any nonzero value raises.
     """
 
     desc: LieAlgebraDesc
@@ -244,16 +246,23 @@ class FinDimRep:
             or not all(type(c) is int and c in cols and x for row in rows for c, x in row.items())
         ):
             raise ValueError("one matrix of dim sparse rows per basis element required")
-        # row by row, [M_i, M_j] - sum_k c_k M_k = 0; antisymmetry of the structure constants
-        # covers i >= j, and integral constants are ints, so int matrices stay int
-        for i in range(self.desc.dim):
-            for j in range(i + 1, self.desc.dim):
-                a, b = mats[i], mats[j]
-                bracket = [(-c, mats[k]) for k, c in self.desc.bracket_vector(i, j).items()]
-                for r in range(self.dim):
-                    terms = [(x, b[k]) for k, x in a[r].items()] + [(-x, a[k]) for k, x in b[r].items()]
-                    if lincomb(terms + [(c, m[r]) for c, m in bracket]):
-                        raise ValueError(f"bracket relation fails at ({i},{j})")
+        # antisymmetry of the structure constants covers i >= j, and integral
+        # constants are ints, so int matrices stay int
+        for i, j in itertools.combinations(range(self.desc.dim), 2):
+            acc: dict = {}
+            get = acc.get
+            for s, a, b in ((1, mats[i], mats[j]), (-1, mats[j], mats[i])):
+                for r, row in enumerate(a):
+                    for k, x in row.items():
+                        sx = s * x
+                        for c, y in b[k].items():
+                            acc[r, c] = get((r, c), 0) + sx * y
+            for k, s in self.desc.bracket_vector(i, j).items():
+                for r, row in enumerate(mats[k]):
+                    for c, y in row.items():
+                        acc[r, c] = get((r, c), 0) - s * y
+            if any(acc.values()):
+                raise ValueError(f"bracket relation fails at ({i},{j})")
 
     def act_columns(self, coeffs: dict) -> list[dict]:
         """Columns x.e_j of the element x with coefficients {basis index: c}, as sparse

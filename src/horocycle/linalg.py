@@ -101,18 +101,19 @@ def quotient(span: list[dict], n: int, acting=()):
     preserve the span.  Y's rows are the basis of {v in Q^n : M v = 0}, M the
     matrix with rows `span`, read off its reduced echelon form: row k is 1 at
     the k-th free column and 0 at the other free columns, so T is those
-    columns of Y A.  `rref` is told n, so it stops at the first rows that span
-    Q^n.
+    columns of Y A.  One pass over the reduced rows' entries builds Y: entry x
+    of the row with pivot p at a free column f puts -x at p in f's row, whose
+    keys run f, then pivots ascending.  `rref` is told n, so it stops at the
+    first rows that span Q^n.
     """
     r, pivots = rref(span, n)
     free = sorted(set(range(n)) - set(pivots))
-    y = []
-    for fc in free:
-        v = {fc: Fraction(1)}
-        for row, pc in zip(r, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        y.append(v)
+    kernel = {fc: {fc: Fraction(1)} for fc in free}
+    for row, pc in zip(r, pivots):
+        for c, x in row.items():
+            if c != pc:
+                kernel[c][pc] = -x
+    y = list(kernel.values())
     slot = {c: i for i, c in enumerate(free)}
     induced = []
     for a in acting:

@@ -152,13 +152,19 @@ def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
     """Act on a polynomial; apply(PQ, f) = apply(P, apply(Q, f))."""
     if p.variables != f.variables:
         raise ArityMismatch(f"{p.variables} vs {f.variables}")
+    return ExactPoly(p.variables, apply_terms(p, f.terms))
+
+
+def apply_terms(p: WeylOp, terms: dict) -> dict:
+    """{exponent: coefficient} of p applied to the polynomial with these terms,
+    zero sums kept; `apply_op` wraps it as a polynomial."""
     if p._plan is None:
         p._plan = [(tuple(map(sub, xe, de)), [(i, k) for i, k in enumerate(de) if k], c)
                    for (xe, de), c in p.terms.items()]
     out: dict = {}
     get = out.get
     for shift, slots, c in p._plan:
-        for fe, fc in f.terms.items():
+        for fe, fc in terms.items():
             mult = c * fc
             for i, k in slots:
                 if fe[i] < k:
@@ -167,7 +173,7 @@ def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
             else:
                 e = tuple(map(add, fe, shift))
                 out[e] = get(e, 0) + mult
-    return ExactPoly(p.variables, out)
+    return out
 
 
 def is_relative(theta: WeylOp, f: ExactPoly) -> bool:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from horocycle.lie import (
     tensor,
     tensor_dual_rep,
 )
+from horocycle.linalg import lincomb
 from matrices import act_rows, dense, dense_mul, sparse
 from pbw_oracle import random_pbw_normal_form, word_product
 
@@ -172,6 +175,61 @@ def test_rep_validation_rejects_one_changed_entry():
         bad[r][c] += 1
         with pytest.raises(ValueError, match="bracket relation"):
             FinDimRep(rep.desc, 4, (sparse(F), sparse(H), sparse(bad)))
+
+
+def first_failing_bracket(desc, dim, mats):
+    """Reference bracket check, row by row as `FinDimRep` once made it: the first
+    pair i < j with a nonzero row of [M_i, M_j] - sum_k c_k M_k, or None."""
+    for i in range(desc.dim):
+        for j in range(i + 1, desc.dim):
+            a, b = mats[i], mats[j]
+            bracket = [(-c, mats[k]) for k, c in desc.bracket_vector(i, j).items()]
+            for r in range(dim):
+                terms = [(x, b[k]) for k, x in a[r].items()] + [(-x, a[k]) for k, x in b[r].items()]
+                if lincomb(terms + [(c, m[r]) for c, m in bracket]):
+                    return i, j
+    return None
+
+
+def test_rep_validation_matches_the_row_by_row_reference():
+    # seeded single-entry changes (one sets the entry to zero) of every matrix of
+    # each V_m (x) V_k*, and each matrix replaced by +-1 times another, some of
+    # which are representations again: FinDimRep accepts exactly what the
+    # reference accepts, and names the same first failing pair
+    rng = random.Random(37)
+    firsts = Counter()
+    for m in range(4):
+        for k in range(4):
+            rep = tensor_dual_rep(m, k)
+            changed = []
+            for i, mat in enumerate(rep.matrices):
+                entries = [(r, c) for r, row in enumerate(mat) for c in row]
+                for step in (1, -1, rng.choice((-3, 2))) + ((None,) if entries else ()):
+                    r, c = rng.choice(entries) if step is None else (rng.randrange(rep.dim), rng.randrange(rep.dim))
+                    mats = [[dict(row) for row in a] for a in rep.matrices]
+                    x = 0 if step is None else mats[i][r].get(c, 0) + step
+                    mats[i][r][c] = x
+                    if not x:
+                        del mats[i][r][c]
+                    changed.append(mats)
+                for j in rng.sample(range(rep.desc.dim), 2):
+                    for s in (1, -1):
+                        mats = list(rep.matrices)
+                        mats[i] = [{c: s * x for c, x in row.items()} for row in rep.matrices[j]]
+                        changed.append(mats)
+            for mats in changed:
+                want = first_failing_bracket(rep.desc, rep.dim, mats)
+                firsts[want] += 1
+                if want is None:
+                    assert FinDimRep(rep.desc, rep.dim, tuple(mats)).dim == rep.dim
+                else:
+                    with pytest.raises(ValueError, match=rf"bracket relation fails at \({want[0]},{want[1]}\)$"):
+                        FinDimRep(rep.desc, rep.dim, tuple(mats))
+    assert firsts[None] > 0
+    # a left-right pair (E1, x2) is never the first to fail: on V_m (x) W a matrix
+    # that passes its brackets with F1 and H1 acts on W alone, so it commutes with
+    # E1, and an E1 that passes its brackets with F1 and H1 is E1 itself
+    assert set(firsts) - {None} == set(itertools.combinations(range(6), 2)) - {(2, 3), (2, 4), (2, 5)}
 
 
 def test_direct_sum_rep_rejects_noncommuting_factors():

@@ -304,6 +304,33 @@ def test_quotient():
                 assert all(x == 0 for x in mat_vec(dense(y, n), v))
 
 
+def free_by_rank_kernel(span, n):
+    """Reference kernel rows of `quotient`, as it once built them: for each free
+    column f, 1 at f and then, pivot row by pivot row, minus the row's entry at f."""
+    r, pivots = rref(span, n)
+    y = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = {fc: Fraction(1)}
+        for row, pc in zip(r, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        y.append(v)
+    return y
+
+
+def test_quotient_rows_match_the_free_by_rank_reference():
+    # seeded wide systems, sparse and dense, compared with their key order
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(3, 14)
+        rows = rng.randint(1, max(1, n // 2))
+        span = sparse(rand_matrix(rng, rows, n, density=rng.choice((0.2, 0.5, 0.9))))
+        y, _ = quotient(span, n)
+        want = free_by_rank_kernel(span, n)
+        assert [list(row.items()) for row in y] == [list(row.items()) for row in want]
+        assert len(y) == n - len(rref(span, n)[1])
+
+
 def _inverse(mat):
     n = len(mat)
     red, _ = dense_rref([list(row) + identity(n)[i] for i, row in enumerate(mat)])

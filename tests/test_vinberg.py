@@ -9,11 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from horocycle.action import PointNotOnVariety, RationalPoint, lr_action_horocycle, lr_action_mat2, moment_table
+from horocycle.action import (
+    LieSubalgebra,
+    PointNotOnVariety,
+    RationalPoint,
+    coinvariants,
+    lr_action_horocycle,
+    lr_action_mat2,
+    moment_table,
+    stabilizer_subalgebra,
+)
 from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, sl2_pair_desc, tensor
 from horocycle import action, vinberg
-from horocycle.linalg import IncrementalRank, lincomb
+from horocycle.linalg import IncrementalRank, char_poly, lincomb
 from horocycle.weyl import WeylOp, apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
@@ -674,6 +683,51 @@ def test_asymp_diagram_fails_when_the_right_factor_acts_by_zero(monkeypatch):
 def test_parabolic_small():
     rep = parabolic_rank1_check(rep_bound=1)
     assert rep.passed
+
+
+def _count_coinvariants(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return coinvariants(*args, **kwargs)
+
+    monkeypatch.setattr(vinberg, "coinvariants", counted)
+    return calls
+
+
+def test_parabolic_computes_the_direct_side_once_per_stabilizer_span(monkeypatch):
+    # the three default points share one stabilizer: 16 staged and 16 direct quotients
+    calls = _count_coinvariants(monkeypatch)
+    report = parabolic_rank1_check(3)
+    assert len(calls) == 32
+    assert report.passed and len(report.items) == 48
+
+
+def test_parabolic_recomputes_the_direct_side_for_another_stabilizer_span(monkeypatch):
+    # the second point gets a smaller subalgebra (the nilradicals, without H1 + H2)
+    # and the third the same span as the true stabilizer, from rows of other signs
+    pair = sl2_pair_desc()
+    nil = LieSubalgebra(pair, ({2: 1}, {3: 1}))
+    same = LieSubalgebra(pair, ({3: -1}, {1: 2, 2: -1, 4: 2}, {2: -1}))
+    assert any(row[k] < 0 for k, row in same.span.pivots.items())
+    stabilizers = iter([None, nil, same])
+
+    def patched(act, p):
+        return next(stabilizers) or stabilizer_subalgebra(act, p)
+
+    monkeypatch.setattr(vinberg, "stabilizer_subalgebra", patched)
+    calls = _count_coinvariants(monkeypatch)
+    report = parabolic_rank1_check(3)
+    assert len(calls) == 48 and sum(sub is nil for sub in calls) == 16
+    cartan_left = LieSubalgebra(pair, ({1: 1},))
+    items = [it for it in report.items if " at ('2', " in it.name]
+    assert len(items) == 16
+    for it, (_, _, _, module) in zip(items, vinberg._rep_family(3)):
+        proj, (cartan,) = coinvariants(module, nil, commuting=cartan_left)
+        assert it.expected == f"dim {len(proj)}, cartan {char_poly(cartan)}"
+    assert not all(it.passed for it in items)
+    assert all(it.passed for it in report.items if it not in items)
 
 
 def test_parabolic_rejects_off_fiber_points():

@@ -12,8 +12,10 @@ except that a ring memoizes the normal form of each monomial it has seen,
 ((e, 1),) where nothing rewrites it; that memo is keyed by the exponent on an
 immutable ring and filled idempotently, so concurrent use is still safe.  One
 kernel, `QuotientRing.nf_terms`, sums normal forms for `normal_form`,
-`pw_level` and `weyl.relative_fields`.  A stored coefficient is an int when it is
-integral and a fractions.Fraction otherwise (`linalg.num`), never a float.
+`pw_level`, `weyl.relative_fields` and `rees._graded_span_dim`; it and
+`weyl.apply_images` read the memo directly, others through `monomial_nf`.  A
+stored coefficient is an int when it is integral and a fractions.Fraction
+otherwise (`linalg.num`), never a float.
 The constructors of `ExactPoly`, `weyl.WeylOp` and `lie.UEnvElement` all
 normalise in `SparseElement._normalise`, one pass over the given terms.
 """
@@ -396,12 +398,7 @@ def pw_level(f: ExactPoly, ring: QuotientRing):
     building the normal form; it may fill the ring's monomial memo (idempotently)."""
     if f.variables != ring.variables:
         raise ArityMismatch(f"{f.variables} vs {ring.variables}")
-    return terms_level(f.terms, ring)
-
-
-def terms_level(terms: dict, ring: QuotientRing):
-    """`pw_level` of the polynomial with these terms {e: c}, zero sums allowed."""
-    return max((sum(e) for e, c in ring.nf_terms(terms).items() if c), default=BOTTOM)
+    return max((sum(e) for e, c in ring.nf_terms(f.terms).items() if c), default=BOTTOM)
 
 
 # --- serialization ----------------------------------------------------------

@@ -89,18 +89,39 @@ def _det_power(k: int) -> ExactPoly:
     return det_poly() ** k
 
 
-def homogenize(g: ExactPoly, level: int) -> ExactPoly:
-    """Lift a normal-form function to the degree-`level` piece of O(Mat2): each
-    monomial of degree k is multiplied by det^((level - k)/2)."""
+def _lift_terms(terms: dict, level: int) -> dict:
+    """The terms of `homogenize` of the function with terms {e: c}, zero sums kept."""
     out: dict = {}
-    for e, c in g.terms.items():
+    for e, c in terms.items():
         k = sum(e)
         if (level - k) % 2 or k > level:
             raise ValueError(f"monomial of degree {k} has no lift to weight {level}")
         for pe, pc in _det_power((level - k) // 2).terms.items():
             ne = tuple(map(add, e, pe))
             out[ne] = out.get(ne, 0) + c * pc
-    return ExactPoly(MAT2_VARS, out)
+    return out
+
+
+def homogenize(g: ExactPoly, level: int) -> ExactPoly:
+    """Lift a normal-form function to the degree-`level` piece of O(Mat2): each
+    monomial of degree k is multiplied by det^((level - k)/2) (`_lift_terms`)."""
+    return ExactPoly(MAT2_VARS, _lift_terms(g.terms, level))
+
+
+def _field_lift(coeffs, level: int) -> dict:
+    """The nonzero terms of the field sum_i homogenize(coeffs[i], level) D_i,
+    each keyed (monomial, slot) instead of by its unit D-exponent."""
+    return {(e, i): c for i, g in enumerate(coeffs) for e, c in _lift_terms(g.terms, level).items() if c}
+
+
+def _field_image(lift: dict, gradient: list) -> dict:
+    """The terms of sum_i g_i D_i(f), zero sums kept, from a lift's terms and D_i(f)'s."""
+    out: dict = {}
+    for (e, i), c in lift.items():
+        for ge, gc in gradient[i].items():
+            ne = tuple(map(add, e, ge))
+            out[ne] = out.get(ne, 0) + c * gc
+    return out
 
 
 def tau_map(theta: WeylOp) -> WeylOp:
@@ -132,22 +153,24 @@ def tau_check(level_bound: int = 4) -> CheckReport:
     For each level the lifted images must kill det, be linearly independent,
     and fill a space of the same dimension as the relative-field kernel on Mat2
     in that coefficient degree.  Each level's derivation space is read off
-    `_derivation_spaces(1 + level_bound)`: one solve per parity.
+    `_derivation_spaces(1 + level_bound)`: one solve per parity.  A lift enters
+    the eliminator as its terms (`_field_lift`); its det image is `_field_image`.
     """
     if level_bound < 0:
         raise ValueError("level bound must be non-negative")
     report = CheckReport(check="tau", parameters={"level_bound": level_bound})
     detp = det_poly()
     spaces = _derivation_spaces(1 + level_bound)
+    gradient = [apply_op(WeylOp.partial(MAT2_VARS, v), detp).terms for v in MAT2_VARS]
     for level in range(level_bound + 1):
         degrees, fields = spaces[(1 + level) % 2]
         basis = fields[:bisect_right(degrees, 1 + level)]
         dim_lhs = len(basis)
-        lifts = [WeylOp.vector_field([homogenize(g, 1 + level) for g in coeffs]) for coeffs in basis]
-        all_relative = all(apply_op(lift, detp).is_zero() for lift in lifts)
-        # a field's terms, keyed (monomial, unit D-exponent) and numbered as ints, are its coordinates
+        lifts = [_field_lift(coeffs, 1 + level) for coeffs in basis]
+        all_relative = not any(c for lift in lifts for c in _field_image(lift, gradient).values())
+        # a lift's keys (monomial, slot), numbered as ints, are its coordinates
         elim, code = IncrementalRank(), {}
-        independent = sum(elim.add({code.setdefault(k, len(code)): c for k, c in lift.terms.items()}) for lift in lifts)
+        independent = sum(elim.add({code.setdefault(k, len(code)): c for k, c in lift.items()}) for lift in lifts)
         dim_rhs = _free_relative_kernel_dim(1 + level)
         report.add(
             f"level {level}: lifted derivations = relative fields",
@@ -179,19 +202,20 @@ def tau_check(level_bound: int = 4) -> CheckReport:
 @functools.cache
 def _graded_span_dim(n: int) -> int:
     """Dimension of the weight-n piece of the module that the fields of the
-    built-in action span on the cone (six fields spanning its relative kernel)."""
+    built-in action span on the cone (six fields spanning its relative kernel);
+    x^e times a slot's coefficient is `ring.nf_terms` of its shifted terms."""
     ring = horocycle_ring()
     fields = [theta.coefficient_polys() for theta in lr_action_horocycle().fields]
     # the (D-exponent, monomial) keys, numbered as ints, are the coordinates
     elim, code = IncrementalRank(), {}
     dim = 0
     for e in ring.nf_monomials(n):
-        mono = ExactPoly.monomial(ring.variables, e)
         for coeffs in fields:
             vec = {}
             for de, g in coeffs.items():
-                for te, tc in ring.normal_form(mono * g).terms.items():
-                    vec[code.setdefault((de, te), len(code))] = tc
+                for te, tc in ring.nf_terms({tuple(map(add, e, ge)): gc for ge, gc in g.terms.items()}).items():
+                    if tc:
+                        vec[code.setdefault((de, te), len(code))] = tc
             if elim.add(vec):
                 dim += 1
     return dim

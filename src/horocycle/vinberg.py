@@ -28,6 +28,7 @@ from .action import (
     stabilizer_subalgebra,
 )
 from .exactalg import (
+    BOTTOM,
     ExactPoly,
     MAT2_VARS,
     compositions,
@@ -37,7 +38,6 @@ from .exactalg import (
     poly_to_text,
     pw_level,
     sl2_ring,
-    terms_level,
     vanishing_order,
 )
 from .lie import (
@@ -50,7 +50,7 @@ from .lie import (
 )
 from .linalg import IncrementalRank, char_poly, lincomb, quotient, transpose
 from .reports import CheckReport
-from .weyl import WeylOp, apply_op, apply_terms, euler_op, is_relative, op_to_text, relative_fields
+from .weyl import WeylOp, apply_images, apply_op, euler_op, is_relative, op_to_text, relative_fields
 
 V = MAT2_VARS
 
@@ -660,6 +660,8 @@ def pw_vs_derivations_check(bound: int = 6) -> CheckReport:
 
     The expression level bounds the operator's filtration level from above and
     the action level bounds it from below, so agreement pins the level exactly.
+    Each monomial's image level is the largest degree among the nonzero sums of
+    the normal-form image that `weyl.apply_images` yields on the ring.
     """
     if bound < PWFILT_LEAST_BOUND:
         raise ValueError(f"bound must be at least {PWFILT_LEAST_BOUND}")
@@ -670,10 +672,10 @@ def pw_vs_derivations_check(bound: int = 6) -> CheckReport:
     monos = [(deg, e) for deg in range(bound + 1) for e in ring.nf_monomials(deg)]
     for name, pairs in samples:
         expr_level = max(pw_level(f, ring) for f, _ in pairs)
-        op = WeylOp.zero(ring.variables)
-        for f, u in pairs:
-            op = op + WeylOp.from_poly(f) * moment_map(u, act)
-        action_level = max(terms_level(apply_terms(op, {e: 1}), ring) - deg for deg, e in monos)
+        op = sum((WeylOp.from_poly(f) * moment_map(u, act) for f, u in pairs), WeylOp.zero(ring.variables))
+        images = apply_images(op, (e for _, e in monos), ring)
+        action_level = max(max((sum(e) for e, c in image.items() if c), default=BOTTOM) - deg
+                           for (deg, _), image in zip(monos, images))
         report.add(f"{name}: expression level = action level", expr_level, action_level, expr_level == action_level)
     return report
 

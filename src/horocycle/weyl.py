@@ -5,9 +5,9 @@ derivative factor; this normal order is a basis, so equality of operators is
 equality of coefficient tables.  The product is computed term by term from the
 single reordering rule D_x x = x D_x + 1, extended to powers by the usual
 binomial/falling-factorial expansion.  As in `exactalg`, a coefficient is an
-int when integral and a Fraction otherwise, never a float.  At an operator's
-first application `apply_op` stores its apply plan (`WeylOp._plan`): per term
-c x^xe D^de, the shift xe - de and the (slot, order) pairs with nonzero order.
+int when integral and a Fraction otherwise, never a float.  One loop,
+`apply_images`, applies an operator (by its stored plan, `WeylOp._plan`) to
+monomials, in normal form when a ring is given; `apply_op` sums its images.
 """
 
 from __future__ import annotations
@@ -149,31 +149,43 @@ def commutator(p: WeylOp, q: WeylOp) -> WeylOp:
 
 
 def apply_op(p: WeylOp, f: ExactPoly) -> ExactPoly:
-    """Act on a polynomial; apply(PQ, f) = apply(P, apply(Q, f))."""
+    """Act on a polynomial, summing f's coefficients times `apply_images`;
+    apply(PQ, f) = apply(P, apply(Q, f))."""
     if p.variables != f.variables:
         raise ArityMismatch(f"{p.variables} vs {f.variables}")
-    return ExactPoly(p.variables, apply_terms(p, f.terms))
+    out: dict = {}
+    for fc, image in zip(f.terms.values(), apply_images(p, f.terms)):
+        for e, c in image.items():
+            out[e] = out.get(e, 0) + fc * c
+    return ExactPoly(p.variables, out)
 
 
-def apply_terms(p: WeylOp, terms: dict) -> dict:
-    """{exponent: coefficient} of p applied to the polynomial with these terms,
-    zero sums kept; `apply_op` wraps it as a polynomial."""
+def apply_images(p: WeylOp, exponents, ring: QuotientRing | None = None):
+    """Yield, for each exponent e, {exponent: coefficient} of p(x^e), zero sums
+    kept, in normal form on a ring with a relation (read through its monomial
+    memo).  The first call stores the plan: per term c x^xe D^de, the shift
+    xe - de and the (slot, order) pairs with nonzero order."""
     if p._plan is None:
         p._plan = [(tuple(map(sub, xe, de)), [(i, k) for i, k in enumerate(de) if k], c)
                    for (xe, de), c in p.terms.items()]
-    out: dict = {}
-    get = out.get
-    for shift, slots, c in p._plan:
-        for fe, fc in terms.items():
-            mult = c * fc
+    memo = None if ring is None or ring.relation is None else ring._nf_memo
+    for fe in exponents:
+        out: dict = {}
+        get = out.get
+        for shift, slots, mult in p._plan:
             for i, k in slots:
                 if fe[i] < k:
                     break
                 mult *= math.perm(fe[i], k)
             else:
                 e = tuple(map(add, fe, shift))
-                out[e] = get(e, 0) + mult
-    return out
+                if memo is None:
+                    out[e] = get(e, 0) + mult
+                    continue
+                nf = memo.get(e)
+                for ne, nc in ring.monomial_nf(e) if nf is None else nf:
+                    out[ne] = get(ne, 0) + mult * nc
+        yield out
 
 
 def is_relative(theta: WeylOp, f: ExactPoly) -> bool:

@@ -30,6 +30,7 @@ from horocycle.rees import (
     tau_map,
     _free_relative_kernel_dim,
 )
+from horocycle.action import lr_action_horocycle
 from horocycle.weyl import WeylOp, apply_op, relative_fields
 from test_exactalg import REES_RING
 
@@ -143,17 +144,23 @@ def test_tau_check_fails_on_a_wrong_det_power(monkeypatch):
     assert failed == [f"level {n}: lifted derivations = relative fields" for n in range(1, 5)]
 
 
-def _key_types(monkeypatch, run):
-    """(run(), the types of the keys that the eliminators of `rees` are given)."""
-    seen = set()
+def _record_adds(monkeypatch) -> list:
+    """The list of every vector that the eliminators of `rees` are given from now on."""
+    added = []
 
     class Recording(IncrementalRank):
         def add(self, vec):
-            seen.update(type(k) for k in vec)
+            added.append(vec)
             return super().add(vec)
 
     monkeypatch.setattr(rees, "IncrementalRank", Recording)
-    return run(), seen
+    return added
+
+
+def _key_types(monkeypatch, run):
+    """(run(), the types of the keys that the eliminators of `rees` are given)."""
+    added = _record_adds(monkeypatch)
+    return run(), {type(k) for vec in added for k in vec}
 
 
 def test_tau_check_numbers_the_eliminator_keys_as_ints(monkeypatch):
@@ -238,3 +245,68 @@ def test_homogenize_matches_power_sum_oracle():
             homogenize(g, level)
         with pytest.raises(ValueError):
             power_sum_homogenize(g, level)
+
+
+def test_tau_inserts_the_terms_of_the_lifted_fields_and_their_det_images(monkeypatch):
+    # tau_check(6) lifts every field of sl2_derivation_space(7) and (6) of degree
+    # <= 1 + level at every level <= 6; each inserted dict must be the field's
+    # WeylOp terms numbered the same way, and each image of det its apply_op
+    images, added = [], _record_adds(monkeypatch)
+    field_image = rees._field_image
+
+    def recording_image(lift, gradient):
+        images.append(field_image(lift, gradient))
+        return images[-1]
+
+    monkeypatch.setattr(rees, "_field_image", recording_image)
+    report = tau_check(6)
+    detp = det_poly()
+    gradient = [apply_op(WeylOp.partial(V, v), detp).terms for v in V]
+    expected_added, expected_images = [], []
+    for level in range(7):
+        fields = sl2_derivation_space(7 - level % 2)
+        code = {}
+        for coeffs in fields:
+            if max(g.degree() for g in coeffs) > 1 + level:
+                continue
+            op = WeylOp.vector_field([homogenize(g, 1 + level) for g in coeffs])
+            expected_added.append({code.setdefault(k, len(code)): c for k, c in op.terms.items()})
+            expected_images.append(apply_op(op, detp))
+            assert rees._field_lift(coeffs, 1 + level) == {(xe, de.index(1)): c for (xe, de), c in op.terms.items()}
+            # a field that does not kill det: its image is still apply_op's
+            turned = list(coeffs[1:]) + [coeffs[0]]
+            op = WeylOp.vector_field([homogenize(g, 1 + level) for g in turned])
+            image = ExactPoly(V, field_image(rees._field_lift(turned, 1 + level), gradient))
+            assert image == apply_op(op, detp)
+    assert [ExactPoly(V, image) for image in images] == expected_images
+    assert added == expected_added
+    assert report.passed
+
+
+def _graded_span_vectors_by_products(n):
+    """(dimension, inserted vectors) of the weight-n graded span, each coefficient
+    reduced as normal_form(x^e * g) and its keys numbered as `rees` numbers them."""
+    ring = horocycle_ring()
+    fields = [theta.coefficient_polys() for theta in lr_action_horocycle().fields]
+    elim, code, vecs = IncrementalRank(), {}, []
+    for e in ring.nf_monomials(n):
+        mono = ExactPoly.monomial(V, e)
+        for coeffs in fields:
+            vec = {}
+            for de, g in coeffs.items():
+                for te, tc in ring.normal_form(mono * g).terms.items():
+                    vec[code.setdefault((de, te), len(code))] = tc
+            vecs.append(vec)
+            elim.add(vec)
+    return len(elim.pivots), vecs
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_graded_span_dim_matches_the_normal_form_product_oracle(monkeypatch, n):
+    added = _record_adds(monkeypatch)
+    rees._graded_span_dim.cache_clear()
+    try:
+        dim = rees._graded_span_dim(n)
+    finally:
+        rees._graded_span_dim.cache_clear()
+    assert (dim, added) == _graded_span_vectors_by_products(n)

@@ -16,14 +16,24 @@ from horocycle.action import (
     coinvariants,
     lr_action_horocycle,
     lr_action_mat2,
+    moment_map,
     moment_table,
     stabilizer_subalgebra,
 )
-from horocycle.exactalg import MAT2_VARS, ExactPoly, compositions, horocycle_ring
+from horocycle.exactalg import (
+    BOTTOM,
+    MAT2_VARS,
+    ExactPoly,
+    compositions,
+    horocycle_ring,
+    mat2_ring,
+    pw_level,
+    sl2_ring,
+)
 from horocycle.lie import UEnvElement, casimir_sl2, sl2_desc, sl2_pair_desc, tensor
 from horocycle import action, vinberg
 from horocycle.linalg import IncrementalRank, char_poly, lincomb
-from horocycle.weyl import WeylOp, apply_op
+from horocycle.weyl import WeylOp, apply_images, apply_op
 from horocycle.vinberg import (
     _DY_MARGIN,
     _block_of,
@@ -610,6 +620,38 @@ def test_pw_filtration_samples():
     assert len(samples) >= 20
     rep = pw_vs_derivations_check(4)
     assert rep.passed and len(rep.items) == len(samples)
+
+
+def _image_by_product(op, e):
+    """op(x^e) read off the normal-ordered product op * x^e: its D-free terms."""
+    product = op * ExactPoly.monomial(MAT2_VARS, e)
+    return ExactPoly(MAT2_VARS, {xe: c for (xe, de), c in product.terms.items() if not any(de)})
+
+
+def test_fused_action_levels_match_the_operator_product_oracle():
+    # each sample operator on every normal-form monomial of degree <= 6: the
+    # images `apply_images` yields without a relation are op(x^e), and on
+    # O(SL2) their levels are pw_level of op(x^e), as `pwfilt` reports them
+    ring, act = sl2_ring(), lr_action_mat2()
+    monos = [(deg, e) for deg in range(7) for e in ring.nf_monomials(deg)]
+    exps = [e for _, e in monos]
+    report = pw_vs_derivations_check(6)
+    samples = default_pw_samples()
+    assert len(report.items) == len(samples)
+    for (name, pairs), item in zip(samples, report.items):
+        op = sum((WeylOp.from_poly(f) * moment_map(u, act) for f, u in pairs), WeylOp.zero(MAT2_VARS))
+        raw = list(apply_images(op, exps, mat2_ring()))
+        fused = list(apply_images(op, exps, ring))
+        assert len(raw) == len(fused) == len(exps)
+        action_level = BOTTOM
+        for (deg, e), image, nf_image in zip(monos, raw, fused):
+            direct = _image_by_product(op, e)
+            assert apply_op(op, ExactPoly.monomial(MAT2_VARS, e)) == direct == ExactPoly(MAT2_VARS, image), (name, e)
+            level = max((sum(k) for k, c in nf_image.items() if c), default=BOTTOM)
+            assert level == pw_level(direct, ring), (name, e)
+            assert ExactPoly(MAT2_VARS, nf_image) == ring.normal_form(direct), (name, e)
+            action_level = max(action_level, level - deg)
+        assert item.got == str(action_level), name
 
 
 def test_vfilt_small():

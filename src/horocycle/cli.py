@@ -9,7 +9,6 @@ JSON output is deterministic: identical invocations write identical bytes.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -37,7 +36,7 @@ from .rees import (
     rees_dimension_check,
     tau_check,
 )
-from .reports import CheckReport
+from .reports import CheckReport, write_json
 from .vinberg import (
     DY_LEAST_BOUND,
     PWFILT_LEAST_BOUND,
@@ -100,7 +99,7 @@ def _write_report(path, command: str, fields: dict) -> None:
     payload = {"tool": "horocycle", "version": __version__, "command": command, **fields}
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            write_json(payload, fh)
             fh.write("\n")
     except OSError as exc:
         raise click.UsageError(f"cannot write the JSON report to {path}: {exc.strerror}")

@@ -218,11 +218,15 @@ def _exp_sub(e1: Exp, e2: Exp) -> Exp:
 
 
 def poly_try_divide(f: ExactPoly, d: ExactPoly) -> ExactPoly | None:
-    """Exact quotient f/d, or None when d does not divide f: at once when d's
-    least monomial does not divide f's, since least monomials multiply."""
+    """Exact quotient f/d, or None when d does not divide f.  Two exact refusals
+    come first, as lead and least monomials multiply under a monomial order:
+    d's least monomial must divide f's, and a single-term f is no multiple of
+    a d with several terms, since lead(q*d) and least(q*d) then differ."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check(d)
+    if len(f.terms) == 1 and len(d.terms) > 1:
+        return None
     if f.terms and not _divides(min(d.terms, key=_graded), min(f.terms, key=_graded)):
         return None
     lead = d.leading_exponent()

@@ -207,6 +207,17 @@ def test_poly_division():
     assert poly_try_divide(a * b, dp) is None
 
 
+def test_poly_division_edge_cases():
+    dp = det_poly()
+    # a single term over a single term still divides
+    assert poly_try_divide(a * a * b, 2 * a) == ExactPoly.monomial(V, (1, 1, 0, 0), Fraction(1, 2))
+    for dv in (dp, dp - 1, 2 * a, a + b):
+        assert poly_try_divide(ExactPoly.zero(V), dv) == ExactPoly.zero(V)
+    for k in range(4):
+        for e in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0), (1, 0, 0, 3)):
+            assert vanishing_order(dp**k * ExactPoly.monomial(V, e), dp) == k
+
+
 def test_serialization_roundtrip():
     # the text format is pinned literally: graded order, highest degree first
     f = ExactPoly(V, {(2, 0, 0, 1): Fraction(3, 2), (0, 1, 1, 0): -1, (1, 0, 0, 0): Fraction(-2, 3), (0, 0, 0, 0): 5})

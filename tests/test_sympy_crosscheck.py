@@ -1,12 +1,21 @@
-"""linalg, `apply_op` and `QuotientRing.normal_form` against sympy on seeded
-random inputs."""
+"""linalg, `apply_op`, `QuotientRing.normal_form` and `poly_try_divide`
+against sympy on seeded random or exhaustive inputs."""
 
 import random
 from fractions import Fraction
 
 import sympy
 
-from horocycle.exactalg import MAT2_VARS, ExactPoly, horocycle_ring, mat2_ring, sl2_ring
+from horocycle.exactalg import (
+    MAT2_VARS,
+    ExactPoly,
+    compositions,
+    det_poly,
+    horocycle_ring,
+    mat2_ring,
+    poly_try_divide,
+    sl2_ring,
+)
 from horocycle.linalg import char_poly, nullspace, rref
 from horocycle.weyl import WeylOp, apply_op
 from matrices import dense, rank, sparse
@@ -103,3 +112,22 @@ def test_normal_form_matches_sympy_reduction():
             f = _random_poly(rng, 6, rng.randint(1, 6))
             _, remainder = sympy.reduced(_sympy_poly(f), relations, *GENS, order="grlex")
             assert sympy.expand(_sympy_poly(ring.normal_form(f)) - remainder) == 0
+
+
+def test_monomial_division_matches_sympy_div():
+    # a*d and 2b are single terms, the other divisors are not, so both exact refusals run
+    V = MAT2_VARS
+    a, b, d = (ExactPoly.monomial(V, e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+    det = det_poly()
+    divisors = [(dv, sympy.Poly(_sympy_poly(dv), *GENS, domain="QQ")) for dv in (det, det - 1, a * d, 2 * b, a + b)]
+    divided = 0
+    for degree in range(7):
+        for e in compositions(degree, 4):
+            for coef in (1, -3, Fraction(2, 5)):
+                f = ExactPoly.monomial(V, e, coef)
+                for dv, theirs in divisors:
+                    q, r = sympy.Poly(_sympy_poly(f), *GENS, domain="QQ").div(theirs)
+                    expected = ExactPoly(V, {k: _fraction(c) for k, c in q.terms()}) if r.is_zero else None
+                    assert poly_try_divide(f, dv) == expected, (f, dv)
+                    divided += expected is not None
+    assert divided == 3 * (70 + 126)  # a*d times the monomials of degree <= 4, b times those of degree <= 5
